@@ -140,13 +140,18 @@ def _base_manifest(cfg, command: str) -> dict:
 
 
 def _report_entries(report) -> dict:
-    return {
+    entries = {
         "result.converged": report.converged,
         "result.iterations": report.iterations,
         "result.residual": report.residual,
         "result.k_schedule": list(report.k_schedule),
         "result.message": report.message or "ok",
     }
+    for lv in report.levels:
+        entries[f"result.level.{lv.k}.stop"] = lv.stop
+        entries[f"result.level.{lv.k}.iterations"] = lv.iterations
+        entries[f"result.level.{lv.k}.residual"] = lv.residual
+    return entries
 
 
 def _ensure_outdir(path: str) -> str:

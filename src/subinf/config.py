@@ -96,13 +96,10 @@ class ProblemConfig:
             prefix + "solver.k_max": sv.k_max,
             prefix + "solver.max_iterations": sv.max_iterations,
             prefix + "solver.gradient_tolerance": sv.gradient_tolerance,
-            prefix + "solver.armijo_c": sv.armijo_c,
-            prefix + "solver.armijo_shrink": sv.armijo_shrink,
             prefix + "solver.max_backtracks": sv.max_backtracks,
             prefix + "solver.cross_tolerance": sv.cross_tolerance,
             prefix + "solver.initialization": sv.initialization,
             prefix + "solver.k_schedule": sched,
-            prefix + "solver.deterministic": sv.deterministic,
         }
 
 
@@ -126,10 +123,7 @@ def _builtin_expression(expr: str, dim: int, source: str):
         if dim < 2:
             raise ConfigError(f"{source}: boundary 'aronsson43' needs at least 2 coordinates")
         exponent = 4.0 / 3.0
-        return lambda xs: (
-            np.sign(xs[:, 0]) * np.abs(xs[:, 0]) ** exponent
-            - np.sign(xs[:, 1]) * np.abs(xs[:, 1]) ** exponent
-        )
+        return lambda xs: np.abs(xs[:, 0]) ** exponent - np.abs(xs[:, 1]) ** exponent
     raise ConfigError(
         f"{source}: unknown boundary expression {expr!r} "
         f"(builtins: linear:c1,...,cn[,c0], aronsson43, file:PATH)"
@@ -195,15 +189,6 @@ def _floats(value: str) -> tuple:
     return tuple(float(t) for t in toks)
 
 
-def _bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def _ints(value: str) -> tuple:
     toks = value.replace(",", " ").split()
     return tuple(int(t) for t in toks)
@@ -259,9 +244,8 @@ def parse_config(text: str, source: str = "<config>", base_dir: str = ".") -> Pr
     kwargs = {}
     for key, kind in (
         ("k_max", int), ("max_iterations", int), ("gradient_tolerance", float),
-        ("armijo_c", float), ("armijo_shrink", float), ("max_backtracks", int),
-        ("cross_tolerance", float), ("initialization", str),
-        ("k_schedule", _ints), ("deterministic", _bool),
+        ("max_backtracks", int), ("cross_tolerance", float),
+        ("initialization", str), ("k_schedule", _ints),
     ):
         if key in solv:
             line = solv[key].line

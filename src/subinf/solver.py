@@ -16,6 +16,10 @@ pins cleanly to the boundary, and reproduces the linear interpolant
 exactly in 1D at every k.  Reported energies in SolveReport come from
 this cell quadrature; the public energy() function below keeps the
 centered interior form.
+
+Each level is solved by damped Newton steps on the free nodes with an
+exact line search along each step (see _descend), and reports why it
+stopped (LevelReport); only gradient_tolerance counts as converged.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import IncompleteFieldError, ParameterError
 from .grids import EXTERIOR, GridDomain, ScalarField, require_same_lattice
@@ -86,10 +91,9 @@ class BoundaryData:
         out[dom.boundary_flat] = self.values
         inodes = dom.interior_flat
         ic = dom.coords[inodes]
-        chunk = max(1, int(2e7) // max(1, bc.shape[0]))
+        chunk = max(1, _PAIR_BLOCK // max(1, bc.shape[0]))
         for s in range(0, inodes.size, chunk):
-            blk = ic[s : s + chunk]
-            d2 = ((blk[:, None, :] - bc[None, :, :]) ** 2).sum(axis=2)
+            d2 = _squared_distances(ic[s : s + chunk], bc)
             out[inodes[s : s + chunk]] = self.values[np.argmin(d2, axis=1)]
         return ScalarField(dom, out)
 
@@ -105,14 +109,13 @@ class BoundaryData:
         bc = dom.coords[dom.boundary_flat]
         nb = bc.shape[0]
         best = 0.0
-        chunk = max(1, int(2e7) // max(1, nb))
+        chunk = max(1, _PAIR_BLOCK // max(1, nb))
         for s in range(0, nb, chunk):
             if dom.spec.is_group:
                 d = gauge_distance(dom.spec, bc[s : s + chunk, None, :],
                                    bc[None, :, :])
             else:
-                d = np.sqrt(((bc[s : s + chunk, None, :]
-                              - bc[None, :, :]) ** 2).sum(axis=2))
+                d = np.sqrt(_squared_distances(bc[s : s + chunk], bc))
             dv = np.abs(self.values[s : s + chunk, None] - self.values[None, :])
             with np.errstate(divide="ignore", invalid="ignore"):
                 r = np.where(d > 0, dv / np.where(d > 0, d, 1.0), 0.0)
@@ -120,6 +123,22 @@ class BoundaryData:
                 best = max(best, float(np.max(r)))
         self._lip = best
         return best
+
+
+# Node pairs per block in the boundary sweeps above: a few MB per array.
+_PAIR_BLOCK = 200_000
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2 for all pairs, summed one axis at a time.
+
+    Adds the axes in order, as a sum over a (rows, len(b), n) difference
+    array would, without building that array.
+    """
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for j in range(1, a.shape[1]):
+        d2 += (a[:, None, j] - b[None, :, j]) ** 2
+    return d2
 
 
 @dataclass(frozen=True)
@@ -136,23 +155,17 @@ class SolverConfig:
     eps: float = 0.0
     max_iterations: int = 20000
     gradient_tolerance: float = 1e-8
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     max_backtracks: int = 60
     cross_tolerance: float = 1e-4
     initialization: str = "boundary"
     k_schedule: tuple = ()
-    deterministic: bool = True
 
     def __post_init__(self):
         if int(self.k_max) < 4:
             raise ParameterError("k_max must be at least 4, got %s" % (self.k_max,))
-        for name in ("gradient_tolerance", "cross_tolerance", "armijo_c",
-                     "armijo_shrink"):
+        for name in ("gradient_tolerance", "cross_tolerance"):
             if getattr(self, name) <= 0:
                 raise ParameterError("%s must be positive" % name)
-        if self.armijo_shrink >= 1.0:
-            raise ParameterError("armijo_shrink must be below 1")
         if self.max_iterations < 1 or self.max_backtracks < 1:
             raise ParameterError("iteration limits must be at least 1")
         if self.eps < 0:
@@ -181,6 +194,24 @@ class SolverConfig:
         return tuple(ks)
 
 
+@dataclass(frozen=True)
+class LevelReport:
+    """How the descent of one k level ended.
+
+    stop is gradient_tolerance, stalled, budget or overflow (see
+    _descend); only gradient_tolerance counts as converged.
+    """
+
+    k: int
+    iterations: int
+    residual: float
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "gradient_tolerance"
+
+
 @dataclass
 class SolveReport:
     """Outcome of a solve: the field plus convergence bookkeeping.
@@ -189,7 +220,9 @@ class SolveReport:
     (cell quadrature, original units).  cross_trace lists (k, sup-norm
     change from the previous level).  residual is the final
     Euler-Lagrange sup-norm in normalized units (the problem is scaled
-    so the initial max of f(Xu) is about 1).
+    so the initial max of f(Xu) is about 1).  levels holds one
+    LevelReport per descent run, warm-up levels included; converged
+    requires the last one to have met gradient_tolerance.
     """
 
     solution: ScalarField
@@ -200,6 +233,7 @@ class SolveReport:
     converged: bool
     cross_trace: list = dc_field(default_factory=list)
     message: str = ""
+    levels: list = dc_field(default_factory=list)
 
 
 @dataclass
@@ -230,19 +264,17 @@ def _power_sum(fv: np.ndarray, k: int) -> float:
     return float(out)
 
 
-def _power_vec(fv: np.ndarray, k: int) -> np.ndarray:
-    """fv**k elementwise, +inf past the exp range instead of raising."""
-    if k == 0:
-        return np.ones_like(fv)
-    out = np.empty_like(fv)
-    small = fv <= 1e3
-    out[small] = fv[small] ** k
-    big = ~small
-    if np.any(big):
-        logs = k * np.log(fv[big])
-        vals = np.where(logs > _EXP_MAX, np.inf, np.exp(np.minimum(logs, _EXP_MAX)))
-        out[big] = vals
-    return out
+def _qpow(q: np.ndarray, e: float) -> np.ndarray:
+    """q**e for q >= 0, in log space with the exponent capped at _EXP_MAX.
+
+    q = 0 maps to 0 (to 1 when e = 0): rows with no gradient get no
+    weight, where a negative power would be infinite.
+    """
+    if e == 0.0:
+        return np.ones_like(q)
+    with np.errstate(divide="ignore"):
+        logq = np.log(q)
+    return np.where(q > 0, np.exp(np.minimum(e * logq, _EXP_MAX)), 0.0)
 
 
 def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
@@ -338,12 +370,16 @@ class _Objective:
         self.ops = ops
         self.opsT = [op.T.tocsr() for op in ops]
         self.free = domain.interior_flat
+        # the X_i restricted to the free nodes, for the Hessian
+        self.ops_free = [op[:, self.free].tocsr() for op in ops]
         self.cell = float(domain.h) ** domain.spec.dim
-        alpha = 2.0 if f.kind == "squared_norm" else float(f.alpha)
+        self.alpha = 2.0 if f.kind == "squared_norm" else float(f.alpha)
+        # f(p)^k = q^kappa with q = |p|^2
+        self.kappa = 0.5 * self.alpha * self.k
         unit = np.zeros(domain.spec.horizontal_dim)
         unit[0] = max(float(slope_scale), 0.0)
         s = max(float(f.value(unit)), float(eps), 1e-12)
-        self.scale = s ** (1.0 / alpha)
+        self.scale = s ** (1.0 / self.alpha)
         self.base = base_full / self.scale
         self.base_exact = base_full
         if eps > 0:
@@ -375,14 +411,6 @@ class _Objective:
         vals[self.domain.classification == EXTERIOR] = np.nan
         return vals
 
-    def value(self, z) -> float:
-        grad = self._stack_full(self.full_of(z))
-        fv = self.f.value(grad)
-        e = _power_sum(fv, self.k)
-        if not math.isfinite(e):
-            return math.inf
-        return self.cell * (e + self.sign * self.src * float(np.sum(z)))
-
     def value_grad(self, z):
         full = self.full_of(z)
         grad = self._stack_full(full)
@@ -390,22 +418,32 @@ class _Objective:
         e = _power_sum(fv, self.k)
         if not math.isfinite(e):
             return math.inf, None
-        fp = self.f.grad(grad)
-        if self.k == 1:
-            w = fp
-        else:
-            with np.errstate(divide="ignore"):
-                logf = np.log(fv)
-            pw = np.where(logf > -math.inf,
-                          np.exp(np.minimum((self.k - 1) * logf, _EXP_MAX)),
-                          0.0)
-            w = self.k * pw[:, None] * fp
+        w = self.k * _qpow(fv, self.k - 1)[:, None] * self.f.grad(grad)
         g_full = np.zeros(self.domain.n_nodes)
         for i, opT in enumerate(self.opsT):
             g_full += opT @ w[:, i]
         g = g_full[self.free] + self.sign * self.src
         return self.cell * (e + self.sign * self.src * float(np.sum(z))), \
             self.cell * g
+
+    def hessian(self, z):
+        """Hessian of the scaled energy in the free nodes, as csc.
+
+        With V = Xu per row and q = |V|^2, the Hessian of q^kappa in V is
+        2 kappa q^(kappa-1) I + 4 kappa (kappa-1) q^(kappa-2) V V^T, so
+        H = cell * (sum_i X_i^T A X_i + Y^T B Y) with A, B those two
+        weights as diagonals and Y = sum_j diag(V_j) X_j.
+        """
+        V = self._stack_full(self.full_of(z))
+        q = np.sum(V * V, axis=1)
+        kappa = self.kappa
+        a = 2.0 * kappa * _qpow(q, kappa - 1.0)
+        b = 4.0 * kappa * (kappa - 1.0) * _qpow(q, kappa - 2.0)
+        y = sum(sp.diags(V[:, i]) @ op for i, op in enumerate(self.ops_free))
+        hess = y.T @ sp.diags(b) @ y
+        for op in self.ops_free:
+            hess = hess + op.T @ sp.diags(a) @ op
+        return (self.cell * hess).tocsc()
 
     def direction_state(self, z, d):
         """Per-row quadratics describing the energy along z + t*d.
@@ -425,9 +463,7 @@ class _Objective:
         qc = np.sum(V * V, axis=1)
         lin0 = self.sign * self.src * float(np.sum(z))
         lin1 = self.sign * self.src * float(np.sum(d))
-        alpha = 2.0 if self.f.kind == "squared_norm" else float(self.f.alpha)
-        kappa = 0.5 * alpha * self.k
-        return (qa, qb, qc, lin0, lin1, kappa)
+        return (qa, qb, qc, lin0, lin1, self.kappa)
 
     def line_eval(self, state, t: float):
         """(phi, phi', phi'') of the restricted energy at step t."""
@@ -456,8 +492,7 @@ class _Objective:
         # no constant offset.  Restored in log space against overflow.
         if scaled_energy == 0.0 or not math.isfinite(scaled_energy):
             return scaled_energy
-        alpha = 2.0 if self.f.kind == "squared_norm" else float(self.f.alpha)
-        m = math.log(abs(scaled_energy)) + self.k * alpha * math.log(self.scale)
+        m = math.log(abs(scaled_energy)) + self.k * self.alpha * math.log(self.scale)
         if m > _EXP_MAX:
             return math.copysign(math.inf, scaled_energy)
         return math.copysign(math.exp(m), scaled_energy)
@@ -469,7 +504,10 @@ def _line_minimize(obj: _Objective, state, slope: float, t_init: float,
 
     The restricted energy is convex in t, so Newton steps on its
     derivative bracketed by bisection converge fast; returns the best
-    step found and its energy value.
+    step found.  Convexity also gives phi(t) <= phi(s) for s < t
+    wherever phi'(t) <= 0, so such steps, and the one where phi'
+    vanishes, count as progress even when the change in phi is below
+    its rounding error.
     """
     t_lo, t_hi = 0.0, math.inf
     t = max(t_init, 1e-300)
@@ -481,13 +519,14 @@ def _line_minimize(obj: _Objective, state, slope: float, t_init: float,
             t_hi = t
             t = 0.5 * (t_lo + t_hi)
             continue
-        if phi < best_phi:
+        flat = abs(dphi) <= 1e-12 * max(dphi0, 1e-300)
+        if phi < best_phi or ((dphi <= 0 or flat) and t > best_t):
             best_phi, best_t = phi, t
         if dphi > 0:
             t_hi = t
         else:
             t_lo = t
-        if abs(dphi) <= 1e-12 * max(dphi0, 1e-300):
+        if flat:
             break
         if math.isfinite(d2phi) and d2phi > 0:
             t_new = t - dphi / d2phi
@@ -501,78 +540,89 @@ def _line_minimize(obj: _Objective, state, slope: float, t_init: float,
             t = 0.5 * (t_lo + t_hi)
         if math.isfinite(t_hi) and t_hi - t_lo <= 1e-14 * max(t_hi, 1e-300):
             break
-    return best_t, best_phi
+    return best_t
+
+
+# Damping of the Newton step, see _descend.
+_MU_START, _MU_MIN, _MU_MAX = 1e-3, 1e-8, 1e3
+_MU_DOWN, _MU_UP = 0.3, 3.0
+_SHIFT_CAP, _SHIFT_FLOOR = 1e-3, 1e-14
 
 
 def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
-    """Monotone first-order descent, conjugate directions, exact line step.
+    """Damped Newton descent with an exact line step.
 
-    Directions are gradients enriched with Polak-Ribiere momentum,
-    reset to steepest descent whenever the combination stops pointing
-    downhill.  The step along each direction comes from the closed-form
-    restriction of the energy (see direction_state), which keeps every
-    accepted step energy-decreasing and the per-level trace monotone.
+    Each iteration solves (H + D) d = -g for the free-node Hessian H
+    and gradient g, then minimizes the energy exactly along d (see
+    direction_state).  The damping is
+    D = mu diag(H) + (min(|g|_inf, 1e-3 max diag H) + 1e-14 max diag H) I:
+    the relative term mu is cut by 0.3 after a full step (t near 1) and
+    raised by 3 otherwise, and the identity term, which shrinks with
+    the gradient (Fan and Yuan's Levenberg-Marquardt rule), keeps the
+    system regular where flat cells leave rows of H empty.
+
+    Returns (z, energy trace, residual, iterations, stop): iterations is
+    the number of accepted steps, and stop says why the descent ended --
+    gradient_tolerance when the residual met config.gradient_tolerance;
+    stalled at the numerical floor, when a step lowered the energy by no
+    more than its rounding error and did not halve the residual;
+    budget after config.max_iterations steps; overflow when the energy
+    or the Newton system left the double range.
     """
     z = np.array(z0, dtype=float)
     e, g = obj.value_grad(z)
     if g is None:
         raise ParameterError("initial iterate overflows the energy")
     trace = [e]
-    cell = obj.cell
-    d = -g
-    t = 1.0 / max(1.0, float(np.max(np.abs(g))) / cell)
-    it = 0
-    converged = False
-    msg = ""
-    for it in range(1, config.max_iterations + 1):
-        res = float(np.max(np.abs(g))) / cell
-        if res <= config.gradient_tolerance:
-            converged = True
-            it -= 1
+    mu = _MU_START
+    while True:
+        gmax = float(np.max(np.abs(g)))
+        if gmax / obj.cell <= config.gradient_tolerance:
+            stop = "gradient_tolerance"
             break
-        slope = float(g @ d)
-        if slope >= 0.0:
-            d = -g
-            slope = -float(g @ g)
+        if len(trace) > config.max_iterations:
+            stop = "budget"
+            break
+        hess = obj.hessian(z)
+        diag = hess.diagonal()
+        top = float(np.max(diag))
+        shift = (min(gmax, _SHIFT_CAP * top) + _SHIFT_FLOOR * top
+                 if top > 0.0 else gmax)
+        with np.errstate(invalid="ignore", over="ignore"):
+            d = -splu(hess + sp.diags(mu * diag + shift, format="csc"),
+                      permc_spec="MMD_AT_PLUS_A",
+                      options={"SymmetricMode": True}).solve(g)
+        if not np.all(np.isfinite(d)):
+            stop = "overflow"
+            break
         state = obj.direction_state(z, d)
-        tt, e_try = _line_minimize(obj, state, slope, t,
-                                   config.max_backtracks)
-        if tt <= 0.0 or not e_try < e + config.armijo_c * tt * slope:
-            if np.any(d != -g):
-                # retry once along steepest descent before giving up
-                d = -g
-                slope = -float(g @ g)
-                state = obj.direction_state(z, d)
-                tt, e_try = _line_minimize(obj, state, slope, t,
-                                           config.max_backtracks)
-            if tt <= 0.0 or not e_try < e:
-                # the energy is convex and the step exact, so failure
-                # to descend means the numerical floor was hit
-                converged = True
-                msg = "energy descent reached numerical floor"
-                break
-        g_old = g
-        z = z + tt * d
-        e, g = obj.value_grad(z)
-        if g is None:
-            z, e, g = z - tt * d, trace[-1], g_old
-            msg = "step rejected at energy overflow"
+        t = _line_minimize(obj, state, float(g @ d), 1.0,
+                           config.max_backtracks)
+        if t <= 0.0:
+            stop = "stalled"
             break
+        z_new = z + t * d
+        e_new, g_new = obj.value_grad(z_new)
+        if g_new is None:
+            stop = "overflow"
+            break
+        if not (e - e_new > 1e-15 * abs(e)
+                or np.max(np.abs(g_new)) <= 0.5 * gmax):
+            # the energy fell by no more than its rounding error and the
+            # residual did not halve: the numerical floor
+            stop = "stalled"
+            break
+        z, e, g = z_new, e_new, g_new
         trace.append(e)
-        if len(trace) > 10 and trace[-11] - e <= 1e-15 * max(abs(e), 1e-300):
-            converged = True
-            msg = "energy descent reached numerical floor"
-            break
-        beta = max(0.0, float(g @ (g - g_old)) / max(float(g_old @ g_old),
-                                                     1e-300))
-        d = -g + beta * d
-        t = tt
-    res = float(np.max(np.abs(g))) / cell
-    if not converged:
-        converged = res <= config.gradient_tolerance
-        if not converged and not msg:
-            msg = "iteration budget exhausted"
-    return z, trace, res, it, converged, msg
+        if t >= 0.9:
+            mu = max(mu * _MU_DOWN, _MU_MIN)
+        else:
+            mu = min(mu * _MU_UP, _MU_MAX)
+    return z, trace, gmax / obj.cell, len(trace) - 1, stop
+
+
+def _level_message(levels) -> str:
+    return "; ".join("k=%d: %s" % (lv.k, lv.stop) for lv in levels)
 
 
 def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
@@ -588,20 +638,15 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
     slope = g.graph_lipschitz()
     trace = {}
     cross = []
-    total_iters = 0
-    residual = math.inf
-    messages = []
+    levels = []
     prev_vals = None
     stopped = False
     for k in config.schedule():
         obj = _Objective(dom, base, f, k, eps, side, slope)
-        z, level_trace, residual, iters, ok, msg = _descend(
+        z, level_trace, residual, iters, stop = _descend(
             obj, obj.z0_of(warm), config)
-        total_iters += iters
+        levels.append(LevelReport(k, iters, residual, stop))
         trace[k] = [obj.energy_original_units(e) for e in level_trace]
-        if msg:
-            messages.append("k=%d: %s" % (k, msg))
-        warm = obj.full_of(z) * obj.scale
         vals = obj.solution_of(z)
         if prev_vals is not None:
             diff = float(np.max(np.abs(
@@ -613,21 +658,22 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
                 break
         prev_vals = vals
         warm = np.where(np.isnan(vals), 0.0, vals)
-    solution = ScalarField(dom, prev_vals)
-    converged = stopped or (bool(cross) and cross[-1][1] <= config.cross_tolerance)
-    if len(config.schedule()) == 1:
-        converged = residual <= config.gradient_tolerance
-    if not converged and not messages:
-        messages.append("k schedule exhausted before cross-level tolerance")
+    # the last level must meet its own tolerance, and unless it is the
+    # only level, the schedule must have met the cross-level one
+    converged = levels[-1].converged and (stopped or len(levels) == 1)
+    message = _level_message(levels)
+    if not (stopped or len(levels) == 1):
+        message += "; k schedule exhausted before cross-level tolerance"
     return SolveReport(
-        solution=solution,
+        solution=ScalarField(dom, prev_vals),
         k_schedule=tuple(trace.keys()),
         energy_trace=trace,
         residual=residual,
-        iterations=total_iters,
+        iterations=sum(lv.iterations for lv in levels),
         converged=converged,
         cross_trace=cross,
-        message="; ".join(messages),
+        message=message,
+        levels=levels,
     )
 
 
@@ -667,33 +713,28 @@ def minimize_k(g: BoundaryData, f: Integrand, k: int, eps: float, side: str,
             warm_levels.append(kk)
             kk *= 2
     slope = g.graph_lipschitz()
-    total = 0
-    message = ""
-    for kk in warm_levels:
+    levels = []
+    for kk in warm_levels + [int(k)]:
         obj = _Objective(dom, base, f, kk, eps, side, slope)
-        z, _, _, iters, _, _ = _descend(obj, obj.z0_of(start), config)
-        start = np.where(np.isnan(obj.solution_of(z)), 0.0,
-                         obj.solution_of(z))
-        total += iters
+        z, level_trace, residual, iters, stop = _descend(
+            obj, obj.z0_of(start), config)
+        levels.append(LevelReport(kk, iters, residual, stop))
+        vals = obj.solution_of(z)
+        start = np.where(np.isnan(vals), 0.0, vals)
+    message = _level_message(levels)
     if warm_levels:
-        message = "warm-up levels %s" % (tuple(warm_levels),)
-    obj = _Objective(dom, base, f, k, eps, side, slope)
-    z, level_trace, residual, iters, ok, msg = _descend(
-        obj, obj.z0_of(start), config)
-    total += iters
-    solution = ScalarField(dom, obj.solution_of(z))
-    if msg:
-        message = (message + "; " + msg) if message else msg
+        message = "warm-up levels %s; %s" % (tuple(warm_levels), message)
     return SolveReport(
-        solution=solution,
+        solution=ScalarField(dom, vals),
         k_schedule=(int(k),),
         energy_trace={int(k): [obj.energy_original_units(e)
                                for e in level_trace]},
         residual=residual,
-        iterations=total,
-        converged=ok,
+        iterations=sum(lv.iterations for lv in levels),
+        converged=levels[-1].converged,
         cross_trace=[],
         message=message,
+        levels=levels,
     )
 
 

@@ -75,6 +75,9 @@ def test_solve_manifest_records_resolved_config(tmp_path):
     assert "config.integrand = squared_norm" in text
     assert "command = solve" in text
     assert "result.converged = true" in text
+    assert "result.level.2.stop = gradient_tolerance" in text
+    assert "result.level.4.iterations = " in text
+    assert "result.level.4.residual = " in text
 
 
 def test_solve_reports_nonconvergence_with_exit_3(tmp_path, capsys):
@@ -83,6 +86,18 @@ def test_solve_reports_nonconvergence_with_exit_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, text)
     assert cli.main(["solve", cfg, "-o", str(tmp_path / "out")]) == 3
     assert "NOT converged" in capsys.readouterr().out
+    text = (tmp_path / "out" / "manifest.txt").read_text()
+    assert "result.level.64.stop = budget" in text
+    assert "result.level.64.iterations = 1" in text
+    assert "result.message = k=64: budget" in text
+
+
+@pytest.mark.parametrize("key", ["armijo_c = 1e-4", "armijo_shrink = 0.5",
+                                 "deterministic = true"])
+def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, LINE_CFG + key + "\n")
+    assert cli.main(["solve", cfg, "-o", str(tmp_path / "out")]) == 2
+    assert "unknown field '%s'" % key.split()[0] in capsys.readouterr().err
 
 
 def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys):

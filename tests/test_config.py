@@ -47,7 +47,7 @@ def test_defaults_show_up_in_resolved_items():
     assert items["config.integrand"] == "squared_norm"
     assert items["config.solver.k_schedule"] == "auto"
     assert items["config.solver.max_iterations"] == 20000
-    assert len(items) == 19
+    assert len(items) == 16
 
 
 @pytest.mark.parametrize("mangle,where", [
@@ -110,28 +110,32 @@ def test_linear_boundary_variants():
 def test_aronsson_boundary_expression():
     fn = config._builtin_expression("aronsson43", 2, "s")
     xs = np.array([[1.0, -1.0], [8.0, 1.0]])
-    assert np.allclose(fn(xs), [2.0, 16.0 - 1.0])
+    assert np.allclose(fn(xs), [0.0, 16.0 - 1.0])
     with pytest.raises(ConfigError, match="at least 2"):
         config._builtin_expression("aronsson43", 1, "s")
 
 
 def test_aronsson43_is_an_exact_solution_symbolically():
-    """CAS oracle: on the positive quadrant (where the fixtures live),
+    """CAS oracle: in every open quadrant, u = |x|^(4/3) - |y|^(4/3)
 
-    u = x^(4/3) - y^(4/3) kills u_x^2 u_xx + 2 u_x u_y u_xy + u_y^2 u_yy."""
+    kills u_x^2 u_xx + 2 u_x u_y u_xy + u_y^2 u_yy."""
     import sympy
 
-    x, y = sympy.symbols("x y", positive=True)
-    u = x ** sympy.Rational(4, 3) - y ** sympy.Rational(4, 3)
-    ux, uy = sympy.diff(u, x), sympy.diff(u, y)
-    uxx, uyy = sympy.diff(u, x, 2), sympy.diff(u, y, 2)
-    uxy = sympy.diff(ux, y)
-    assert sympy.simplify(ux**2 * uxx + 2 * ux * uy * uxy + uy**2 * uyy) == 0
-    # and the builtin agrees with the closed form there
+    x, y = sympy.symbols("x y", real=True)
+    a, b = sympy.symbols("a b", positive=True)
     fn = config._builtin_expression("aronsson43", 2, "s")
-    pts = np.array([[1.0, 1.5], [2.0, 1.0], [1.25, 2.0]])
-    expect = pts[:, 0] ** (4.0 / 3.0) - pts[:, 1] ** (4.0 / 3.0)
-    assert np.allclose(fn(pts), expect, rtol=1e-15)
+    for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+        # |x| = sx * x and |y| = sy * y in this quadrant
+        u = (sx * x) ** sympy.Rational(4, 3) - (sy * y) ** sympy.Rational(4, 3)
+        ux, uy = sympy.diff(u, x), sympy.diff(u, y)
+        uxx, uyy = sympy.diff(u, x, 2), sympy.diff(u, y, 2)
+        uxy = sympy.diff(ux, y)
+        op = ux**2 * uxx + 2 * ux * uy * uxy + uy**2 * uyy
+        assert sympy.simplify(op.subs({x: sx * a, y: sy * b})) == 0
+        # and the builtin agrees with the closed form there
+        pts = np.array([[1.0, 1.5], [2.0, 1.0], [1.25, 2.0]]) * [sx, sy]
+        expect = np.abs(pts[:, 0]) ** (4 / 3) - np.abs(pts[:, 1]) ** (4 / 3)
+        assert np.allclose(fn(pts), expect, rtol=1e-15)
 
 
 def test_boundary_from_file_round_trip(tmp_path):

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subinf import groups, integrands, solver
+from subinf import acceptance, groups, integrands, solver
 from subinf.errors import DomainMismatchError, IncompleteFieldError, ParameterError
 from subinf.grids import GridDomain, ScalarField
 from subinf.solver import BoundaryData, SolverConfig
@@ -82,6 +84,36 @@ def test_boundary_extend_nearest():
     g = BoundaryData(dom, [2.0, 6.0])
     ext = g.extend_nearest().values
     assert np.array_equal(ext, [2.0, 2.0, 2.0, 6.0, 6.0])
+
+
+@pytest.mark.parametrize("block", [solver._PAIR_BLOCK, 7])
+def test_warm_start_matches_brute_force_loops(monkeypatch, block):
+    """extend_nearest and graph_lipschitz against plain pair loops.
+
+    Distinct boundary values make every tie visible: the extension must
+    take the lowest flat index among the equidistant boundary nodes."""
+    monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
+    dom = GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.5)
+    bflat = dom.boundary_flat
+    g = BoundaryData(dom, np.arange(bflat.size) * 0.37 % 1.0)
+    got = g.extend_nearest().values
+    ties = 0
+    for node in dom.interior_flat:
+        d2 = [sum((float(a) - float(b)) ** 2
+                  for a, b in zip(dom.coords[node], dom.coords[f])) for f in bflat]
+        best = min(d2)
+        ties += d2.count(best) > 1
+        assert got[node] == g.values[d2.index(best)]
+    assert ties > 0
+    assert np.array_equal(got[bflat], g.values)
+    lip = 0.0
+    for i in range(bflat.size):
+        for j in range(bflat.size):
+            d = float(groups.gauge_distance(dom.spec, dom.coords[bflat[i]],
+                                            dom.coords[bflat[j]]))
+            if d > 0:
+                lip = max(lip, abs(g.values[i] - g.values[j]) / d)
+    assert g.graph_lipschitz() == lip
 
 
 def test_graph_lipschitz_linear():
@@ -174,6 +206,112 @@ def test_minimize_k_matches_lbfgs_oracle():
     assert np.max(np.abs(got - oracle)) <= 1e-6
     e_pkg = rep.energy_trace[k][-1]
     assert np.isclose(e_pkg, res.fun, rtol=1e-10, atol=1e-14)
+
+
+def test_newton_level_matches_lbfgs_oracle_at_k8():
+    """The k = 8 level against L-BFGS-B on a hand-assembled objective."""
+    h = 0.25
+    dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], h)
+    g = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, 1]
+                                   + 0.5 * c[:, 0] ** 3)
+    k = 8
+    rep = solver.minimize_k(g, SQ, k, 0.0, "lower")
+    assert rep.converged
+    assert [lv.stop for lv in rep.levels] == ["gradient_tolerance"] * 3
+
+    base = g.base_values()
+    free = dom.interior_flat
+
+    def objective(z):
+        u = base.copy()
+        u[free] = z
+        u = u.reshape(dom.dims)
+        gx = (u[1:, :-1] - u[:-1, :-1]) / h
+        gy = (u[:-1, 1:] - u[:-1, :-1]) / h
+        q = gx**2 + gy**2
+        w = 2 * k * q ** (k - 1) * h
+        du = np.zeros(dom.dims)
+        du[1:, :-1] += w * gx
+        du[:-1, :-1] -= w * gx
+        du[:-1, 1:] += w * gy
+        du[:-1, :-1] -= w * gy
+        return h**2 * np.sum(q**k), du.reshape(-1)[free]
+
+    res = scipy.optimize.minimize(
+        objective, np.zeros(free.size), jac=True, method="L-BFGS-B",
+        options={"maxiter": 20000, "ftol": 1e-18, "gtol": 1e-12},
+    )
+    assert np.max(np.abs(rep.solution.values[free] - res.x)) <= 1e-6
+    assert np.isclose(rep.energy_trace[k][-1], res.fun, rtol=1e-10)
+
+
+@pytest.mark.parametrize("geometry,lower,upper,h", [
+    ("euclidean:2", [0, 0], [1, 1], 0.25),
+    ("heisenberg1", [-1, -1, -1], [1, 1, 1], 0.5),
+    ("grushin", [-1, -1], [1, 1], 0.25),  # nodes on the degenerate x = 0 line
+])
+@pytest.mark.parametrize("f", [SQ, integrands.power(1.5)], ids=["sq", "power1.5"])
+@pytest.mark.parametrize("k", [2, 8])
+def test_hessian_matches_finite_differences(geometry, lower, upper, h, f, k):
+    dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
+    g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, 1] ** 2)
+    obj = solver._Objective(dom, g.base_values(), f, k, 0.0, "lower",
+                            g.graph_lipschitz())
+    z = np.random.default_rng(k).normal(scale=0.3, size=dom.interior_flat.size)
+    hess = obj.hessian(z).toarray()
+    step = 1e-6
+    fd = np.empty_like(hess)
+    for i in range(z.size):
+        e = np.zeros(z.size)
+        e[i] = step
+        fd[:, i] = (obj.value_grad(z + e)[1] - obj.value_grad(z - e)[1]) / (2 * step)
+    assert np.max(np.abs(hess - fd)) <= 1e-7 * np.max(np.abs(fd))
+    assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
+    # a flat start (q = 0 on whole cells) keeps every weight finite
+    flat = obj.hessian(np.zeros(z.size))
+    assert np.all(np.isfinite(flat.data))
+
+
+def test_stall_and_budget_are_not_convergence():
+    dom = GridDomain.box(groups.grushin(), [-1, -1], [1, 1], 0.125)
+    g = BoundaryData.from_function(dom, lambda c: c[:, 0] ** 2 - c[:, 1])
+    # no double-precision iterate reaches this residual: every level
+    # must notice the floor and stop well inside the budget
+    floor = solver.minimize_k(g, SQ, 8, 0.0, "lower",
+                              SolverConfig(gradient_tolerance=1e-300,
+                                           max_iterations=200))
+    assert [lv.stop for lv in floor.levels] == ["stalled"] * 3
+    assert max(lv.iterations for lv in floor.levels) < 50
+    assert not floor.converged
+    assert "k=8: stalled" in floor.message
+    budget = solver.minimize_k(g, SQ, 2, 0.0, "lower",
+                               SolverConfig(max_iterations=1))
+    assert [(lv.stop, lv.iterations) for lv in budget.levels] == [("budget", 1)]
+    assert not budget.converged
+
+
+@pytest.mark.parametrize("name", ["a6_line.cfg", "a6_heisenberg.cfg", "a10_line.cfg"])
+def test_flat_warm_start_levels_converge_in_few_iterations(name):
+    """The eps solves of A6 and A10 start from step-function warm starts
+
+    whose flat cells leave rows of the Hessian empty; every level must
+    still reach gradient_tolerance in a bounded number of steps."""
+    cfg = acceptance._cfg(acceptance.bundled_config_dir(), name)
+    g = cfg.boundary_data()
+    f = cfg.integrand_obj()
+    if cfg.eps > 0:  # A10: the upper branch it strictifies
+        reports = [solver.aux_solve(g, f, cfg.eps, cfg.side, cfg.solver)]
+    else:  # A6: both branches at its smallest eps, and both initializations
+        sv = dataclasses.replace(cfg.solver, k_max=4)
+        reports = [solver.aux_solve(g, f, 0.05, side, sv)
+                   for side in ("lower", "upper")]
+        reports += [solver.infinity_solve(
+            g, f, dataclasses.replace(cfg.solver, initialization=init))
+            for init in ("boundary", "zero")]
+    for rep in reports:
+        for lv in rep.levels:
+            assert lv.stop == "gradient_tolerance", (lv, rep.message)
+            assert lv.iterations <= 100, lv
 
 
 def test_minimize_k_validation_and_warm_start_lattice():
