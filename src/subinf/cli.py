@@ -42,14 +42,6 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, str(n))
 
 
-def thread_cap(default: int = 1) -> int:
-    cap = os.environ.get("SUBINF_THREADS")
-    try:
-        return max(1, int(cap)) if cap else default
-    except ValueError:
-        return default
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="subinf",
@@ -340,7 +332,7 @@ def _operator_for(cfg, f):
         ctor = (verify.OperatorSpec.aux_lower if cfg.side == "lower"
                 else verify.OperatorSpec.aux_upper)
         return ctor(f, cfg.eps)
-    if cfg.integrand == "squared_norm":
+    if f.alpha == 2.0:
         return verify.OperatorSpec.infinity_laplacian()
     return verify.OperatorSpec.aronsson(f)
 

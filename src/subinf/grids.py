@@ -123,11 +123,6 @@ class GridDomain:
         upper = self.lower + hi * self.h
         return GridDomain.box(self.spec, lower, upper, self.h, band=band)
 
-    def window_slices(self, lo_idx, hi_idx) -> tuple[slice, ...]:
-        lo = np.asarray(lo_idx, dtype=int)
-        hi = np.asarray(hi_idx, dtype=int)
-        return tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -213,10 +208,10 @@ class GridDomain:
     def axis_difference(self, axis: int, rows: str = "nonexterior") -> sp.csr_matrix:
         """Sparse first-derivative matrix along one axis.
 
-        Rows are nonzero only on the requested node set (``interior``,
-        ``solver`` = interior plus boundary, or ``nonexterior``).  Centred
-        stencils are used where both axis neighbours are non-exterior,
-        one-sided second-order stencils otherwise.
+        Rows are nonzero only on the requested node set (``interior`` or
+        ``nonexterior``).  Centred stencils are used where both axis
+        neighbours are non-exterior, one-sided second-order stencils
+        otherwise.
         """
         key = ("D", axis, rows)
         if key in self._op_cache:
@@ -293,8 +288,6 @@ class GridDomain:
     def _row_mask(self, rows: str) -> np.ndarray:
         if rows == "interior":
             return self.interior_mask
-        if rows == "solver":
-            return self.nonexterior_mask.copy()
         if rows == "nonexterior":
             return self.nonexterior_mask
         raise ParameterError(f"unknown stencil row set {rows!r}")

@@ -11,75 +11,45 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class Integrand:
-    """Convex positively homogeneous integrand with closed-form derivatives.
+    """Convex positively homogeneous integrand f(p) = |p|^alpha, alpha >= 1.
 
-    ``squared_norm`` is f(p) = |p|^2 (degree 2, strictly convex with
-    D^2 f = 2 I).  ``power`` is f(p) = |p|^alpha for alpha >= 1, whose
-    gradient is singular at p = 0 when alpha < 2; callers that care check
-    :attr:`singular_at_zero`.
+    alpha = 2 is the squared norm (id ``squared_norm``, strictly convex
+    with D^2 f = 2 I).  The gradient is singular at p = 0 when alpha < 2;
+    callers that care check :attr:`singular_at_zero`.
     """
 
-    kind: str
     alpha: float
 
     def __post_init__(self):
-        if self.kind not in ("squared_norm", "power"):
-            raise ParameterError(f"unknown integrand kind {self.kind!r}")
-        if self.kind == "power" and self.alpha < 1.0:
+        if self.alpha < 1.0:
             raise ParameterError(f"power integrand needs alpha >= 1, got {self.alpha}")
 
     @property
     def id(self) -> str:
-        if self.kind == "squared_norm":
-            return "squared_norm"
-        return f"power:{self.alpha:g}"
+        return "squared_norm" if self.alpha == 2.0 else f"power:{self.alpha:g}"
 
     @property
     def singular_at_zero(self) -> bool:
-        return self.kind == "power" and self.alpha < 2.0
-
-    @property
-    def convexity_constant(self) -> float:
-        """Lower bound on D^2 f, positive only for the strictly convex kind."""
-        return 2.0 if self.kind == "squared_norm" else 0.0
+        return self.alpha < 2.0
 
     def value(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        sq = np.sum(p * p, axis=-1)
-        if self.kind == "squared_norm":
-            return sq
-        return sq ** (self.alpha / 2.0)
+        return np.sum(p * p, axis=-1) ** (self.alpha / 2.0)
 
     def grad(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if self.kind == "squared_norm":
-            return 2.0 * p
         norm = np.sqrt(np.sum(p * p, axis=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(norm > 0.0, self.alpha * norm ** (self.alpha - 2.0), 0.0)
         return scale[..., None] * p
 
-    def hess(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        m = p.shape[-1]
-        eye = np.eye(m)
-        if self.kind == "squared_norm":
-            return np.broadcast_to(2.0 * eye, p.shape + (m,)).copy()
-        norm = np.sqrt(np.sum(p * p, axis=-1))
-        a = self.alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s1 = np.where(norm > 0.0, a * norm ** (a - 2.0), 0.0)
-            s2 = np.where(norm > 0.0, a * (a - 2.0) * norm ** (a - 4.0), 0.0)
-        outer = p[..., :, None] * p[..., None, :]
-        return s1[..., None, None] * eye + s2[..., None, None] * outer
-
 
 def squared_norm() -> Integrand:
-    return Integrand("squared_norm", 2.0)
+    return power(2.0)
 
 
 def power(alpha: float) -> Integrand:
-    return Integrand("power", float(alpha))
+    return Integrand(float(alpha))
 
 
 def from_id(integrand_id: str) -> Integrand:

@@ -5,17 +5,16 @@ with prescribed boundary values, then let k grow along a doubling
 schedule.  The limits approximate infinity-harmonic fields (eps = 0) and
 the auxiliary sub/supersolution pair (eps > 0, side lower/upper).
 
-Discretization note: the descent objective is assembled from forward
-(cell) differences, one gradient sample per lattice cell, rather than
-the centered interior stencils used by the calculus module.  Centered
+Discretization note: the k-energy is assembled from forward (cell)
+differences, one gradient sample per lattice cell, rather than the
+centered interior stencils used by the calculus module.  Centered
 interior quadrature decouples the odd and even sublattices (the energy
 never couples a node to its immediate neighbor), so its minimizer is
 non-unique and the eps source term is unbounded below along the
 decoupled directions.  The cell quadrature couples every adjacent pair,
 pins cleanly to the boundary, and reproduces the linear interpolant
-exactly in 1D at every k.  Reported energies in SolveReport come from
-this cell quadrature; the public energy() function below keeps the
-centered interior form.
+exactly in 1D at every k.  energy() and the energies in SolveReport are
+this one quadrature.
 
 Each level is solved by damped Newton steps on the free nodes with an
 exact line search along each step (see _descend), and reports why it
@@ -146,13 +145,11 @@ class SolverConfig:
     """Knobs for the descent and the k-doubling schedule.
 
     k_schedule overrides the default dyadic schedule 2, 4, ..., k_max.
-    eps is carried for plumbing (CLI round trips); the solve entry
-    points take eps explicitly.  cross_tolerance is the sup-norm change
-    between consecutive k levels at which the schedule stops early.
+    cross_tolerance is the sup-norm change between consecutive k levels
+    at which the schedule stops early.
     """
 
     k_max: int = 256
-    eps: float = 0.0
     max_iterations: int = 20000
     gradient_tolerance: float = 1e-8
     max_backtracks: int = 60
@@ -168,8 +165,6 @@ class SolverConfig:
                 raise ParameterError("%s must be positive" % name)
         if self.max_iterations < 1 or self.max_backtracks < 1:
             raise ParameterError("iteration limits must be at least 1")
-        if self.eps < 0:
-            raise ParameterError("eps must be nonnegative")
         if self.initialization not in ("boundary", "zero"):
             raise ParameterError(
                 "initialization must be 'boundary' or 'zero', got %r"
@@ -279,13 +274,12 @@ def _qpow(q: np.ndarray, e: float) -> np.ndarray:
 
 def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
            side: str = "lower") -> float:
-    """Midpoint quadrature of the k-energy over interior nodes.
+    """Cell-quadrature k-energy, the objective each k level minimizes.
 
-    Lower side subtracts the eps^(k-1) * u source, upper side adds it.
-    With eps = 0 there is no source term regardless of k.
+    Sums f(Xu)^k over the lattice cells of _cell_operators; the lower
+    side subtracts the eps^(k-1) * u source over interior nodes, the
+    upper side adds it.  With eps = 0 there is no source term.
     """
-    from .calculus import horizontal_gradient
-
     if k < 1:
         raise ParameterError("k must be at least 1, got %s" % (k,))
     if side not in _SIDES:
@@ -293,10 +287,9 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
     dom = u.domain
-    grad = horizontal_gradient(u)
-    fv = f.value(grad.values)
+    _, ops = _cell_operators(dom)
     cell = float(dom.h) ** dom.spec.dim
-    total = _power_sum(fv, int(k)) * cell
+    total = _power_sum(f.value(_cell_gradient(ops, u.values)), int(k)) * cell
     if eps > 0:
         src = eps ** (k - 1) * cell * float(np.sum(u.values[dom.interior_flat]))
         total = total - src if side == "lower" else total + src
@@ -354,6 +347,11 @@ def _cell_operators(domain: GridDomain):
     return rows, ops
 
 
+def _cell_gradient(ops, full: np.ndarray) -> np.ndarray:
+    """(rows, m) stack of the cell gradients X_i full."""
+    return np.stack([op @ full for op in ops], axis=-1)
+
+
 class _Objective:
     """Scaled cell-quadrature energy for one (k, eps, side) level.
 
@@ -373,13 +371,12 @@ class _Objective:
         # the X_i restricted to the free nodes, for the Hessian
         self.ops_free = [op[:, self.free].tocsr() for op in ops]
         self.cell = float(domain.h) ** domain.spec.dim
-        self.alpha = 2.0 if f.kind == "squared_norm" else float(f.alpha)
         # f(p)^k = q^kappa with q = |p|^2
-        self.kappa = 0.5 * self.alpha * self.k
+        self.kappa = 0.5 * f.alpha * self.k
         unit = np.zeros(domain.spec.horizontal_dim)
         unit[0] = max(float(slope_scale), 0.0)
         s = max(float(f.value(unit)), float(eps), 1e-12)
-        self.scale = s ** (1.0 / self.alpha)
+        self.scale = s ** (1.0 / f.alpha)
         self.base = base_full / self.scale
         self.base_exact = base_full
         if eps > 0:
@@ -389,10 +386,6 @@ class _Objective:
         else:
             self.src = 0.0
         self.sign = -1.0 if side == "lower" else 1.0
-
-    def _stack_full(self, full):
-        cols = [op @ full for op in self.ops]
-        return np.stack(cols, axis=-1)
 
     def full_of(self, z):
         full = self.base.copy()
@@ -413,7 +406,7 @@ class _Objective:
 
     def value_grad(self, z):
         full = self.full_of(z)
-        grad = self._stack_full(full)
+        grad = _cell_gradient(self.ops, full)
         fv = self.f.value(grad)
         e = _power_sum(fv, self.k)
         if not math.isfinite(e):
@@ -434,7 +427,7 @@ class _Objective:
         H = cell * (sum_i X_i^T A X_i + Y^T B Y) with A, B those two
         weights as diagonals and Y = sum_j diag(V_j) X_j.
         """
-        V = self._stack_full(self.full_of(z))
+        V = _cell_gradient(self.ops, self.full_of(z))
         q = np.sum(V * V, axis=1)
         kappa = self.kappa
         a = 2.0 * kappa * _qpow(q, kappa - 1.0)
@@ -454,10 +447,10 @@ class _Objective:
         matvecs per trial step.
         """
         full = self.full_of(z)
-        V = self._stack_full(full)
+        V = _cell_gradient(self.ops, full)
         dfull = np.zeros(self.domain.n_nodes)
         dfull[self.free] = d
-        W = self._stack_full(dfull)
+        W = _cell_gradient(self.ops, dfull)
         qa = np.sum(W * W, axis=1)
         qb = 2.0 * np.sum(V * W, axis=1)
         qc = np.sum(V * V, axis=1)
@@ -492,7 +485,7 @@ class _Objective:
         # no constant offset.  Restored in log space against overflow.
         if scaled_energy == 0.0 or not math.isfinite(scaled_energy):
             return scaled_energy
-        m = math.log(abs(scaled_energy)) + self.k * self.alpha * math.log(self.scale)
+        m = math.log(abs(scaled_energy)) + self.k * self.f.alpha * math.log(self.scale)
         if m > _EXP_MAX:
             return math.copysign(math.inf, scaled_energy)
         return math.copysign(math.exp(m), scaled_energy)
@@ -626,7 +619,13 @@ def _level_message(levels) -> str:
 
 
 def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
-                  config: SolverConfig) -> SolveReport:
+                  config: SolverConfig, chain: tuple | None = None) -> SolveReport:
+    """Descend each k level in turn, warm-starting from the level before.
+
+    Without chain, the levels are config.schedule() and the run stops
+    once consecutive levels agree to config.cross_tolerance.  A chain is
+    run to its end, and converges when its last level does.
+    """
     dom = g.domain
     base = g.base_values()
     if config.initialization == "boundary":
@@ -641,7 +640,7 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
     levels = []
     prev_vals = None
     stopped = False
-    for k in config.schedule():
+    for k in chain or config.schedule():
         obj = _Objective(dom, base, f, k, eps, side, slope)
         z, level_trace, residual, iters, stop = _descend(
             obj, obj.z0_of(warm), config)
@@ -652,17 +651,18 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
             diff = float(np.max(np.abs(
                 vals[dom.interior_flat] - prev_vals[dom.interior_flat])))
             cross.append((k, diff))
-            if diff <= config.cross_tolerance:
+            if not chain and diff <= config.cross_tolerance:
                 prev_vals = vals
                 stopped = True
                 break
         prev_vals = vals
         warm = np.where(np.isnan(vals), 0.0, vals)
     # the last level must meet its own tolerance, and unless it is the
-    # only level, the schedule must have met the cross-level one
-    converged = levels[-1].converged and (stopped or len(levels) == 1)
+    # only level or ends a chain, the schedule must have met the
+    # cross-level one
+    settled = stopped or bool(chain) or len(levels) == 1
     message = _level_message(levels)
-    if not (stopped or len(levels) == 1):
+    if not settled:
         message += "; k schedule exhausted before cross-level tolerance"
     return SolveReport(
         solution=ScalarField(dom, prev_vals),
@@ -670,7 +670,7 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
         energy_trace=trace,
         residual=residual,
         iterations=sum(lv.iterations for lv in levels),
-        converged=converged,
+        converged=levels[-1].converged and settled,
         cross_trace=cross,
         message=message,
         levels=levels,
@@ -678,15 +678,14 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
 
 
 def minimize_k(g: BoundaryData, f: Integrand, k: int, eps: float, side: str,
-               config: SolverConfig | None = None,
-               warm: ScalarField | None = None) -> SolveReport:
-    """Single-level minimization of the discrete k-energy.
+               config: SolverConfig | None = None) -> SolveReport:
+    """Minimization of the discrete k-energy at one k.
 
     Strictly convex integrands (squared_norm) give a unique minimizer;
-    other integrands are handled best-effort.  Above k = 4 and without
-    an explicit warm start, a short dyadic warm-up chain from k = 2
-    precedes the requested level; high powers flatten the landscape too
-    much for a cold start to be reliable.
+    other integrands are handled best-effort.  Above k = 4 the level is
+    the end of the dyadic warm-up chain 2, 4, ..., k, run without the
+    cross-level stop; high powers flatten the landscape too much for a
+    cold start to be reliable.
     """
     config = config or SolverConfig()
     if k < 1:
@@ -695,47 +694,12 @@ def minimize_k(g: BoundaryData, f: Integrand, k: int, eps: float, side: str,
         raise ParameterError("side must be 'lower' or 'upper', got %r" % (side,))
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
-    dom = g.domain
-    base = g.base_values()
-    if warm is not None:
-        require_same_lattice(dom, warm.domain)
-        start = np.where(np.isnan(warm.values), 0.0, warm.values)
-        warm_levels = []
-    else:
-        if config.initialization == "boundary":
-            start = g.extend_nearest().values.copy()
-        else:
-            start = base.copy()
-        start = np.where(np.isnan(start), 0.0, start)
-        warm_levels = []
-        kk = 2
-        while kk < k and k > 4:
-            warm_levels.append(kk)
-            kk *= 2
-    slope = g.graph_lipschitz()
-    levels = []
-    for kk in warm_levels + [int(k)]:
-        obj = _Objective(dom, base, f, kk, eps, side, slope)
-        z, level_trace, residual, iters, stop = _descend(
-            obj, obj.z0_of(start), config)
-        levels.append(LevelReport(kk, iters, residual, stop))
-        vals = obj.solution_of(z)
-        start = np.where(np.isnan(vals), 0.0, vals)
-    message = _level_message(levels)
-    if warm_levels:
-        message = "warm-up levels %s; %s" % (tuple(warm_levels), message)
-    return SolveReport(
-        solution=ScalarField(dom, vals),
-        k_schedule=(int(k),),
-        energy_trace={int(k): [obj.energy_original_units(e)
-                               for e in level_trace]},
-        residual=residual,
-        iterations=sum(lv.iterations for lv in levels),
-        converged=levels[-1].converged,
-        cross_trace=[],
-        message=message,
-        levels=levels,
-    )
+    chain = []
+    kk = 2
+    while kk < k and k > 4:
+        chain.append(kk)
+        kk *= 2
+    return _run_schedule(g, f, eps, side, config, (*chain, int(k)))
 
 
 def infinity_solve(g: BoundaryData, f: Integrand,

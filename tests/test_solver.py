@@ -27,11 +27,11 @@ SQ = integrands.squared_norm()
 
 
 def test_energy_of_linear_field_frozen():
-    # |u'|^2 = 1 on each of the 3 interior nodes, cell volume 1/4
+    # |u'|^2 = 1 on each of the 4 cells, cell volume 1/4
     dom = line_domain(4)
     u = ScalarField.from_function(dom, lambda c: c[:, 0])
     for k in (1, 2, 7, 32):
-        assert solver.energy(u, SQ, k) == 0.75
+        assert solver.energy(u, SQ, k) == 1.0
 
 
 def test_energy_source_term_sign():
@@ -66,6 +66,21 @@ def test_energy_midpoint_convexity(a, b, k):
     lhs = solver.energy(mid, SQ, k)
     rhs = 0.5 * (solver.energy(u, SQ, k) + solver.energy(v, SQ, k))
     assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("eps,side", [(0.0, "lower"), (0.3, "lower"),
+                                      (0.3, "upper")])
+def test_reported_energy_is_the_public_energy(eps, side):
+    """energy() is the objective the solver minimizes and reports."""
+    dom = GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.25)
+    g = BoundaryData.from_function(
+        dom, lambda c: np.abs(c[:, 0]) ** (4 / 3) - np.abs(c[:, 1]) ** (4 / 3))
+    cfg = SolverConfig(k_max=8)
+    rep = (solver.aux_solve(g, SQ, eps, side, cfg) if eps > 0
+           else solver.infinity_solve(g, SQ, cfg))
+    k = rep.k_schedule[-1]
+    assert np.isclose(solver.energy(rep.solution, SQ, k, eps, side),
+                      rep.energy_trace[k][-1], rtol=1e-10, atol=0.0)
 
 
 # -- boundary data --------------------------------------------------------
@@ -142,8 +157,6 @@ def test_config_validation():
         SolverConfig(k_schedule=(8, 2))
     with pytest.raises(ParameterError):
         SolverConfig(initialization="random")
-    with pytest.raises(ParameterError):
-        SolverConfig(eps=-0.1)
 
 
 # -- single-level minimization --------------------------------------------
@@ -314,7 +327,7 @@ def test_flat_warm_start_levels_converge_in_few_iterations(name):
             assert lv.iterations <= 100, lv
 
 
-def test_minimize_k_validation_and_warm_start_lattice():
+def test_minimize_k_validation():
     dom = line_domain(4)
     g = line_boundary(dom)
     with pytest.raises(ParameterError):
@@ -323,10 +336,6 @@ def test_minimize_k_validation_and_warm_start_lattice():
         solver.minimize_k(g, SQ, 2, -1.0, "lower")
     with pytest.raises(ParameterError):
         solver.minimize_k(g, SQ, 2, 0.0, "above")
-    other = line_domain(8)
-    with pytest.raises(DomainMismatchError):
-        solver.minimize_k(g, SQ, 2, 0.0, "lower",
-                          warm=ScalarField.zeros(other))
 
 
 # -- schedule solves -------------------------------------------------------
