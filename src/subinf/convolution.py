@@ -5,11 +5,33 @@ The sup convolution of a field u at scale eps is the exact discrete maximum
     u^eps(x) = max_y [ u(y) - K(x, y) / (2 eps) ]
 
 over all non-exterior nodes y, where K(x, y) is the gauge norm of x * y^-1
-raised to the homogeneity exponent (``kernel="right"``, the default) or of
-x^-1 * y (``kernel="left"``).  Both agree on euclidean geometries.  The
-maximisation prunes candidates using the attainment bound K <= 4 R0 eps
-(R0 = 2 ||u||_inf) with slack 2h; the pruned set always contains y = x, so
-pruning never changes the maximum.
+raised to the homogeneity exponent p (``kernel="right"``, the default) or
+of x^-1 * y (``kernel="left"``).  Both agree on euclidean geometries.  Every
+function here needs a group law, so grushin is refused.
+
+Only the (x, y) pairs that can matter are evaluated; the results equal
+those of a sweep over every pair, ties included.
+
+*Window.*  The maximisation prunes candidates using the attainment bound
+K <= 4 R0 eps (R0 = 2 ||u||_inf) with slack 2h; the pruned set always
+contains y = x, so pruning never changes the maximum.  On both supported
+group geometries K(x, y) >= |x_i - y_i|^p along every horizontal axis i
+(the first ``horizontal_dim`` coordinates), so a y more than
+threshold^(1/p) + h from x along one of them lies above the threshold.
+The x nodes are taken in tiles of ``_TILE`` horizontal indices per axis,
+and each tile meets only the y nodes inside its window, in ascending flat
+order, so ``argmax`` picks the same node as over all of them.
+``shrink_domain`` cuts its boundary band to the same windows.
+
+*Extreme points.*  Along each axis a, the centred second difference
+D_a(x, y) = (K(x + h e_a, y) - 2 K(x, y) + K(x - h e_a, y)) / h^2 is
+jointly convex in (x, y).  It is identically 2 on euclidean:n.  On
+heisenberg1, with u = x1 - y1 and v = x2 - y2, it is
+12u^2 + 4v^2 + 8 y2^2 + 2h^2 along x1, 4u^2 + 12v^2 + 8 y1^2 + 2h^2 along
+x2 and 2 along t, for either kernel.  Its maximum over a product of two
+lattice sets is therefore reached at a pair of vertices of their convex
+hulls, and each such vertex is the first or last node of its set on its
+line along every axis.
 """
 
 from __future__ import annotations
@@ -18,9 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, UnsupportedGeometryError
 from .grids import GridDomain, ScalarField
 from .groups import gauge_kernel, inverse, multiply
+
+_TILE = 4  # horizontal indices per axis in one tile of x nodes
+_BLOCK = 2_000_000  # most (x, y) pairs evaluated at once
 
 
 def _kernel_rows(dom: GridDomain, x_coords: np.ndarray, y_coords: np.ndarray, kernel: str) -> np.ndarray:
@@ -32,6 +57,43 @@ def _kernel_rows(dom: GridDomain, x_coords: np.ndarray, y_coords: np.ndarray, ke
     else:
         raise ParameterError(f"kernel must be 'right' or 'left', got {kernel!r}")
     return gauge_kernel(spec, diff)
+
+
+def _require_group(dom: GridDomain) -> None:
+    if not dom.spec.is_group:
+        raise UnsupportedGeometryError(
+            f"the convolution needs a group law; {dom.spec.id} has none")
+
+
+def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_flat: np.ndarray,
+                     threshold: float):
+    """Yield (xs, ys) blocks of flat indices covering every pair with K <= threshold.
+
+    Each tile of x nodes is paired with the y nodes whose horizontal indices
+    lie within ``reach`` of the tile's on every horizontal axis; any other y
+    is more than threshold^(1/p) + h away along some axis.  ``reach`` is
+    capped at the lattice, so an infinite threshold keeps every y.  ys keeps
+    the order of ``y_flat``; tiles with no y in the window are skipped, and
+    a tile with more than ``_BLOCK`` pairs is split by rows.
+    """
+    m = dom.spec.horizontal_dim
+    hx = dom.multi_indices[x_flat, :m]
+    hy = dom.multi_indices[y_flat, :m]
+    radius = threshold ** (1.0 / dom.spec.gauge_exponent) / dom.h
+    reach = int(min(radius, max(dom.dims))) + 1
+    tile_dims = tuple(-(-d // _TILE) for d in dom.dims[:m])
+    key = np.ravel_multi_index(tuple((hx // _TILE).T), tile_dims)
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        lo = hx[group].min(axis=0) - reach
+        hi = hx[group].max(axis=0) + reach
+        ys = y_flat[np.all((hy >= lo) & (hy <= hi), axis=1)]
+        if ys.size == 0:
+            continue
+        xs = x_flat[group]
+        rows = max(1, _BLOCK // ys.size)
+        for start in range(0, xs.size, rows):
+            yield xs[start : start + rows], ys
 
 
 @dataclass
@@ -50,46 +112,46 @@ def shrink_domain(dom: GridDomain, eps: float, kernel: str = "right") -> np.ndar
     """Interior nodes at kernel distance >= eps from the boundary band.
 
     Returns the flat indices of {x interior : min_y in band K(x, y) >= eps}.
-    eps = 0 keeps every interior node.
+    eps = 0 keeps every interior node.  Band nodes outside an x tile's
+    window for threshold eps have K > eps and cannot remove x, so only the
+    band nodes inside it are evaluated.
     """
-    if eps < 0:
+    _require_group(dom)
+    if not eps >= 0:
         raise ParameterError(f"shrink threshold must be nonnegative, got {eps}")
     interior = dom.interior_flat
     if eps == 0.0 or dom.boundary_flat.size == 0:
         return interior.copy()
-    band = dom.coords[dom.boundary_flat]
-    keep = np.zeros(interior.size, dtype=bool)
-    chunk = max(1, 2_000_000 // max(band.shape[0], 1))
-    for start in range(0, interior.size, chunk):
-        xs = dom.coords[interior[start : start + chunk]]
-        K = _kernel_rows(dom, xs, band, kernel)
-        keep[start : start + xs.shape[0]] = K.min(axis=1) >= eps
-    return interior[keep]
+    keep = np.ones(dom.n_nodes, dtype=bool)
+    for xs, ys in _windowed_blocks(dom, interior, dom.boundary_flat, eps):
+        K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel)
+        keep[xs] = K.min(axis=1) >= eps
+    return interior[keep[interior]]
 
 
 def sup_convolution(u: ScalarField, eps: float, kernel: str = "right") -> ConvolutionReport:
-    """Exact discrete sup convolution at scale eps > 0."""
-    if eps <= 0:
-        raise ParameterError(f"sup convolution needs eps > 0, got {eps}")
+    """Exact discrete sup convolution at scale eps > 0.
+
+    Candidates y with K(x, y) above the threshold 4 R0 eps + 2h are masked
+    out; those outside x's tile window are above it and never evaluated.
+    """
     dom = u.domain
+    _require_group(dom)
+    if not eps > 0:
+        raise ParameterError(f"sup convolution needs eps > 0, got {eps}")
     nodes = dom.nonexterior_flat
-    y_coords = dom.coords[nodes]
-    u_y = u.values[nodes]
     r0 = 2.0 * u.sup_norm()
     threshold = 4.0 * r0 * eps + 2.0 * dom.h
     out = np.full(dom.n_nodes, np.nan)
     arg = np.full(dom.n_nodes, -1, dtype=np.int64)
-    chunk = max(1, 2_000_000 // max(nodes.size, 1))
     inv_two_eps = 1.0 / (2.0 * eps)
-    for start in range(0, nodes.size, chunk):
-        xs_idx = nodes[start : start + chunk]
-        K = _kernel_rows(dom, dom.coords[xs_idx], y_coords, kernel)
-        vals = u_y[None, :] - K * inv_two_eps
+    for xs, ys in _windowed_blocks(dom, nodes, nodes, threshold):
+        K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel)
+        vals = u.values[ys][None, :] - K * inv_two_eps
         vals = np.where(K <= threshold, vals, -np.inf)
         best = np.argmax(vals, axis=1)
-        rows = np.arange(xs_idx.size)
-        out[xs_idx] = vals[rows, best]
-        arg[xs_idx] = nodes[best]
+        out[xs] = vals[np.arange(xs.size), best]
+        arg[xs] = ys[best]
     field = ScalarField(dom, out, validate=False)
     shrunk = shrink_domain(dom, (1.0 + 4.0 * r0) * eps, kernel)
     return ConvolutionReport(field, eps, "sup", arg, r0, shrunk)
@@ -103,6 +165,31 @@ def inf_convolution(v: ScalarField, eps: float, kernel: str = "right") -> Convol
     return ConvolutionReport(field, eps, "inf", rep.attainment, rep.r0, rep.shrunken)
 
 
+def _centred_rows(dom: GridDomain, axis: int) -> np.ndarray:
+    """Interior nodes whose two neighbours along ``axis`` are non-exterior."""
+    stride = int(dom.strides[axis])
+    pos = dom.multi_indices[:, axis]
+    idx = np.flatnonzero(dom.interior_mask & (pos >= 1) & (pos <= dom.dims[axis] - 2))
+    usable = dom.nonexterior_mask[idx - stride] & dom.nonexterior_mask[idx + stride]
+    return idx[usable]
+
+
+def _extreme_nodes(dom: GridDomain, flat: np.ndarray) -> np.ndarray:
+    """Nodes of a set that are first or last of it on their line along every axis.
+
+    They include every vertex of the set's convex hull: a node with nodes of
+    the set on both sides along some axis lies between them.
+    """
+    grid = np.zeros(dom.n_nodes, dtype=bool)
+    grid[flat] = True
+    grid = grid.reshape(dom.dims)
+    keep = grid.copy()
+    for axis in range(grid.ndim):
+        count = np.cumsum(grid, axis=axis)
+        keep &= (count == 1) | (count == count.take([-1], axis=axis))
+    return np.flatnonzero(keep)
+
+
 def semiconvexity_modulus(u: ScalarField) -> float:
     """Most negative centred second difference over interior nodes and axes.
 
@@ -114,15 +201,7 @@ def semiconvexity_modulus(u: ScalarField) -> float:
     worst = np.inf
     for axis in range(dom.spec.dim):
         stride = int(dom.strides[axis])
-        pos = dom.multi_indices[:, axis]
-        ok = (
-            dom.interior_mask
-            & (pos >= 1)
-            & (pos <= dom.dims[axis] - 2)
-        )
-        idx = np.flatnonzero(ok)
-        usable = dom.nonexterior_mask[idx - stride] & dom.nonexterior_mask[idx + stride]
-        idx = idx[usable]
+        idx = _centred_rows(dom, axis)
         if idx.size == 0:
             continue
         second = vals[idx + stride] - 2.0 * vals[idx] + vals[idx - stride]
@@ -136,21 +215,17 @@ def kernel_second_difference_bound(dom: GridDomain, kernel: str = "right") -> fl
     """Max positive centred second x-difference of the kernel, over all (x, y).
 
     Divided by h^2; used as the measured constant C_d in the semiconvexity
-    bound modulus(u^eps) >= -C_d / eps.
+    bound modulus(u^eps) >= -C_d / eps.  The second difference is jointly
+    convex in (x, y) (see the module docstring), so only the extreme nodes
+    of the centred rows and of the non-exterior set are paired.
     """
-    nodes = dom.nonexterior_flat
-    y_coords = dom.coords[nodes]
+    _require_group(dom)
+    y_coords = dom.coords[_extreme_nodes(dom, dom.nonexterior_flat)]
     worst = 0.0
     for axis in range(dom.spec.dim):
         stride = int(dom.strides[axis])
-        pos = dom.multi_indices[:, axis]
-        ok = dom.interior_mask & (pos >= 1) & (pos <= dom.dims[axis] - 2)
-        idx = np.flatnonzero(ok)
-        usable = dom.nonexterior_mask[idx - stride] & dom.nonexterior_mask[idx + stride]
-        idx = idx[usable]
-        if idx.size == 0:
-            continue
-        chunk = max(1, 1_000_000 // max(nodes.size, 1))
+        idx = _extreme_nodes(dom, _centred_rows(dom, axis))
+        chunk = max(1, _BLOCK // (3 * y_coords.shape[0]))
         for start in range(0, idx.size, chunk):
             sel = idx[start : start + chunk]
             Kc = _kernel_rows(dom, dom.coords[sel], y_coords, kernel)

@@ -163,6 +163,14 @@ def test_convolve_writes_field_and_gap(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "inf_convolution.field"))
 
 
+def test_convolve_on_grushin_exits_2_and_names_the_group_law(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, PLANE_CFG.replace("euclidean:2", "grushin"))
+    assert cli.main(["convolve", cfg, "-o", str(tmp_path / "c"), "--eps", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert "convolution needs a group law; grushin has none" in err
+    assert "inverse" not in err
+
+
 def test_verify_comparison_passes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, LINE_CFG)
     out = str(tmp_path / "v")

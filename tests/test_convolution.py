@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from subinf import convolution, groups
-from subinf.errors import ParameterError
-from subinf.grids import GridDomain, ScalarField
+from subinf.errors import ParameterError, UnsupportedGeometryError
+from subinf.grids import BOUNDARY, EXTERIOR, INTERIOR, GridDomain, ScalarField
 
 
 def bump_field(dom):
@@ -69,7 +69,7 @@ def test_inf_convolution_duality(euclid_dom):
 
 def test_eps_must_be_positive(euclid_dom):
     u = bump_field(euclid_dom)
-    for bad in (0.0, -0.5):
+    for bad in (0.0, -0.5, np.nan):
         with pytest.raises(ParameterError):
             convolution.sup_convolution(u, bad)
         with pytest.raises(ParameterError):
@@ -99,8 +99,9 @@ def test_shrink_domain_thresholds(euclid_dom):
     expected = np.flatnonzero(np.max(np.abs(euclid_dom.coords), axis=1) <= 0.7)
     assert np.array_equal(kept, expected)
     assert kept.size == 25
-    with pytest.raises(ParameterError):
-        convolution.shrink_domain(euclid_dom, -1.0)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ParameterError):
+            convolution.shrink_domain(euclid_dom, bad)
 
 
 def test_semiconvexity_modulus_of_concave_parabola(euclid_dom):
@@ -122,6 +123,171 @@ def test_sup_convolution_improves_semiconvexity(euclid_dom):
 
 
 def test_kernel_second_difference_bound_euclidean(euclid_dom):
-    # K(x, y) = |x - y|^2 has second difference exactly 2 along each axis
-    assert np.isclose(convolution.kernel_second_difference_bound(euclid_dom),
-                      2.0, atol=1e-10)
+    # K(x, y) = |x - y|^2 has second difference exactly 2 along each axis,
+    # and at dyadic h every step of it is exact
+    assert convolution.kernel_second_difference_bound(euclid_dom) == 2.0
+
+
+# -- dense references: every (x, y) pair, as the sweeps were first written --
+
+
+def dense_kernel_bound(dom, kernel):
+    nodes = dom.nonexterior_flat
+    y_coords = dom.coords[nodes]
+    worst = 0.0
+    for axis in range(dom.spec.dim):
+        stride = int(dom.strides[axis])
+        pos = dom.multi_indices[:, axis]
+        ok = dom.interior_mask & (pos >= 1) & (pos <= dom.dims[axis] - 2)
+        idx = np.flatnonzero(ok)
+        idx = idx[dom.nonexterior_mask[idx - stride] & dom.nonexterior_mask[idx + stride]]
+        if idx.size == 0:
+            continue
+        Kc = convolution._kernel_rows(dom, dom.coords[idx], y_coords, kernel)
+        Kp = convolution._kernel_rows(dom, dom.coords[idx + stride], y_coords, kernel)
+        Km = convolution._kernel_rows(dom, dom.coords[idx - stride], y_coords, kernel)
+        worst = max(worst, float(((Kp - 2.0 * Kc + Km) / dom.h**2).max()))
+    return worst
+
+
+def dense_shrink(dom, eps, kernel):
+    interior = dom.interior_flat
+    if eps == 0.0 or dom.boundary_flat.size == 0:
+        return interior.copy()
+    K = convolution._kernel_rows(dom, dom.coords[interior],
+                                 dom.coords[dom.boundary_flat], kernel)
+    return interior[K.min(axis=1) >= eps]
+
+
+def dense_sup(u, eps, kernel):
+    dom = u.domain
+    nodes = dom.nonexterior_flat
+    r0 = 2.0 * u.sup_norm()
+    threshold = 4.0 * r0 * eps + 2.0 * dom.h
+    K = convolution._kernel_rows(dom, dom.coords[nodes], dom.coords[nodes], kernel)
+    vals = u.values[nodes][None, :] - K * (1.0 / (2.0 * eps))
+    vals = np.where(K <= threshold, vals, -np.inf)
+    best = np.argmax(vals, axis=1)
+    out = np.full(dom.n_nodes, np.nan)
+    arg = np.full(dom.n_nodes, -1, dtype=np.int64)
+    out[nodes] = vals[np.arange(nodes.size), best]
+    arg[nodes] = nodes[best]
+    return out, arg, dense_shrink(dom, (1.0 + 4.0 * r0) * eps, kernel)
+
+
+def heisenberg_with_holes():
+    """[-1,1]^3 at h = 1/4 less a corner column and a central cavity."""
+    box = GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.25)
+    c = box.coords
+    cls = box.classification.reshape(box.dims).copy()
+    hole = ((c[:, 0] > 0.4) & (c[:, 1] > 0.4)) | np.all(np.abs(c) < 0.3, axis=1)
+    hole = hole.reshape(box.dims)
+    near = np.zeros_like(hole)
+    for shift in np.ndindex(3, 3, 3):
+        near |= np.roll(hole, np.array(shift) - 1, axis=(0, 1, 2))
+    cls[near & (cls == INTERIOR)] = BOUNDARY
+    cls[hole] = EXTERIOR
+    return GridDomain(box.spec, box.lower, box.h, box.dims, cls.reshape(-1))
+
+
+DYADIC = {
+    "plane": lambda: GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.125),
+    "space": lambda: GridDomain.box(groups.euclidean(3), [0, -0.5, 0], [1, 1, 1.25], 0.25),
+    "heis": lambda: GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.25),
+}
+NON_DYADIC = {
+    "plane_h0.1": lambda: GridDomain.box(groups.euclidean(2), [0.3, -0.7], [1.5, 0.5], 0.1),
+    "heis_h0.1": lambda: GridDomain.box(groups.heisenberg1(), [0.2, -0.3, -0.4],
+                                        [0.8, 0.5, 0.4], 0.1),
+    "heis_holes": heisenberg_with_holes,
+}
+
+
+@pytest.mark.parametrize("kernel", ["right", "left"])
+@pytest.mark.parametrize("name", sorted(DYADIC))
+def test_kernel_bound_equals_dense_sweep_at_dyadic_h(name, kernel):
+    dom = DYADIC[name]()
+    assert convolution.kernel_second_difference_bound(dom, kernel) == \
+        dense_kernel_bound(dom, kernel)
+
+
+@pytest.mark.parametrize("kernel", ["right", "left"])
+@pytest.mark.parametrize("name", sorted(NON_DYADIC))
+def test_kernel_bound_matches_dense_sweep(name, kernel):
+    dom = NON_DYADIC[name]()
+    got = convolution.kernel_second_difference_bound(dom, kernel)
+    assert np.isclose(got, dense_kernel_bound(dom, kernel), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kernel", ["right", "left"])
+def test_kernel_bound_heisenberg_closed_form(kernel):
+    # max of 12u^2 + 4v^2 + 8 y2^2 + 2h^2 along x1 with |u|, |v| <= 15/8, |y2| <= 1
+    h = 0.125
+    dom = GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], h)
+    assert convolution.kernel_second_difference_bound(dom, kernel) == 64.28125
+    assert 12 * (15 / 8) ** 2 + 4 * (15 / 8) ** 2 + 8 + 2 * h**2 == 64.28125
+
+
+def test_extreme_nodes_of_a_box_are_its_corners():
+    dom = GridDomain.box(groups.euclidean(3), [0, 0, 0], [1, 1, 1], 0.25)
+    got = convolution._extreme_nodes(dom, dom.nonexterior_flat)
+    corners = {dom.flat_of_multi(4 * np.array(c)) for c in np.ndindex(2, 2, 2)}
+    assert set(got.tolist()) == corners
+
+
+def _fields(dom):
+    rng = np.random.default_rng(7)
+    c = dom.coords
+    yield ScalarField(dom, np.exp(-2.0 * np.sum(c**2, axis=1)))
+    yield ScalarField(dom, 0.25 * rng.uniform(-1.0, 1.0, dom.n_nodes))
+    # spikes on every fourth node per axis: nodes between spikes have tied maximisers
+    spikes = np.all(dom.multi_indices % 4 == 0, axis=1)
+    yield ScalarField(dom, 0.5 * spikes.astype(float))
+
+
+@pytest.mark.parametrize("kernel", ["right", "left"])
+@pytest.mark.parametrize("name", sorted(DYADIC) + sorted(NON_DYADIC))
+def test_convolutions_equal_dense_sweep_bit_for_bit(name, kernel):
+    dom = {**DYADIC, **NON_DYADIC}[name]()
+    for u in _fields(dom):
+        for eps in (0.02, 0.1, 2.0, np.inf):
+            field, arg, shrunk = dense_sup(u, eps, kernel)
+            rep = convolution.sup_convolution(u, eps, kernel)
+            assert rep.field.values.tobytes() == field.tobytes()
+            assert np.array_equal(rep.attainment, arg)
+            assert np.array_equal(rep.shrunken, shrunk)
+            neg = ScalarField(dom, -u.values)
+            inf_rep = convolution.inf_convolution(neg, eps, kernel)
+            assert inf_rep.field.values.tobytes() == (-field).tobytes()
+            assert np.array_equal(inf_rep.attainment, arg)
+            assert np.array_equal(inf_rep.shrunken, shrunk)
+
+
+def test_convolution_evaluates_fewer_pairs_than_the_dense_sweep(monkeypatch):
+    dom = GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 1 / 32)
+    u = ScalarField(dom, 0.25 * np.exp(-2.0 * np.sum(dom.coords**2, axis=1)))
+    pairs = []
+    rows = convolution._kernel_rows
+
+    def counted(d, xs, ys, kernel):
+        pairs.append(xs.shape[0] * ys.shape[0])
+        return rows(d, xs, ys, kernel)
+
+    monkeypatch.setattr(convolution, "_kernel_rows", counted)
+    n = dom.nonexterior_flat.size
+    convolution.sup_convolution(u, 0.02)
+    assert sum(pairs) < n * n / 4
+    pairs.clear()
+    convolution.kernel_second_difference_bound(dom)
+    assert sum(pairs) == 2 * 3 * 4 * 4  # per axis, three shifts of corner x corner
+
+
+def test_group_law_is_required():
+    dom = GridDomain.box(groups.grushin(), [-1, -1], [1, 1], 0.25)
+    u = bump_field(dom)
+    for call in (lambda: convolution.sup_convolution(u, 0.1),
+                 lambda: convolution.inf_convolution(u, 0.1),
+                 lambda: convolution.shrink_domain(dom, 0.1),
+                 lambda: convolution.kernel_second_difference_bound(dom)):
+        with pytest.raises(UnsupportedGeometryError, match="needs a group law"):
+            call()
