@@ -143,6 +143,11 @@ def _report_entries(report) -> dict:
         entries[f"result.level.{lv.k}.stop"] = lv.stop
         entries[f"result.level.{lv.k}.iterations"] = lv.iterations
         entries[f"result.level.{lv.k}.residual"] = lv.residual
+        entries[f"result.level.{lv.k}.cg_iterations"] = lv.cg_iterations
+        entries[f"result.level.{lv.k}.energy_start"] = lv.energy_start
+        entries[f"result.level.{lv.k}.energy_end"] = lv.energy_end
+        entries[f"result.level.{lv.k}.change"] = \
+            "none" if lv.change is None else lv.change
     return entries
 
 

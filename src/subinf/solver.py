@@ -19,16 +19,19 @@ this one quadrature.
 Each level is solved by damped Newton steps on the free nodes with an
 exact line search along each step (see _descend), and reports why it
 stopped (LevelReport); only gradient_tolerance counts as converged.
+The Newton systems are solved by Jacobi-preconditioned conjugate
+gradients (_pcg) to a relative residual of 1e-8, capped at one
+iteration per free node; a capped iterate is still a descent direction.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import IncompleteFieldError, ParameterError
 from .grids import EXTERIOR, GridDomain, ScalarField, require_same_lattice
@@ -195,12 +198,22 @@ class LevelReport:
 
     stop is gradient_tolerance, stalled, budget or overflow (see
     _descend); only gradient_tolerance counts as converged.
+    cg_iterations totals the CG iterations over the level's Newton
+    systems and seconds is the level's wall time.  energy_start and
+    energy_end are the energies of its first and last iterate (original
+    units), and change is the sup-norm change over interior nodes from
+    the previous level's solution, None on the first level.
     """
 
     k: int
     iterations: int
     residual: float
     stop: str
+    cg_iterations: int
+    seconds: float
+    energy_start: float
+    energy_end: float
+    change: float | None
 
     @property
     def converged(self) -> bool:
@@ -420,7 +433,7 @@ class _Objective:
             self.cell * g
 
     def hessian(self, z):
-        """Hessian of the scaled energy in the free nodes, as csc.
+        """Hessian of the scaled energy in the free nodes, as csr.
 
         With V = Xu per row and q = |V|^2, the Hessian of q^kappa in V is
         2 kappa q^(kappa-1) I + 4 kappa (kappa-1) q^(kappa-2) V V^T, so
@@ -436,7 +449,7 @@ class _Objective:
         hess = y.T @ sp.diags(b) @ y
         for op in self.ops_free:
             hess = hess + op.T @ sp.diags(a) @ op
-        return (self.cell * hess).tocsc()
+        return (self.cell * hess).tocsr()
 
     def direction_state(self, z, d):
         """Per-row quadratics describing the energy along z + t*d.
@@ -540,6 +553,36 @@ def _line_minimize(obj: _Objective, state, slope: float, t_init: float,
 _MU_START, _MU_MIN, _MU_MAX = 1e-3, 1e-8, 1e3
 _MU_DOWN, _MU_UP = 0.3, 3.0
 _SHIFT_CAP, _SHIFT_FLOOR = 1e-3, 1e-14
+# Relative residual |r|_2 <= _CG_RTOL |b|_2 at which _pcg stops.
+_CG_RTOL = 1e-8
+
+
+def _pcg(A, b: np.ndarray):
+    """Jacobi-preconditioned conjugate gradients for A x = b, A SPD.
+
+    Starts from x = 0 and stops once |r|_2 <= _CG_RTOL |b|_2, or after
+    as many iterations as there are unknowns.  Every iterate minimizes
+    x.A x / 2 - b.x over a Krylov space that contains b, so b.x > 0
+    even for a capped solve.  Returns (x, iterations).
+    """
+    scale = np.max(np.abs(b))
+    r = b / scale  # |b|_2 itself overflows once entries pass ~1e154
+    x = np.zeros_like(r)
+    inv = 1.0 / A.diagonal()
+    p = z = inv * r
+    rz = r @ z
+    stop = _CG_RTOL * np.linalg.norm(r)
+    for it in range(1, r.size + 1):
+        ap = A @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if not np.linalg.norm(r) > stop:  # converged, or NaN from overflow
+            break
+        z = inv * r
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return scale * x, it
 
 
 def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
@@ -552,11 +595,17 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
     the relative term mu is cut by 0.3 after a full step (t near 1) and
     raised by 3 otherwise, and the identity term, which shrinks with
     the gradient (Fan and Yuan's Levenberg-Marquardt rule), keeps the
-    system regular where flat cells leave rows of H empty.
+    system regular where flat cells leave rows of H empty.  H + D is
+    SPD, and _pcg solves it by Jacobi-preconditioned CG from d = 0 to
+    the relative residual _CG_RTOL = 1e-8, at most one iteration per
+    free node.  A capped CG iterate is still a descent direction, so it
+    goes to the line search like a converged one.
 
-    Returns (z, energy trace, residual, iterations, stop): iterations is
-    the number of accepted steps, and stop says why the descent ended --
-    gradient_tolerance when the residual met config.gradient_tolerance;
+    Returns (z, energy trace, residual, iterations, stop, CG
+    iterations): iterations is the number of accepted steps, the CG
+    iterations are summed over all steps, and stop says why the
+    descent ended -- gradient_tolerance when the residual met
+    config.gradient_tolerance;
     stalled at the numerical floor, when a step lowered the energy by no
     more than its rounding error and did not halve the residual;
     budget after config.max_iterations steps; overflow when the energy
@@ -568,6 +617,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
         raise ParameterError("initial iterate overflows the energy")
     trace = [e]
     mu = _MU_START
+    cg_iterations = 0
     while True:
         gmax = float(np.max(np.abs(g)))
         if gmax / obj.cell <= config.gradient_tolerance:
@@ -582,9 +632,8 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
         shift = (min(gmax, _SHIFT_CAP * top) + _SHIFT_FLOOR * top
                  if top > 0.0 else gmax)
         with np.errstate(invalid="ignore", over="ignore"):
-            d = -splu(hess + sp.diags(mu * diag + shift, format="csc"),
-                      permc_spec="MMD_AT_PLUS_A",
-                      options={"SymmetricMode": True}).solve(g)
+            d, its = _pcg(hess + sp.diags(mu * diag + shift), -g)
+        cg_iterations += its
         if not np.all(np.isfinite(d)):
             stop = "overflow"
             break
@@ -611,7 +660,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
             mu = max(mu * _MU_DOWN, _MU_MIN)
         else:
             mu = min(mu * _MU_UP, _MU_MAX)
-    return z, trace, gmax / obj.cell, len(trace) - 1, stop
+    return z, trace, gmax / obj.cell, len(trace) - 1, stop, cg_iterations
 
 
 def _level_message(levels) -> str:
@@ -636,26 +685,27 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
     warm = np.where(np.isnan(warm), 0.0, warm)
     slope = g.graph_lipschitz()
     trace = {}
-    cross = []
     levels = []
     prev_vals = None
     stopped = False
     for k in chain or config.schedule():
+        start = time.perf_counter()
         obj = _Objective(dom, base, f, k, eps, side, slope)
-        z, level_trace, residual, iters, stop = _descend(
+        z, level_trace, residual, iters, stop, cg_iters = _descend(
             obj, obj.z0_of(warm), config)
-        levels.append(LevelReport(k, iters, residual, stop))
         trace[k] = [obj.energy_original_units(e) for e in level_trace]
         vals = obj.solution_of(z)
+        diff = None
         if prev_vals is not None:
             diff = float(np.max(np.abs(
                 vals[dom.interior_flat] - prev_vals[dom.interior_flat])))
-            cross.append((k, diff))
-            if not chain and diff <= config.cross_tolerance:
-                prev_vals = vals
-                stopped = True
-                break
+        levels.append(LevelReport(k, iters, residual, stop, cg_iters,
+                                  time.perf_counter() - start,
+                                  trace[k][0], trace[k][-1], diff))
         prev_vals = vals
+        if diff is not None and not chain and diff <= config.cross_tolerance:
+            stopped = True
+            break
         warm = np.where(np.isnan(vals), 0.0, vals)
     # the last level must meet its own tolerance, and unless it is the
     # only level or ends a chain, the schedule must have met the
@@ -671,7 +721,7 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
         residual=residual,
         iterations=sum(lv.iterations for lv in levels),
         converged=levels[-1].converged and settled,
-        cross_trace=cross,
+        cross_trace=[(lv.k, lv.change) for lv in levels[1:]],
         message=message,
         levels=levels,
     )

@@ -92,6 +92,9 @@ def test_solve_manifest_records_resolved_config(tmp_path):
     assert "result.level.2.stop = gradient_tolerance" in text
     assert "result.level.4.iterations = " in text
     assert "result.level.4.residual = " in text
+    assert "result.level.2.change = none" in text
+    for key in ("cg_iterations", "energy_start", "energy_end", "change"):
+        assert f"result.level.4.{key} = " in text
 
 
 def test_solve_reports_nonconvergence_with_exit_3(tmp_path, capsys):

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -285,6 +287,88 @@ def test_hessian_matches_finite_differences(geometry, lower, upper, h, f, k):
     assert np.all(np.isfinite(flat.data))
 
 
+def _damped_newton_system(geometry, lower, upper, h, k, start):
+    """The first Newton system (H + D, g) of a level, damped as in _descend."""
+    dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
+    g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, 1] ** 2)
+    obj = solver._Objective(dom, g.base_values(), SQ, k, 0.0, "lower",
+                            g.graph_lipschitz())
+    n = dom.interior_flat.size
+    z = (np.zeros(n) if start == "flat"
+         else np.random.default_rng(k).normal(scale=0.3, size=n))
+    grad = obj.value_grad(z)[1]
+    hess = obj.hessian(z)
+    diag = hess.diagonal()
+    top = float(np.max(diag))
+    shift = (min(float(np.max(np.abs(grad))), solver._SHIFT_CAP * top)
+             + solver._SHIFT_FLOOR * top)
+    return hess + scipy.sparse.diags(solver._MU_START * diag + shift), grad
+
+
+@pytest.mark.parametrize("geometry,lower,upper,h", [
+    ("euclidean:2", [0, 0], [1, 1], 0.25),
+    ("heisenberg1", [-1, -1, -1], [1, 1, 1], 0.5),
+    ("grushin", [-1, -1], [1, 1], 0.25),  # nodes on the degenerate x = 0 line
+])
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("start", ["random", "flat"])  # flat: empty rows of H
+def test_pcg_solves_the_damped_newton_system(monkeypatch, geometry, lower,
+                                             upper, h, k, start):
+    A, g = _damped_newton_system(geometry, lower, upper, h, k, start)
+    x, its = solver._pcg(A, g)
+    assert 1 <= its <= g.size
+    # the recurrence residual stopped at _CG_RTOL; the true one differs
+    # from it only by rounding
+    assert np.linalg.norm(A @ x - g) <= 1.01 * solver._CG_RTOL * np.linalg.norm(g)
+    ref = scipy.sparse.linalg.spsolve(A.tocsc(), g)
+    cond = np.linalg.cond(A.toarray())
+    assert np.linalg.norm(x - ref) <= cond * solver._CG_RTOL * np.linalg.norm(ref)
+    assert g @ x > 0
+    # a CG solve stopped after its first iteration still gives a
+    # descent direction d = -x
+    monkeypatch.setattr(solver, "_CG_RTOL", np.inf)
+    x1, its1 = solver._pcg(A, g)
+    assert its1 == 1 and g @ x1 > 0
+
+
+def test_pcg_keeps_its_stop_rule_beyond_the_range_of_the_2_norm():
+    """Gradients above ~1e154 overflow |g|_2; the solve must not stop
+    early on an infinite threshold."""
+    A, g = _damped_newton_system("euclidean:2", [0, 0], [1, 1], 0.25, 2, "random")
+    x, its = solver._pcg(A, g)
+    big, its_big = solver._pcg(A, 1e200 * g)
+    assert its_big == its > 1
+    assert np.allclose(big / 1e200, x, rtol=1e-12, atol=0)
+
+
+def test_newton_steps_from_one_cg_iteration_still_descend(monkeypatch):
+    monkeypatch.setattr(solver, "_CG_RTOL", np.inf)
+    dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
+    g = BoundaryData.from_function(dom, lambda c: c[:, 0] ** 2 - c[:, 1] ** 2)
+    rep = solver.minimize_k(g, SQ, 2, 0.0, "lower", SolverConfig(max_iterations=8))
+    (lv,) = rep.levels
+    assert lv.iterations >= 1
+    # one CG iteration per Newton system solved
+    assert lv.cg_iterations in (lv.iterations, lv.iterations + 1)
+    assert np.all(np.diff(rep.energy_trace[2]) < 0)
+
+
+def test_a_hessian_with_inf_entries_ends_the_level_as_overflow(monkeypatch):
+    hessian = solver._Objective.hessian
+
+    def overflowing(self, z):
+        hess = hessian(self, z).tolil()
+        hess[0, 0] = np.inf
+        return hess.tocsr()
+
+    monkeypatch.setattr(solver._Objective, "hessian", overflowing)
+    dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
+    g = BoundaryData.from_function(dom, lambda c: c[:, 0] ** 2 - c[:, 1] ** 2)
+    rep = solver.minimize_k(g, SQ, 2, 0.0, "lower")
+    assert [(lv.stop, lv.iterations) for lv in rep.levels] == [("overflow", 0)]
+    assert not rep.converged
+
+
 def test_stall_and_budget_are_not_convergence():
     dom = GridDomain.box(groups.grushin(), [-1, -1], [1, 1], 0.125)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] ** 2 - c[:, 1])
@@ -372,6 +456,26 @@ def test_energy_trace_is_monotone_per_level():
     for k, trace in rep.energy_trace.items():
         diffs = np.diff(np.array(trace))
         assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+def test_level_reports_carry_energies_changes_and_cg_work():
+    dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
+    g = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, 1] ** 2)
+    rep = solver.infinity_solve(g, SQ, SolverConfig(k_max=8))
+    assert [lv.k for lv in rep.levels] == [2, 4, 8]
+    for lv in rep.levels:
+        assert lv.energy_start == rep.energy_trace[lv.k][0]
+        assert lv.energy_end == rep.energy_trace[lv.k][-1]
+        assert lv.cg_iterations >= lv.iterations
+        assert lv.seconds > 0.0
+    assert rep.levels[0].change is None
+    # the k = 2 and k = 4 minimizers, solved one level at a time
+    k2 = solver.minimize_k(g, SQ, 2, 0.0, "lower").solution.values
+    k4 = solver.minimize_k(g, SQ, 4, 0.0, "lower").solution.values
+    inner = dom.interior_flat
+    change = np.max(np.abs(k4[inner] - k2[inner]))
+    assert change > 0.01
+    assert abs(rep.levels[1].change - change) <= 1e-9
 
 
 def test_zero_initialization_reaches_the_same_solution():

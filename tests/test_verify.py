@@ -101,6 +101,40 @@ def test_negation_swaps_the_violation_columns_exactly():
                           r2.subsolution_violations)
 
 
+@pytest.mark.parametrize("geometry,lower,upper,h", [
+    ("euclidean:2", [0, 0], [2, 2], 0.0625),
+    ("heisenberg1", [-1, -1, -1], [1, 1, 1], 0.25),
+])
+def test_viscosity_check_matches_unoptimized_einsum(monkeypatch, geometry,
+                                                    lower, upper, h):
+    """The contraction order einsum's optimizer picks moves no verdict.
+
+    Reference: the same check with every einsum unoptimized, on a field
+    of six offset cones as in the A5 fixture.  Jet counts must agree
+    exactly.  The violations may round differently in the last bit (2
+    supersolution entries do on the Heisenberg box), so they are
+    compared to rtol 1e-13."""
+    dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
+    rng = np.random.default_rng(11)
+    centres = rng.uniform(np.add(lower, 0.2), np.subtract(upper, 0.2),
+                          (6, len(lower)))
+    dist = np.linalg.norm(dom.coords[:, None, :] - centres[None], axis=2)
+    u = ScalarField(dom, np.min(rng.uniform(0.0, 0.1, 6) + dist, axis=1))
+    op = OperatorSpec.infinity_laplacian()
+    got = verify.viscosity_check(u, op, jet_samples=32, seed=4)
+    plain = np.einsum
+    monkeypatch.setattr(np, "einsum",
+                        lambda *operands, optimize=False: plain(*operands))
+    ref = verify.viscosity_check(u, op, jet_samples=32, seed=4)
+    assert (got.jets_above, got.jets_below, got.candidates) == \
+        (ref.jets_above, ref.jets_below, ref.candidates)
+    assert np.any(ref.supersolution_violations > 0)
+    np.testing.assert_allclose(got.subsolution_violations,
+                               ref.subsolution_violations, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.supersolution_violations,
+                               ref.supersolution_violations, rtol=1e-13, atol=0)
+
+
 # -- comparison and minimality ----------------------------------------------
 
 
