@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import ConnectivityError, ParameterError
-from .grids import GridDomain, ScalarField, require_same_lattice
+from .grids import GridDomain
 
 
 def _flow(spec, coords: np.ndarray, control: np.ndarray, tau: float) -> np.ndarray:
@@ -216,28 +216,3 @@ def cc_distances_from(graph: HorizontalGraph, a) -> np.ndarray:
     """All-node distance vector from one source (inf where unreachable)."""
     ia = graph.node_index(a)
     return csgraph.dijkstra(graph.matrix, directed=False, indices=ia)
-
-
-def cc_ball(graph: HorizontalGraph, center, radius: float) -> np.ndarray:
-    """Flat indices of nodes within graph distance `radius` of the center."""
-    if radius < 0:
-        raise ParameterError(f"ball radius must be nonnegative, got {radius}")
-    dist = cc_distances_from(graph, center)
-    return np.flatnonzero(dist <= radius + 1e-12)
-
-
-def cc_lipschitz(u: ScalarField, graph: HorizontalGraph, nodes=None) -> float:
-    """Largest |u(a)-u(b)| / cost over graph edges (optionally within a node set)."""
-    require_same_lattice(u, graph.domain)
-    coo = graph.matrix.tocoo()
-    sel = coo.row < coo.col
-    rows, cols, w = coo.row[sel], coo.col[sel], coo.data[sel]
-    if nodes is not None:
-        keep = np.zeros(graph.domain.n_nodes, dtype=bool)
-        keep[np.asarray(nodes, dtype=int)] = True
-        inside = keep[rows] & keep[cols]
-        rows, cols, w = rows[inside], cols[inside], w[inside]
-    if rows.size == 0:
-        return 0.0
-    ratios = np.abs(u.values[rows] - u.values[cols]) / w
-    return float(np.max(ratios))

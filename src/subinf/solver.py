@@ -22,6 +22,8 @@ stopped (LevelReport); only gradient_tolerance counts as converged.
 The Newton systems are solved by Jacobi-preconditioned conjugate
 gradients (_pcg) to a relative residual of 1e-8, capped at one
 iteration per free node; a capped iterate is still a descent direction.
+Each step sums the Hessian's per-cell blocks into a csr pattern that is
+laid out once per lattice (_Cells), with one bincount.
 """
 
 from __future__ import annotations
@@ -300,7 +302,7 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
     dom = u.domain
-    _, ops = _cell_operators(dom)
+    ops = _cell_operators(dom).ops
     cell = float(dom.h) ** dom.spec.dim
     total = _power_sum(f.value(_cell_gradient(ops, u.values)), int(k)) * cell
     if eps > 0:
@@ -309,12 +311,37 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
     return float(total)
 
 
-def _cell_operators(domain: GridDomain):
+@dataclass(frozen=True)
+class _Cells:
+    """The cell quadrature of one lattice, built once by _cell_operators.
+
+    ops are the csr X_i on full-lattice vectors, one row per cell, and
+    opsT their transposes.  Cell r has the n + 1 corners
+    (x, x + e_1, ..., x + e_n), and (X_i u)[r] = sum_c coeff[i, c, r]
+    u[corner c of r].  The free-node Hessian lives on the fixed csr
+    pattern (indptr, indices), and _Objective.hessian sums its m + 1
+    terms (see there) into m + 1 stacked copies of it: pair_of lists,
+    term by term and cell by cell, the entries of the flattened
+    (m+1, n+1, n+1, rows) local block whose two corners are both free,
+    and pos their slots in the stack.  diag_pos is the slot of each free
+    node's diagonal, stored even where no cell touches the node.
+    """
+
+    ops: list
+    opsT: list
+    coeff: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    pair_of: np.ndarray
+    pos: np.ndarray
+    diag_pos: np.ndarray
+
+
+def _cell_operators(domain: GridDomain) -> _Cells:
     """Forward-difference horizontal gradient, one row per lattice cell.
 
     Rows are nodes whose +1 neighbor along every axis exists and is not
-    exterior.  Returns (row flat indices, [X_1, ..., X_m] csr matrices
-    acting on full-lattice vectors).
+    exterior.  Also lays out the free-node Hessian pattern (see _Cells).
     """
     key = ("cell_gradient",)
     cached = domain._op_cache.get(key)
@@ -356,8 +383,46 @@ def _cell_operators(domain: GridDomain):
         if op is None:
             op = sp.csr_matrix((nr, domain.n_nodes))
         ops.append(op.tocsr())
-    domain._op_cache[key] = (rows, ops)
-    return rows, ops
+    # the same X_i on the cell corners, axes (i, corner, row): c_ij / h
+    # on x + e_j, minus their sum on x
+    local = np.empty((coeff.shape[1], n + 1, nr))
+    local[:, 1:] = coeff.transpose(1, 2, 0) * (1.0 / h)
+    local[:, 0] = -np.sum(local[:, 1:], axis=1)
+    corners = rows[:, None] + np.concatenate([[0], strides])[None, :]
+    # free-node index of each corner, -1 where it is pinned
+    free = domain.interior_flat
+    nf = free.size
+    index = np.full(domain.n_nodes, -1)
+    index[free] = np.arange(nf)
+    fc = index[corners]
+    # the (row, c, c') entries with both corners free, in row order, so
+    # that bincount adds up each slot's cells in ascending order, as a
+    # row-by-row sparse product does
+    shape = (nr, n + 1, n + 1)
+    fi = np.broadcast_to(fc[:, :, None], shape).reshape(-1)
+    fj = np.broadcast_to(fc[:, None, :], shape).reshape(-1)
+    entry = np.flatnonzero((fi >= 0) & (fj >= 0))
+    keys = fi[entry] * nf + fj[entry]
+    r, pair = np.divmod(entry, (n + 1) ** 2)
+    slots, slot_of = np.unique(np.concatenate([keys, np.arange(nf) * (nf + 1)]),
+                               return_inverse=True)
+    itype = np.int32 if slots.size < 2**31 else np.int64
+    indptr = np.zeros(nf + 1, dtype=itype)
+    np.cumsum(np.bincount(slots // nf, minlength=nf), out=indptr[1:])
+    # Hessian term t reads local block t and writes pattern copy t
+    term = np.arange(coeff.shape[1] + 1)[:, None]
+    cells = _Cells(
+        ops=ops,
+        opsT=[op.T.tocsr() for op in ops],
+        coeff=local,
+        indptr=indptr,
+        indices=(slots % nf).astype(itype),
+        pair_of=(term * (n + 1) ** 2 * nr + pair * nr + r).reshape(-1),
+        pos=(term * slots.size + slot_of[:keys.size]).reshape(-1),
+        diag_pos=slot_of[keys.size:],
+    )
+    domain._op_cache[key] = cells
+    return cells
 
 
 def _cell_gradient(ops, full: np.ndarray) -> np.ndarray:
@@ -377,12 +442,9 @@ class _Objective:
         self.domain = domain
         self.f = f
         self.k = int(k)
-        rows, ops = _cell_operators(domain)
-        self.ops = ops
-        self.opsT = [op.T.tocsr() for op in ops]
+        self.cells = _cell_operators(domain)
+        self.ops = self.cells.ops
         self.free = domain.interior_flat
-        # the X_i restricted to the free nodes, for the Hessian
-        self.ops_free = [op[:, self.free].tocsr() for op in ops]
         self.cell = float(domain.h) ** domain.spec.dim
         # f(p)^k = q^kappa with q = |p|^2
         self.kappa = 0.5 * f.alpha * self.k
@@ -426,7 +488,7 @@ class _Objective:
             return math.inf, None
         w = self.k * _qpow(fv, self.k - 1)[:, None] * self.f.grad(grad)
         g_full = np.zeros(self.domain.n_nodes)
-        for i, opT in enumerate(self.opsT):
+        for i, opT in enumerate(self.cells.opsT):
             g_full += opT @ w[:, i]
         g = g_full[self.free] + self.sign * self.src
         return self.cell * (e + self.sign * self.src * float(np.sum(z))), \
@@ -437,19 +499,33 @@ class _Objective:
 
         With V = Xu per row and q = |V|^2, the Hessian of q^kappa in V is
         2 kappa q^(kappa-1) I + 4 kappa (kappa-1) q^(kappa-2) V V^T, so
-        H = cell * (sum_i X_i^T A X_i + Y^T B Y) with A, B those two
-        weights as diagonals and Y = sum_j diag(V_j) X_j.
+        H = cell * (Y^T B Y + sum_i X_i^T A X_i) with A, B those two
+        weights as diagonals and Y = sum_i diag(V_i) X_i.  Each cell adds
+        the outer products of its rows of Y and X_i on its corners to
+        these m + 1 terms.  One bincount sums every term over the cells in
+        row order, and the terms are then added in the order above: the
+        order of a sparse-product assembly, which this matches bit for bit.
         """
+        cells = self.cells
         V = _cell_gradient(self.ops, self.full_of(z))
         q = np.sum(V * V, axis=1)
         kappa = self.kappa
         a = 2.0 * kappa * _qpow(q, kappa - 1.0)
         b = 4.0 * kappa * (kappa - 1.0) * _qpow(q, kappa - 2.0)
-        y = sum(sp.diags(V[:, i]) @ op for i, op in enumerate(self.ops_free))
-        hess = y.T @ sp.diags(b) @ y
-        for op in self.ops_free:
-            hess = hess + op.T @ sp.diags(a) @ op
-        return (self.cell * hess).tocsr()
+        x = cells.coeff
+        y = sum(V[:, i] * x[i] for i in range(x.shape[0]))
+        factors = np.concatenate([y[None], x])
+        weighted = np.concatenate([(y * b)[None], x * a])
+        block = weighted[:, :, None, :] * factors[:, None, :, :]
+        nnz = cells.indices.size
+        sums = np.bincount(cells.pos, block.reshape(-1)[cells.pair_of],
+                           minlength=factors.shape[0] * nnz).reshape(-1, nnz)
+        data = sums[0]
+        for term in sums[1:]:
+            data = data + term
+        nf = self.free.size
+        return sp.csr_matrix((self.cell * data, cells.indices, cells.indptr),
+                             shape=(nf, nf))
 
     def direction_state(self, z, d):
         """Per-row quadratics describing the energy along z + t*d.
@@ -627,12 +703,16 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
             stop = "budget"
             break
         hess = obj.hessian(z)
-        diag = hess.diagonal()
+        diag_pos = obj.cells.diag_pos
+        diag = hess.data[diag_pos]
         top = float(np.max(diag))
         shift = (min(gmax, _SHIFT_CAP * top) + _SHIFT_FLOOR * top
                  if top > 0.0 else gmax)
         with np.errstate(invalid="ignore", over="ignore"):
-            d, its = _pcg(hess + sp.diags(mu * diag + shift), -g)
+            damped = hess.data.copy()
+            damped[diag_pos] += mu * diag + shift
+            d, its = _pcg(sp.csr_matrix((damped, hess.indices, hess.indptr),
+                                        shape=hess.shape), -g)
         cg_iterations += its
         if not np.all(np.isfinite(d)):
             stop = "overflow"

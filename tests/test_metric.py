@@ -3,7 +3,7 @@ import pytest
 
 from subinf import groups, metric
 from subinf.errors import ConnectivityError, ParameterError
-from subinf.grids import GridDomain, ScalarField
+from subinf.grids import GridDomain
 
 
 def test_euclidean_depth1_axis_moves():
@@ -80,24 +80,6 @@ def test_cc_distance_path_endpoints():
     assert path[-1] == dom.flat_of_multi((0, 4))
     assert len(path) == 5
     assert np.isclose(d, 1.0)
-
-
-def test_cc_ball_radius_zero():
-    dom = GridDomain.box(groups.euclidean(1), [0.0], [1.0], 0.25)
-    g = metric.build_graph(dom, depth=1)
-    assert list(metric.cc_ball(g, (2,), 0.0)) == [dom.flat_of_multi((2,))]
-    with pytest.raises(ParameterError):
-        metric.cc_ball(g, (2,), -0.1)
-
-
-def test_cc_lipschitz_of_linear_function():
-    dom = GridDomain.box(groups.euclidean(1), [0.0], [1.0], 0.125)
-    g = metric.build_graph(dom, depth=1)
-    u = ScalarField.from_function(dom, lambda c: 3.0 * c[:, 0])
-    assert np.isclose(metric.cc_lipschitz(u, g), 3.0, atol=1e-12)
-    sub = [dom.flat_of_multi((i,)) for i in range(3)]
-    assert np.isclose(metric.cc_lipschitz(u, g, nodes=sub), 3.0, atol=1e-12)
-    assert metric.cc_lipschitz(u, g, nodes=[0]) == 0.0
 
 
 def test_node_index_accepts_flat_multi_and_point():

@@ -13,6 +13,8 @@ from subinf.errors import DomainMismatchError, IncompleteFieldError, ParameterEr
 from subinf.grids import GridDomain, ScalarField
 from subinf.solver import BoundaryData, SolverConfig
 
+from test_convolution import heisenberg_with_holes
+
 
 def line_domain(n=4, band=1):
     return GridDomain.box(groups.euclidean(1), [0.0], [1.0], 1.0 / n, band=band)
@@ -285,6 +287,63 @@ def test_hessian_matches_finite_differences(geometry, lower, upper, h, f, k):
     # a flat start (q = 0 on whole cells) keeps every weight finite
     flat = obj.hessian(np.zeros(z.size))
     assert np.all(np.isfinite(flat.data))
+
+
+def reference_hessian(obj, z):
+    """The free-node Hessian of obj from sparse matrix products.
+
+    With V = Xu per cell and the weights a, b of _Objective.hessian as
+    diagonals A, B: H = cell * (Y^T B Y + sum_i X_i^T A X_i), where
+    Y = sum_i diag(V_i) X_i and every X_i keeps only its free columns."""
+    ops_free = [op[:, obj.free].tocsr() for op in obj.ops]
+    V = solver._cell_gradient(obj.ops, obj.full_of(z))
+    q = np.sum(V * V, axis=1)
+    kappa = obj.kappa
+    a = 2.0 * kappa * solver._qpow(q, kappa - 1.0)
+    b = 4.0 * kappa * (kappa - 1.0) * solver._qpow(q, kappa - 2.0)
+    y = sum(scipy.sparse.diags(V[:, i]) @ op for i, op in enumerate(ops_free))
+    hess = y.T @ scipy.sparse.diags(b) @ y
+    for op in ops_free:
+        hess = hess + op.T @ scipy.sparse.diags(a) @ op
+    return (obj.cell * hess).tocsr()
+
+
+HESSIAN_DOMAINS = {
+    "line": lambda: GridDomain.box(groups.euclidean(1), [0.0], [1.0], 0.125),
+    "plane": lambda: GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25),
+    "space": lambda: GridDomain.box(groups.euclidean(3), [0, -0.5, 0], [1, 1, 1.25], 0.25),
+    "heis": lambda: GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.5),
+    # nodes on the degenerate x = 0 line
+    "grushin": lambda: GridDomain.box(groups.grushin(), [-1, -1], [1, 1], 0.25),
+    "heis_holes": heisenberg_with_holes,
+}
+
+
+@pytest.mark.parametrize("lattice", HESSIAN_DOMAINS)
+@pytest.mark.parametrize("f", [SQ, integrands.power(1.5)], ids=["sq", "power1.5"])
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("start", ["random", "flat"])  # flat: q = 0 on whole cells
+def test_hessian_matches_the_sparse_product_reference(lattice, f, k, start):
+    dom = HESSIAN_DOMAINS[lattice]()
+    g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, -1] ** 2)
+    obj = solver._Objective(dom, g.base_values(), f, k, 0.0, "lower",
+                            g.graph_lipschitz())
+    nf = dom.interior_flat.size
+    z = (np.zeros(nf) if start == "flat"
+         else np.random.default_rng(k).normal(scale=0.3, size=nf))
+    hess = obj.hessian(z)
+    ref = reference_hessian(obj, z).toarray()
+    assert np.max(np.abs(ref)) > 0
+    assert np.max(np.abs(hess.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # canonical csr: sorted columns without duplicates, and a stored
+    # diagonal for every free node at the slot the damping writes to
+    assert hess.shape == (nf, nf)
+    row_of = np.repeat(np.arange(nf), np.diff(hess.indptr))
+    same_row = row_of[1:] == row_of[:-1]
+    assert np.all(np.diff(hess.indices)[same_row] > 0)
+    diag_pos = obj.cells.diag_pos
+    assert np.array_equal(row_of[diag_pos], np.arange(nf))
+    assert np.array_equal(hess.indices[diag_pos], np.arange(nf))
 
 
 def _damped_newton_system(geometry, lower, upper, h, k, start):
