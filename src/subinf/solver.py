@@ -20,8 +20,11 @@ Each level is solved by damped Newton steps on the free nodes with an
 exact line search along each step (see _descend), and reports why it
 stopped (LevelReport); only gradient_tolerance counts as converged.
 The Newton systems are solved by Jacobi-preconditioned conjugate
-gradients (_pcg) to a relative residual of 1e-8, capped at one
-iteration per free node; a capped iterate is still a descent direction.
+gradients (_pcg), capped at one iteration per free node, to a relative
+residual that _forcing picks per step (Eisenstat-Walker forcing terms):
+loose far from the minimizer, down to 1e-8 near it.  A capped or loose
+iterate is still a descent direction; a step along one that makes no
+progress is solved again to 1e-8 before the level ends as stalled.
 Each step sums the Hessian's per-cell blocks into a csr pattern that is
 laid out once per lattice (_Cells), with one bincount.
 """
@@ -201,7 +204,8 @@ class LevelReport:
     stop is gradient_tolerance, stalled, budget or overflow (see
     _descend); only gradient_tolerance counts as converged.
     cg_iterations totals the CG iterations over the level's Newton
-    systems and seconds is the level's wall time.  energy_start and
+    systems, re-solves at the tight tolerance included (see _descend),
+    and seconds is the level's wall time.  energy_start and
     energy_end are the energies of its first and last iterate (original
     units), and change is the sup-norm change over interior nodes from
     the previous level's solution, None on the first level.
@@ -629,40 +633,60 @@ def _line_minimize(obj: _Objective, state, slope: float, t_init: float,
 _MU_START, _MU_MIN, _MU_MAX = 1e-3, 1e-8, 1e3
 _MU_DOWN, _MU_UP = 0.3, 3.0
 _SHIFT_CAP, _SHIFT_FLOOR = 1e-3, 1e-14
-# Relative residual |r|_2 <= _CG_RTOL |b|_2 at which _pcg stops.
-_CG_RTOL = 1e-8
+# Floor and cap of the relative CG residual |r|_2 <= eta |b|_2 that
+# _forcing picks; only a direction solved to _CG_RTOL may end a level.
+_CG_RTOL, _ETA_MAX = 1e-8, 0.5
 
 
-def _pcg(A, b: np.ndarray):
+def _forcing(residual: float, ratio: float | None) -> float:
+    """Relative CG tolerance eta for the next Newton system.
+
+    Eisenstat and Walker's choice 2 (SIAM J. Sci. Comput. 17, 1996):
+    eta = 0.9 ratio^2, with ratio = |g_j|_2 / |g_j-1|_2 the fall of the
+    gradient over the last step, and _ETA_MAX on a level's first step
+    (ratio None).  Capped by sqrt(residual) (Dembo and Steihaug), so the
+    steps turn superlinear as the residual falls, and floored at
+    _CG_RTOL.  residual is the max |g| per cell that
+    gradient_tolerance is compared with.
+    """
+    eta = _ETA_MAX if ratio is None else 0.9 * ratio * ratio
+    return max(_CG_RTOL, min(_ETA_MAX, eta, math.sqrt(residual)))
+
+
+def _pcg(A, b: np.ndarray, rtol: float):
     """Jacobi-preconditioned conjugate gradients for A x = b, A SPD.
 
-    Starts from x = 0 and stops once |r|_2 <= _CG_RTOL |b|_2, or after
-    as many iterations as there are unknowns.  Every iterate minimizes
+    Starts from x = 0 and stops once |r|_2 <= rtol |b|_2, or after as
+    many iterations as there are unknowns.  Every iterate minimizes
     x.A x / 2 - b.x over a Krylov space that contains b, so b.x > 0
-    even for a capped solve.  Returns (x, iterations).
+    even for a capped or loose solve.  x, r, z and p are updated in
+    place.  Returns (x, iterations).
     """
     scale = np.max(np.abs(b))
     r = b / scale  # |b|_2 itself overflows once entries pass ~1e154
     x = np.zeros_like(r)
+    step = np.empty_like(r)
     inv = 1.0 / A.diagonal()
-    p = z = inv * r
+    z = inv * r
+    p = z.copy()
     rz = r @ z
-    stop = _CG_RTOL * np.linalg.norm(r)
+    stop = rtol * math.sqrt(r @ r)
     for it in range(1, r.size + 1):
         ap = A @ p
         alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if not np.linalg.norm(r) > stop:  # converged, or NaN from overflow
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=ap)
+        if not math.sqrt(r @ r) > stop:  # converged, or NaN from overflow
             break
-        z = inv * r
+        np.multiply(inv, r, out=z)
         rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
     return scale * x, it
 
 
 def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
-    """Damped Newton descent with an exact line step.
+    """Damped inexact Newton descent with an exact line step.
 
     Each iteration solves (H + D) d = -g for the free-node Hessian H
     and gradient g, then minimizes the energy exactly along d (see
@@ -672,16 +696,21 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
     raised by 3 otherwise, and the identity term, which shrinks with
     the gradient (Fan and Yuan's Levenberg-Marquardt rule), keeps the
     system regular where flat cells leave rows of H empty.  H + D is
-    SPD, and _pcg solves it by Jacobi-preconditioned CG from d = 0 to
-    the relative residual _CG_RTOL = 1e-8, at most one iteration per
-    free node.  A capped CG iterate is still a descent direction, so it
-    goes to the line search like a converged one.
+    SPD, and _pcg solves it by Jacobi-preconditioned CG from d = 0, at
+    most one iteration per free node, to the relative residual that
+    _forcing picks from the residual and the fall of |g|_2: loose while
+    the iterate is far from the minimizer, down to _CG_RTOL = 1e-8 near
+    it.  Every CG iterate, capped or loose, is a descent direction, so
+    it goes to the line search like a converged one.  When a step makes
+    no progress (see stalled below) along a loosely solved direction,
+    the same system is solved again to _CG_RTOL before the level gives
+    up, so only a direction solved to _CG_RTOL can end it as stalled.
 
     Returns (z, energy trace, residual, iterations, stop, CG
     iterations): iterations is the number of accepted steps, the CG
-    iterations are summed over all steps, and stop says why the
-    descent ended -- gradient_tolerance when the residual met
-    config.gradient_tolerance;
+    iterations are summed over all solves, re-solves included, and stop
+    says why the descent ended -- gradient_tolerance when the residual
+    met config.gradient_tolerance;
     stalled at the numerical floor, when a step lowered the energy by no
     more than its rounding error and did not halve the residual;
     budget after config.max_iterations steps; overflow when the energy
@@ -694,14 +723,22 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
     trace = [e]
     mu = _MU_START
     cg_iterations = 0
+    prev = None  # largest entry and scaled 2-norm of the last gradient
+    stop = None
     while True:
         gmax = float(np.max(np.abs(g)))
-        if gmax / obj.cell <= config.gradient_tolerance:
+        residual = gmax / obj.cell
+        if residual <= config.gradient_tolerance:
             stop = "gradient_tolerance"
             break
         if len(trace) > config.max_iterations:
             stop = "budget"
             break
+        # |g|_2 in units of its largest entry, so the ratio cannot overflow
+        gnorm = float(np.linalg.norm(g / gmax))
+        ratio = None if prev is None else gmax / prev[0] * (gnorm / prev[1])
+        prev = (gmax, gnorm)
+        rtol = _forcing(residual, ratio)
         hess = obj.hessian(z)
         diag_pos = obj.cells.diag_pos
         diag = hess.data[diag_pos]
@@ -711,28 +748,34 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
         with np.errstate(invalid="ignore", over="ignore"):
             damped = hess.data.copy()
             damped[diag_pos] += mu * diag + shift
-            d, its = _pcg(sp.csr_matrix((damped, hess.indices, hess.indptr),
-                                        shape=hess.shape), -g)
-        cg_iterations += its
-        if not np.all(np.isfinite(d)):
-            stop = "overflow"
-            break
-        state = obj.direction_state(z, d)
-        t = _line_minimize(obj, state, float(g @ d), 1.0,
-                           config.max_backtracks)
-        if t <= 0.0:
-            stop = "stalled"
-            break
-        z_new = z + t * d
-        e_new, g_new = obj.value_grad(z_new)
-        if g_new is None:
-            stop = "overflow"
-            break
-        if not (e - e_new > 1e-15 * abs(e)
-                or np.max(np.abs(g_new)) <= 0.5 * gmax):
-            # the energy fell by no more than its rounding error and the
-            # residual did not halve: the numerical floor
-            stop = "stalled"
+        A = sp.csr_matrix((damped, hess.indices, hess.indptr), shape=hess.shape)
+        while True:
+            with np.errstate(invalid="ignore", over="ignore"):
+                d, its = _pcg(A, -g, rtol)
+            cg_iterations += its
+            if not np.all(np.isfinite(d)):
+                stop = "overflow"
+                break
+            state = obj.direction_state(z, d)
+            t = _line_minimize(obj, state, float(g @ d), 1.0,
+                               config.max_backtracks)
+            if t > 0.0:
+                z_new = z + t * d
+                e_new, g_new = obj.value_grad(z_new)
+                if g_new is None:
+                    stop = "overflow"
+                    break
+                if (e - e_new > 1e-15 * abs(e)
+                        or np.max(np.abs(g_new)) <= 0.5 * gmax):
+                    break
+            # no step, or the energy fell by no more than its rounding
+            # error and the residual did not halve: the numerical floor,
+            # unless a tighter solve of the same system gets past it
+            if rtol <= _CG_RTOL:
+                stop = "stalled"
+                break
+            rtol = _CG_RTOL
+        if stop is not None:
             break
         z, e, g = z_new, e_new, g_new
         trace.append(e)
@@ -740,7 +783,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
             mu = max(mu * _MU_DOWN, _MU_MIN)
         else:
             mu = min(mu * _MU_UP, _MU_MAX)
-    return z, trace, gmax / obj.cell, len(trace) - 1, stop, cg_iterations
+    return z, trace, residual, len(trace) - 1, stop, cg_iterations
 
 
 def _level_message(levels) -> str:

@@ -364,44 +364,100 @@ def _damped_newton_system(geometry, lower, upper, h, k, start):
     return hess + scipy.sparse.diags(solver._MU_START * diag + shift), grad
 
 
-@pytest.mark.parametrize("geometry,lower,upper,h", [
+def reference_pcg(A, b, rtol):
+    """Jacobi-preconditioned CG as one expression per update, allocating
+    every vector anew; _pcg updates the same vectors in place."""
+    scale = np.max(np.abs(b))
+    r = b / scale
+    x = np.zeros_like(r)
+    inv = 1.0 / A.diagonal()
+    p = z = inv * r
+    rz = r @ z
+    stop = rtol * np.linalg.norm(r)
+    for it in range(1, r.size + 1):
+        ap = A @ p
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if not np.linalg.norm(r) > stop:
+            break
+        z = inv * r
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return scale * x, it
+
+
+DAMPED_SYSTEMS = pytest.mark.parametrize("geometry,lower,upper,h", [
     ("euclidean:2", [0, 0], [1, 1], 0.25),
     ("heisenberg1", [-1, -1, -1], [1, 1, 1], 0.5),
     ("grushin", [-1, -1], [1, 1], 0.25),  # nodes on the degenerate x = 0 line
 ])
+
+
+@DAMPED_SYSTEMS
 @pytest.mark.parametrize("k", [2, 8])
 @pytest.mark.parametrize("start", ["random", "flat"])  # flat: empty rows of H
-def test_pcg_solves_the_damped_newton_system(monkeypatch, geometry, lower,
-                                             upper, h, k, start):
+def test_pcg_solves_the_damped_newton_system(geometry, lower, upper, h, k,
+                                             start):
     A, g = _damped_newton_system(geometry, lower, upper, h, k, start)
-    x, its = solver._pcg(A, g)
+    rtol = solver._CG_RTOL
+    x, its = solver._pcg(A, g, rtol)
     assert 1 <= its <= g.size
-    # the recurrence residual stopped at _CG_RTOL; the true one differs
-    # from it only by rounding
-    assert np.linalg.norm(A @ x - g) <= 1.01 * solver._CG_RTOL * np.linalg.norm(g)
+    # the recurrence residual stopped at rtol; the true one differs from
+    # it only by rounding
+    assert np.linalg.norm(A @ x - g) <= 1.01 * rtol * np.linalg.norm(g)
     ref = scipy.sparse.linalg.spsolve(A.tocsc(), g)
     cond = np.linalg.cond(A.toarray())
-    assert np.linalg.norm(x - ref) <= cond * solver._CG_RTOL * np.linalg.norm(ref)
+    assert np.linalg.norm(x - ref) <= cond * rtol * np.linalg.norm(ref)
     assert g @ x > 0
-    # a CG solve stopped after its first iteration still gives a
-    # descent direction d = -x
-    monkeypatch.setattr(solver, "_CG_RTOL", np.inf)
-    x1, its1 = solver._pcg(A, g)
+    # a loose solve stops as soon as it meets its own tolerance, and one
+    # stopped after its first iteration still gives a descent direction
+    loose, its_loose = solver._pcg(A, g, 0.5)
+    assert its_loose <= its and g @ loose > 0
+    assert np.linalg.norm(A @ loose - g) <= 1.01 * 0.5 * np.linalg.norm(g)
+    x1, its1 = solver._pcg(A, g, np.inf)
     assert its1 == 1 and g @ x1 > 0
+
+
+@DAMPED_SYSTEMS
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("start", ["random", "flat"])
+@pytest.mark.parametrize("rtol", [solver._CG_RTOL, 1e-3, 0.5])
+def test_pcg_matches_the_reference_loop_bit_for_bit(geometry, lower, upper, h,
+                                                    k, start, rtol):
+    A, g = _damped_newton_system(geometry, lower, upper, h, k, start)
+    x, its = solver._pcg(A, g, rtol)
+    ref, its_ref = reference_pcg(A, g, rtol)
+    assert its == its_ref
+    assert np.array_equal(x, ref)
 
 
 def test_pcg_keeps_its_stop_rule_beyond_the_range_of_the_2_norm():
     """Gradients above ~1e154 overflow |g|_2; the solve must not stop
     early on an infinite threshold."""
     A, g = _damped_newton_system("euclidean:2", [0, 0], [1, 1], 0.25, 2, "random")
-    x, its = solver._pcg(A, g)
-    big, its_big = solver._pcg(A, 1e200 * g)
+    x, its = solver._pcg(A, g, solver._CG_RTOL)
+    big, its_big = solver._pcg(A, 1e200 * g, solver._CG_RTOL)
     assert its_big == its > 1
     assert np.allclose(big / 1e200, x, rtol=1e-12, atol=0)
 
 
+def test_forcing_term_follows_the_gradient_and_the_residual():
+    # first step: 0.5, or sqrt(residual) once that is smaller
+    assert solver._forcing(1.0, None) == 0.5
+    assert solver._forcing(1e-6, None) == pytest.approx(1e-3)
+    # Eisenstat-Walker choice 2: 0.9 (|g_j|_2 / |g_j-1|_2)^2
+    assert solver._forcing(1.0, 0.1) == pytest.approx(0.009)
+    assert solver._forcing(1.0, 10.0) == 0.5
+    assert solver._forcing(1e-4, 0.5) == pytest.approx(1e-2)
+    # never tighter than _CG_RTOL
+    assert solver._forcing(1e-30, 1e-9) == solver._CG_RTOL
+    # a gradient that overflows the ratio only loosens the solve
+    assert solver._forcing(1.0, np.inf) == 0.5
+
+
 def test_newton_steps_from_one_cg_iteration_still_descend(monkeypatch):
-    monkeypatch.setattr(solver, "_CG_RTOL", np.inf)
+    monkeypatch.setattr(solver, "_forcing", lambda residual, ratio: np.inf)
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] ** 2 - c[:, 1] ** 2)
     rep = solver.minimize_k(g, SQ, 2, 0.0, "lower", SolverConfig(max_iterations=8))
@@ -410,6 +466,101 @@ def test_newton_steps_from_one_cg_iteration_still_descend(monkeypatch):
     # one CG iteration per Newton system solved
     assert lv.cg_iterations in (lv.iterations, lv.iterations + 1)
     assert np.all(np.diff(rep.energy_trace[2]) < 0)
+
+
+ORACLE_SOLVES = {
+    # Aronsson's infinity-harmonic |x|^(4/3) - |y|^(4/3)
+    "plane": ("euclidean:2", [-1, -1], [1, 1], 0.125, 8,
+              lambda c: np.abs(c[:, 0]) ** (4 / 3) - np.abs(c[:, 1]) ** (4 / 3)),
+    "heis": ("heisenberg1", [-1, -1, -1], [1, 1, 1], 0.25, 4,
+             lambda c: c[:, 0] * c[:, 1]),
+    "grushin": ("grushin", [-1, -1], [1, 1], 0.25, 8,
+                lambda c: 0.5 * c[:, 0] + c[:, 1] ** 2),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_SOLVES)
+def test_forcing_terms_reach_the_fixed_tolerance_solution(monkeypatch, case):
+    """Solving every Newton system to _CG_RTOL is the reference: the
+    loose early solves must end every level at the same tolerance and
+    at the same minimizer."""
+    geometry, lower, upper, h, k_max, fn = ORACLE_SOLVES[case]
+    dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
+    g = BoundaryData.from_function(dom, fn)
+    config = SolverConfig(k_max=k_max)
+    got = solver.infinity_solve(g, SQ, config)
+    monkeypatch.setattr(solver, "_forcing", lambda residual, ratio: solver._CG_RTOL)
+    ref = solver.infinity_solve(g, SQ, config)
+    for rep in (got, ref):
+        assert [lv.stop for lv in rep.levels] == ["gradient_tolerance"] * len(rep.levels)
+    assert [lv.k for lv in got.levels] == [lv.k for lv in ref.levels]
+    assert sum(lv.cg_iterations for lv in got.levels) < \
+        sum(lv.cg_iterations for lv in ref.levels)
+    inner = dom.interior_flat
+    assert np.max(np.abs(got.solution.values[inner] - ref.solution.values[inner])) <= 1e-8
+
+
+def _record_pcg(monkeypatch):
+    """Wrap _pcg; returns the list of (rtol, right-hand side) it was called with."""
+    calls = []
+    pcg = solver._pcg
+
+    def recording(A, b, rtol):
+        calls.append((rtol, b.copy()))
+        return pcg(A, b, rtol)
+
+    monkeypatch.setattr(solver, "_pcg", recording)
+    return calls
+
+
+def test_a_loose_step_that_makes_no_progress_is_solved_again(monkeypatch):
+    """The a6_heisenberg k = 4 level from the k = 2 minimizer starts at
+    residual 3e-8.  A direction solved only to eta = 0.5 lowers the
+    energy by less than its rounding error there; the level must solve
+    the same system again to _CG_RTOL and go on, not stall."""
+    cfg = acceptance._cfg(acceptance.bundled_config_dir(), "a6_heisenberg.cfg")
+    g, f = cfg.boundary_data(), cfg.integrand_obj()
+    k2 = solver.minimize_k(g, f, 2, 0.0, "lower", dataclasses.replace(
+        cfg.solver, initialization="zero")).solution.values
+    obj = solver._Objective(g.domain, g.base_values(), f, 4, 0.0, "lower",
+                            g.graph_lipschitz())
+    z0 = obj.z0_of(k2)
+    assert 1e-8 < np.max(np.abs(obj.value_grad(z0)[1])) / obj.cell < 1e-7
+    monkeypatch.setattr(solver, "_forcing", lambda residual, ratio: 0.5)
+    calls = _record_pcg(monkeypatch)
+    _, _, residual, iterations, stop, _ = solver._descend(obj, z0, cfg.solver)
+    assert (stop, iterations) == ("gradient_tolerance", 1)
+    assert [rtol for rtol, _ in calls] == [0.5, solver._CG_RTOL]
+    assert np.array_equal(calls[0][1], calls[1][1])
+
+
+def test_only_a_direction_solved_to_cg_rtol_ends_a_level_as_stalled(monkeypatch):
+    calls = _record_pcg(monkeypatch)
+    ends = []
+    descend = solver._descend
+
+    def recording(obj, z0, config):
+        calls.clear()
+        out = descend(obj, z0, config)
+        ends.append((out[4], list(calls)))
+        return out
+
+    monkeypatch.setattr(solver, "_descend", recording)
+    # no iterate reaches this residual, so every level ends at the floor
+    dom = GridDomain.box(groups.grushin(), [-1, -1], [1, 1], 0.125)
+    g = BoundaryData.from_function(dom, lambda c: c[:, 0] ** 2 - c[:, 1])
+    solver.minimize_k(g, SQ, 8, 0.0, "lower",
+                      SolverConfig(gradient_tolerance=1e-300, max_iterations=200))
+    assert [stop for stop, _ in ends] == ["stalled"] * 3
+    resolved = 0
+    for _, level_calls in ends:
+        assert level_calls[-1][0] == solver._CG_RTOL
+        (rtol, b), (_, b_last) = level_calls[-2:]
+        if rtol > solver._CG_RTOL:
+            # the loose direction failed first, on the same system
+            assert np.array_equal(b, b_last)
+            resolved += 1
+    assert resolved >= 1
 
 
 def test_a_hessian_with_inf_entries_ends_the_level_as_overflow(monkeypatch):
