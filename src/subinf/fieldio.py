@@ -45,12 +45,11 @@ def field_to_text(u: ScalarField) -> str:
     out.write("lower " + _fmt_row(dom.lower) + "\n")
     out.write("h " + _fmt(dom.h) + "\n")
     out.write(f"nodes {dom.n_nodes}\n")
-    vals = u.values
-    cls = dom.classification
-    for flat in range(dom.n_nodes):
-        code = int(cls[flat])
-        v = 0.0 if code == EXTERIOR else vals[flat]
-        out.write(f"{flat} {classification_name(code)} {_fmt(v)}\n")
+    codes = dom.classification.tolist()
+    name = {c: classification_name(c) for c in set(codes)}
+    vals = np.where(dom.classification == EXTERIOR, 0.0, u.values).tolist()
+    out.write("".join(map("%d %s %.17g\n".__mod__,
+                          zip(range(dom.n_nodes), [name[c] for c in codes], vals))))
     return out.getvalue()
 
 

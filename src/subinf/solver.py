@@ -38,9 +38,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sp
 
+from . import groups
 from .errors import IncompleteFieldError, ParameterError
 from .grids import EXTERIOR, GridDomain, ScalarField, require_same_lattice
-from .groups import gauge_distance
 from .integrands import Integrand
 
 _SIDES = ("lower", "upper")
@@ -50,7 +50,11 @@ _EXP_MAX = 709.0
 
 
 class BoundaryData:
-    """Prescribed values on the boundary nodes of a grid domain."""
+    """Prescribed values on the boundary nodes of a grid domain.
+
+    extend_nearest (the warm start) and graph_lipschitz (the solve's
+    scale) are exact sweeps over node pairs through groups.pair_kernel.
+    """
 
     def __init__(self, domain: GridDomain, values):
         vals = np.asarray(values, dtype=float).reshape(-1)
@@ -89,63 +93,96 @@ class BoundaryData:
     def extend_nearest(self) -> ScalarField:
         """Constant extension along nearest-boundary-node assignment.
 
-        Ties go to the lowest flat index, so the extension is
-        reproducible across runs.
+        Nearness is the coordinate (euclidean) distance on every geometry.
+        Ties go to the lowest flat index, so the extension is reproducible
+        across runs.  Interior nodes are taken in tiles (_nearest_tiles),
+        and each tile sweeps only the boundary nodes that can be nearest to
+        one of its nodes, in ascending order, so argmin picks what it would
+        over all of them.
         """
         dom = self.domain
         bc = dom.coords[dom.boundary_flat]
         out = np.full(dom.n_nodes, np.nan)
         out[dom.boundary_flat] = self.values
-        inodes = dom.interior_flat
-        ic = dom.coords[inodes]
-        chunk = max(1, _PAIR_BLOCK // max(1, bc.shape[0]))
-        for s in range(0, inodes.size, chunk):
-            d2 = _squared_distances(ic[s : s + chunk], bc)
-            out[inodes[s : s + chunk]] = self.values[np.argmin(d2, axis=1)]
+        euclid = groups.euclidean(dom.spec.dim)
+        for tile, near in _nearest_tiles(dom, bc):
+            d2 = groups.pair_kernel(euclid, dom.coords[tile], bc[near])
+            out[tile] = self.values[near[np.argmin(d2, axis=1)]]
         return ScalarField(dom, out)
 
     def graph_lipschitz(self) -> float:
         """Largest |g(a) - g(b)| / gauge distance over boundary pairs.
 
         Used to normalize the solve so that f(Xu) stays near unit size;
-        the max principle keeps solution slopes at this order.
+        the max principle keeps solution slopes at this order.  The gauge
+        distance is the left kernel's root, as in groups.gauge_distance;
+        grushin, which has no gauge, uses the coordinate distance.  Both
+        are symmetric bit for bit, and so is |g(a) - g(b)|, so only the
+        pairs b >= a are swept.
         """
         if getattr(self, "_lip", None) is not None:
             return self._lip
         dom = self.domain
         bc = dom.coords[dom.boundary_flat]
         nb = bc.shape[0]
+        spec = dom.spec if dom.spec.is_group else groups.euclidean(dom.spec.dim)
         best = 0.0
         chunk = max(1, _PAIR_BLOCK // max(1, nb))
         for s in range(0, nb, chunk):
-            if dom.spec.is_group:
-                d = gauge_distance(dom.spec, bc[s : s + chunk, None, :],
-                                   bc[None, :, :])
-            else:
-                d = np.sqrt(_squared_distances(bc[s : s + chunk], bc))
-            dv = np.abs(self.values[s : s + chunk, None] - self.values[None, :])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(d > 0, dv / np.where(d > 0, d, 1.0), 0.0)
-            if r.size:
-                best = max(best, float(np.max(r)))
+            K = groups.pair_kernel(spec, bc[s : s + chunk], bc[s:], "left")
+            d = K ** 0.25 if spec.name == "heisenberg1" else np.sqrt(K)
+            dv = np.abs(self.values[s : s + chunk, None] - self.values[None, s:])
+            r = np.zeros_like(dv)
+            np.divide(dv, d, out=r, where=d > 0)
+            best = max(best, float(np.max(r)))
         self._lip = best
         return best
 
 
-# Node pairs per block in the boundary sweeps above: a few MB per array.
-_PAIR_BLOCK = 200_000
+# Node pairs per block in graph_lipschitz: 256 kB per array, so that the
+# pair kernel's passes stay in cache.
+_PAIR_BLOCK = 32_768
+
+# About this many interior nodes per tile of extend_nearest.
+_TILE_NODES = 64
 
 
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_i - b_j|^2 for all pairs, summed one axis at a time.
+def _nearest_tiles(dom: GridDomain, bc: np.ndarray):
+    """Yield (tile, near): interior nodes and the boundary nodes that can be nearest.
 
-    Adds the axes in order, as a sum over a (rows, len(b), n) difference
-    array would, without building that array.
+    Tiles group the interior nodes by w lattice indices per axis, with w^n
+    about _TILE_NODES.  With lo and hi the corners of a tile's bounding
+    box, each boundary node b gets a floor sum_j max(lo_j - b_j, b_j - hi_j,
+    0)^2 and a ceiling sum_j max(b_j - lo_j, hi_j - b_j)^2 on the squared
+    distance from any node x of the tile.  Rounding is monotone, so these
+    also bound the computed sum_j (x_j - b_j)^2, summed in the same axis
+    order.  A b whose floor exceeds the smallest ceiling is farther from
+    every x than some other b, so near (b in ascending order) keeps every
+    nearest node and every tie, whatever the classification.
     """
-    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
-    for j in range(1, a.shape[1]):
-        d2 += (a[:, None, j] - b[None, :, j]) ** 2
-    return d2
+    inodes = dom.interior_flat
+    if inodes.size == 0:
+        return
+    width = max(1, round(_TILE_NODES ** (1.0 / len(dom.dims))))
+    tdims = tuple(-(-d // width) for d in dom.dims)
+    key = np.ravel_multi_index(tuple((dom.multi_indices[inodes] // width).T), tdims)
+    order = np.argsort(key, kind="stable")
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(key[order])) + 1])
+    sorted_coords = dom.coords[inodes[order]]
+    lo = np.minimum.reduceat(sorted_coords, starts)
+    hi = np.maximum.reduceat(sorted_coords, starts)
+    floor = np.zeros((starts.size, bc.shape[0]))
+    ceiling = np.zeros_like(floor)
+    for j in range(bc.shape[1]):
+        below = lo[:, j, None] - bc[None, :, j]
+        above = bc[None, :, j] - hi[:, j, None]
+        gap = np.maximum(np.maximum(below, above), 0.0)
+        floor += gap * gap
+        far = np.maximum(-below, -above)
+        ceiling += far * far
+    bound = ceiling.min(axis=1)
+    for tile, row, cap in zip(np.split(inodes[order], starts[1:]), floor, bound):
+        yield tile, np.flatnonzero(row <= cap)
 
 
 @dataclass(frozen=True)
@@ -366,14 +403,14 @@ def _cell_operators(domain: GridDomain) -> _Cells:
         raise ParameterError("domain has no complete cells for the solver")
     nr = rows.size
     h = domain.h
-    ridx = np.arange(nr)
+    # the csr forward difference along each axis, -1/h on x and 1/h on x + e_j
     diffs = []
+    indptr = np.arange(0, 2 * nr + 1, 2)
+    data = np.tile([-1.0 / h, 1.0 / h], nr)
     for j in range(n):
-        data = np.concatenate([np.full(nr, -1.0 / h), np.full(nr, 1.0 / h)])
-        rr = np.concatenate([ridx, ridx])
-        cc = np.concatenate([rows, rows + strides[j]])
-        diffs.append(sp.csr_matrix((data, (rr, cc)),
-                                   shape=(nr, domain.n_nodes)))
+        diffs.append(sp.csr_matrix(
+            (data, np.stack([rows, rows + strides[j]], axis=1).reshape(-1), indptr),
+            shape=(nr, domain.n_nodes)))
     coeff = domain.frame_coefficients[rows]
     ops = []
     for i in range(domain.spec.horizontal_dim):
@@ -392,7 +429,8 @@ def _cell_operators(domain: GridDomain) -> _Cells:
     local = np.empty((coeff.shape[1], n + 1, nr))
     local[:, 1:] = coeff.transpose(1, 2, 0) * (1.0 / h)
     local[:, 0] = -np.sum(local[:, 1:], axis=1)
-    corners = rows[:, None] + np.concatenate([[0], strides])[None, :]
+    step = np.concatenate([[0], strides])
+    corners = rows[:, None] + step[None, :]
     # free-node index of each corner, -1 where it is pinned
     free = domain.interior_flat
     nf = free.size
@@ -403,27 +441,37 @@ def _cell_operators(domain: GridDomain) -> _Cells:
     # that bincount adds up each slot's cells in ascending order, as a
     # row-by-row sparse product does
     shape = (nr, n + 1, n + 1)
-    fi = np.broadcast_to(fc[:, :, None], shape).reshape(-1)
-    fj = np.broadcast_to(fc[:, None, :], shape).reshape(-1)
-    entry = np.flatnonzero((fi >= 0) & (fj >= 0))
-    keys = fi[entry] * nf + fj[entry]
-    r, pair = np.divmod(entry, (n + 1) ** 2)
-    slots, slot_of = np.unique(np.concatenate([keys, np.arange(nf) * (nf + 1)]),
-                               return_inverse=True)
-    itype = np.int32 if slots.size < 2**31 else np.int64
+    both = (fc[:, :, None] >= 0) & (fc[:, None, :] >= 0)
+    fi = np.broadcast_to(fc[:, :, None], shape)[both]
+    r = np.broadcast_to(np.arange(nr)[:, None, None], shape)[both]
+    pair = np.broadcast_to(np.arange((n + 1) ** 2).reshape(1, n + 1, n + 1), shape)[both]
+    # corner c' of a cell lies offsets[jump[c, c']] flat indices past
+    # corner c, so free node i's csr row holds at most the columns of
+    # i + offsets, which ascend with the offset; slot[i, o] numbers the
+    # present (i, o) in row-major order, diagonals always present
+    offsets, jump = np.unique(step[None, :] - step[:, None], return_inverse=True)
+    at = fi * offsets.size + jump.reshape(-1)[pair]
+    centre = int(np.searchsorted(offsets, 0))
+    present = np.zeros((nf, offsets.size), dtype=bool)
+    present.reshape(-1)[at] = True
+    present[:, centre] = True
+    slot = np.cumsum(present, axis=None).reshape(present.shape) - 1
+    nnz = int(slot[-1, -1]) + 1
+    itype = np.int32 if nnz < 2**31 else np.int64
     indptr = np.zeros(nf + 1, dtype=itype)
-    np.cumsum(np.bincount(slots // nf, minlength=nf), out=indptr[1:])
+    indptr[1:] = slot[:, -1] + 1
+    columns = index[(free[:, None] + offsets[None, :])[present]]
     # Hessian term t reads local block t and writes pattern copy t
-    term = np.arange(coeff.shape[1] + 1)[:, None]
+    term = np.arange(coeff.shape[1] + 1)
     cells = _Cells(
         ops=ops,
         opsT=[op.T.tocsr() for op in ops],
         coeff=local,
         indptr=indptr,
-        indices=(slots % nf).astype(itype),
-        pair_of=(term * (n + 1) ** 2 * nr + pair * nr + r).reshape(-1),
-        pos=(term * slots.size + slot_of[:keys.size]).reshape(-1),
-        diag_pos=slot_of[keys.size:],
+        indices=columns.astype(itype),
+        pair_of=np.add.outer(term * (n + 1) ** 2 * nr, pair * nr + r).reshape(-1),
+        pos=np.add.outer(term * nnz, slot.reshape(-1)[at]).reshape(-1),
+        diag_pos=slot[:, centre],
     )
     domain._op_cache[key] = cells
     return cells
@@ -448,6 +496,12 @@ class _Objective:
         self.k = int(k)
         self.cells = _cell_operators(domain)
         self.ops = self.cells.ops
+        # hessian's two largest work arrays, reused by every step of the
+        # level: allocated afresh, their megabytes are page-faulted in again
+        # whenever the allocator has returned them to the system
+        m, corners, rows = self.cells.coeff.shape
+        self._block = np.empty((m + 1, corners, corners, rows))
+        self._picked = np.empty(self.cells.pair_of.size)
         self.free = domain.interior_flat
         self.cell = float(domain.h) ** domain.spec.dim
         # f(p)^k = q^kappa with q = |p|^2
@@ -520,9 +574,10 @@ class _Objective:
         y = sum(V[:, i] * x[i] for i in range(x.shape[0]))
         factors = np.concatenate([y[None], x])
         weighted = np.concatenate([(y * b)[None], x * a])
-        block = weighted[:, :, None, :] * factors[:, None, :, :]
+        np.multiply(weighted[:, :, None, :], factors[:, None, :, :], out=self._block)
+        np.take(self._block.reshape(-1), cells.pair_of, out=self._picked)
         nnz = cells.indices.size
-        sums = np.bincount(cells.pos, block.reshape(-1)[cells.pair_of],
+        sums = np.bincount(cells.pos, self._picked,
                            minlength=factors.shape[0] * nnz).reshape(-1, nnz)
         data = sums[0]
         for term in sums[1:]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from subinf import groups
 from subinf.errors import ParameterError, UnsupportedGeometryError
@@ -93,6 +94,47 @@ def test_gauge_kernel_avoids_the_root_power_round_trip():
     assert np.array_equal(groups.gauge_kernel(h1, pts), expected)
     assert np.allclose(groups.gauge_kernel(h1, pts),
                        groups.gauge_norm(h1, pts) ** h1.gauge_exponent)
+
+
+@given(st.sampled_from(["euclidean:1", "euclidean:2", "euclidean:3", "heisenberg1"]),
+       st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=120, deadline=None)
+def test_pair_kernel_is_the_product_kernel_bit_for_bit(gid, nx, ny, data):
+    """Random points off any lattice, against the kernel of the group product."""
+    spec = groups.from_id(gid)
+    x = data.draw(arrays(float, (nx, spec.dim), elements=coord))
+    y = data.draw(arrays(float, (ny, spec.dim), elements=coord))
+    right = groups.gauge_kernel(spec, groups.multiply(
+        spec, x[:, None, :], groups.inverse(spec, y)[None, :, :]))
+    left = groups.gauge_kernel(spec, groups.multiply(
+        spec, groups.inverse(spec, x)[:, None, :], y[None, :, :]))
+    assert np.array_equal(groups.pair_kernel(spec, x, y), right)
+    assert np.array_equal(groups.pair_kernel(spec, x, y, "right"), right)
+    assert np.array_equal(groups.pair_kernel(spec, x, y, "left"), left)
+
+
+@given(point3, point3)
+@settings(max_examples=100, deadline=None)
+def test_heisenberg_gauge_distance_is_symmetric_bit_for_bit(a, b):
+    """||a^-1 b|| == ||b^-1 a|| exactly: each term of the twisted t negates
+    exactly under the swap.  BoundaryData.graph_lipschitz sweeps only half
+    of the pairs on the strength of it."""
+    h1 = groups.heisenberg1()
+    assert groups.gauge_distance(h1, a, b) == groups.gauge_distance(h1, b, a)
+    both = np.stack([a, b])
+    k = groups.pair_kernel(h1, both, both, "left")
+    assert k[0, 1] == k[1, 0]
+
+
+def test_pair_kernel_validation():
+    h1 = groups.heisenberg1()
+    pts = np.zeros((2, 3))
+    with pytest.raises(ParameterError):
+        groups.pair_kernel(h1, pts, pts, "middle")
+    with pytest.raises(ParameterError):
+        groups.pair_kernel(h1, pts[0], pts)
+    with pytest.raises(UnsupportedGeometryError):
+        groups.pair_kernel(groups.grushin(), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_gauge_exponent_per_geometry():

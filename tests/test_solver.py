@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -105,34 +107,65 @@ def test_boundary_extend_nearest():
     assert np.array_equal(ext, [2.0, 2.0, 2.0, 6.0, 6.0])
 
 
-@pytest.mark.parametrize("block", [solver._PAIR_BLOCK, 7])
-def test_warm_start_matches_brute_force_loops(monkeypatch, block):
-    """extend_nearest and graph_lipschitz against plain pair loops.
+WARM_LATTICES = {
+    "heisenberg1": lambda: GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.5),
+    "euclidean:2": lambda: GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.25),
+    "grushin": lambda: GridDomain.box(groups.grushin(), [-1, -1], [1, 1], 0.25),
+    "heisenberg1 with holes": heisenberg_with_holes,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def warm_start_by_pair_loops(lattice):
+    """The nearest extension, its tie count and the Lipschitz constant, pair by pair.
 
     Distinct boundary values make every tie visible: the extension must
-    take the lowest flat index among the equidistant boundary nodes."""
-    monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
-    dom = GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.5)
+    take the lowest flat index among the equidistant boundary nodes.  The
+    distance is the coordinate one for the extension, and for the
+    Lipschitz constant the gauge distance (coordinate on grushin)."""
+    dom = WARM_LATTICES[lattice]()
     bflat = dom.boundary_flat
-    g = BoundaryData(dom, np.arange(bflat.size) * 0.37 % 1.0)
-    got = g.extend_nearest().values
+    values = np.arange(bflat.size) * 0.37 % 1.0
+    ext = np.full(dom.n_nodes, np.nan)
+    ext[bflat] = values
     ties = 0
     for node in dom.interior_flat:
         d2 = [sum((float(a) - float(b)) ** 2
                   for a, b in zip(dom.coords[node], dom.coords[f])) for f in bflat]
         best = min(d2)
         ties += d2.count(best) > 1
-        assert got[node] == g.values[d2.index(best)]
-    assert ties > 0
-    assert np.array_equal(got[bflat], g.values)
+        ext[node] = values[d2.index(best)]
     lip = 0.0
     for i in range(bflat.size):
-        for j in range(bflat.size):
-            d = float(groups.gauge_distance(dom.spec, dom.coords[bflat[i]],
-                                            dom.coords[bflat[j]]))
+        a = dom.coords[bflat[i]]
+        if dom.spec.is_group:
+            row = groups.gauge_distance(dom.spec, a, dom.coords[bflat]).tolist()
+        else:
+            row = [math.sqrt(sum((float(p) - float(q)) ** 2 for p, q in zip(a, b)))
+                   for b in dom.coords[bflat]]
+        for j, d in enumerate(row):
             if d > 0:
-                lip = max(lip, abs(g.values[i] - g.values[j]) / d)
-    assert g.graph_lipschitz() == lip
+                lip = max(lip, abs(values[i] - values[j]) / d)
+    return dom, values, ext, ties, lip
+
+
+@pytest.mark.parametrize("block", [None, 200_000, 7])
+def test_warm_start_matches_brute_force_loops(monkeypatch, block):
+    """extend_nearest and graph_lipschitz against plain pair loops.
+
+    block None keeps the module's sweep sizes; otherwise it is both the
+    pairs per graph_lipschitz block and the nodes per extend_nearest tile,
+    so 200 000 sweeps each lattice in one piece and 7 puts block and tile
+    edges everywhere."""
+    if block is not None:
+        monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(solver, "_TILE_NODES", block)
+    for lattice in WARM_LATTICES:
+        dom, values, ext, ties, lip = warm_start_by_pair_loops(lattice)
+        g = BoundaryData(dom, values)
+        assert ties > 0, lattice
+        assert np.array_equal(g.extend_nearest().values, ext, equal_nan=True), lattice
+        assert g.graph_lipschitz() == lip, lattice
 
 
 def test_graph_lipschitz_linear():
