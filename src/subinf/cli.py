@@ -6,9 +6,10 @@ output directory: field files, a manifest with the fully resolved config, and
 whitespace plot tables.  Exit codes: 0 success, 2 config error, 3 solver
 non-convergence, 4 verification failure.
 
-The env var SUBINF_THREADS caps BLAS/OpenMP parallelism; it is applied before
-the numeric modules are imported, which is why the heavy imports in here are
-deferred into the handlers.
+The env var SUBINF_THREADS caps BLAS/OpenMP parallelism.  The package's
+__init__ applies it before any of its modules imports numpy, so it takes
+effect however the package is entered; a value that is not an integer stops
+the import with an error.
 """
 
 from __future__ import annotations
@@ -21,25 +22,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY = 4
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SUBINF_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise SystemExit(f"error: SUBINF_THREADS must be an integer, got {cap!r}")
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(n))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -267,7 +249,7 @@ def _cmd_verify(args) -> int:
     entries["verify.check"] = args.check
 
     if args.check == "subelliptic":
-        samples = args.trials or 1000
+        samples = 1000 if args.trials is None else args.trials
         op = _operator_for(cfg, f)
         m = cfg.spec().horizontal_dim
         ok, worst = verify.subelliptic_check(op, samples, m=m, seed=cfg.seed)
@@ -316,7 +298,7 @@ def _cmd_verify(args) -> int:
               f"-> {'ok' if rep.passed else 'FAIL'}")
         return EXIT_OK if rep.passed else EXIT_VERIFY
 
-    trials = args.trials or 20
+    trials = 20 if args.trials is None else args.trials
     worst = verify.amle_check(u, f, trials, config=cfg.solver, seed=cfg.seed)
     ok = worst <= args.ratio_tol
     entries["verify.trials"] = trials
@@ -404,7 +386,6 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     from .errors import SubinfError
 

@@ -14,7 +14,12 @@ non-unique and the eps source term is unbounded below along the
 decoupled directions.  The cell quadrature couples every adjacent pair,
 pins cleanly to the boundary, and reproduces the linear interpolant
 exactly in 1D at every k.  energy() and the energies in SolveReport are
-this one quadrature.
+this one quadrature.  One table per lattice describes it (_Cells): the
+flat indices of each cell's n + 1 corners and the coefficients of each
+X_i on them.  The gradient Xu is a gather of the corner values
+contracted with the coefficients, its adjoint one bincount over the
+corners, and the energy, its gradient, the line search and the Hessian
+all take powers of q = |Xu|^2 (f(Xu)^k = q^kappa, kappa = alpha k / 2).
 
 Each level is solved by damped Newton steps on the free nodes with an
 exact line search along each step (see _descend), and reports why it
@@ -300,19 +305,10 @@ class StrictifyResult:
         return iter((self.field, self.mu))
 
 
-def _power_sum(fv: np.ndarray, k: int) -> float:
-    """sum(fv**k) with the large-base branch done in log space."""
-    if k == 1:
-        return float(np.sum(fv))
-    small = fv <= 1e3
-    out = np.sum(fv[small] ** k, dtype=float)
-    big = fv[~small]
-    if big.size:
-        logs = k * np.log(big)
-        if np.any(logs > _EXP_MAX):
-            return math.inf
-        out += float(np.sum(np.exp(logs)))
-    return float(out)
+def _qsum(q: np.ndarray, kappa: float) -> float:
+    """sum(q**kappa) for q >= 0, +inf once a term leaves the double range."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.power(q, kappa)))
 
 
 def _qpow(q: np.ndarray, e: float) -> np.ndarray:
@@ -332,9 +328,10 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
            side: str = "lower") -> float:
     """Cell-quadrature k-energy, the objective each k level minimizes.
 
-    Sums f(Xu)^k over the lattice cells of _cell_operators; the lower
-    side subtracts the eps^(k-1) * u source over interior nodes, the
-    upper side adds it.  With eps = 0 there is no source term.
+    Sums f(Xu)^k = q^kappa, with q = |Xu|^2 and kappa = alpha k / 2,
+    over the lattice cells of _cell_operators; the lower side subtracts
+    the eps^(k-1) * u source over interior nodes, the upper side adds it.
+    With eps = 0 there is no source term.
     """
     if k < 1:
         raise ParameterError("k must be at least 1, got %s" % (k,))
@@ -343,9 +340,9 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
     if eps < 0:
         raise ParameterError("eps must be nonnegative")
     dom = u.domain
-    ops = _cell_operators(dom).ops
+    V = _cell_gradient(_cell_operators(dom), u.values)
     cell = float(dom.h) ** dom.spec.dim
-    total = _power_sum(f.value(_cell_gradient(ops, u.values)), int(k)) * cell
+    total = _qsum(np.sum(V * V, axis=0), 0.5 * f.alpha * int(k)) * cell
     if eps > 0:
         src = eps ** (k - 1) * cell * float(np.sum(u.values[dom.interior_flat]))
         total = total - src if side == "lower" else total + src
@@ -356,11 +353,13 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
 class _Cells:
     """The cell quadrature of one lattice, built once by _cell_operators.
 
-    ops are the csr X_i on full-lattice vectors, one row per cell, and
-    opsT their transposes.  Cell r has the n + 1 corners
-    (x, x + e_1, ..., x + e_n), and (X_i u)[r] = sum_c coeff[i, c, r]
-    u[corner c of r].  The free-node Hessian lives on the fixed csr
-    pattern (indptr, indices), and _Objective.hessian sums its m + 1
+    Cell r has the n + 1 corners (x, x + e_1, ..., x + e_n), whose flat
+    node indices are corners[:, r], and
+    (X_i u)[r] = sum_c coeff[i, c, r] u[corners[c, r]]: c_ij(x) / h on
+    x + e_j, minus their sum on x.  This table is the only description
+    of the X_i: _cell_gradient applies it, value_grad its adjoint, and
+    hessian its outer products.  The free-node Hessian lives on the fixed
+    csr pattern (indptr, indices), and _Objective.hessian sums its m + 1
     terms (see there) into m + 1 stacked copies of it: pair_of lists,
     term by term and cell by cell, the entries of the flattened
     (m+1, n+1, n+1, rows) local block whose two corners are both free,
@@ -368,8 +367,7 @@ class _Cells:
     node's diagonal, stored even where no cell touches the node.
     """
 
-    ops: list
-    opsT: list
+    corners: np.ndarray
     coeff: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
@@ -379,10 +377,11 @@ class _Cells:
 
 
 def _cell_operators(domain: GridDomain) -> _Cells:
-    """Forward-difference horizontal gradient, one row per lattice cell.
+    """Corner table of the forward-difference horizontal gradient.
 
-    Rows are nodes whose +1 neighbor along every axis exists and is not
-    exterior.  Also lays out the free-node Hessian pattern (see _Cells).
+    One cell per node whose +1 neighbor along every axis exists and is
+    not exterior.  Also lays out the free-node Hessian pattern (see
+    _Cells).
     """
     key = ("cell_gradient",)
     cached = domain._op_cache.get(key)
@@ -402,32 +401,10 @@ def _cell_operators(domain: GridDomain) -> _Cells:
     if rows.size == 0:
         raise ParameterError("domain has no complete cells for the solver")
     nr = rows.size
-    h = domain.h
-    # the csr forward difference along each axis, -1/h on x and 1/h on x + e_j
-    diffs = []
-    indptr = np.arange(0, 2 * nr + 1, 2)
-    data = np.tile([-1.0 / h, 1.0 / h], nr)
-    for j in range(n):
-        diffs.append(sp.csr_matrix(
-            (data, np.stack([rows, rows + strides[j]], axis=1).reshape(-1), indptr),
-            shape=(nr, domain.n_nodes)))
     coeff = domain.frame_coefficients[rows]
-    ops = []
-    for i in range(domain.spec.horizontal_dim):
-        op = None
-        for j in range(n):
-            col = coeff[:, i, j]
-            if not np.any(col):
-                continue
-            term = sp.diags(col) @ diffs[j]
-            op = term if op is None else op + term
-        if op is None:
-            op = sp.csr_matrix((nr, domain.n_nodes))
-        ops.append(op.tocsr())
-    # the same X_i on the cell corners, axes (i, corner, row): c_ij / h
-    # on x + e_j, minus their sum on x
+    # axes (i, corner, row): c_ij / h on x + e_j, minus their sum on x
     local = np.empty((coeff.shape[1], n + 1, nr))
-    local[:, 1:] = coeff.transpose(1, 2, 0) * (1.0 / h)
+    local[:, 1:] = coeff.transpose(1, 2, 0) * (1.0 / domain.h)
     local[:, 0] = -np.sum(local[:, 1:], axis=1)
     step = np.concatenate([[0], strides])
     corners = rows[:, None] + step[None, :]
@@ -464,8 +441,7 @@ def _cell_operators(domain: GridDomain) -> _Cells:
     # Hessian term t reads local block t and writes pattern copy t
     term = np.arange(coeff.shape[1] + 1)
     cells = _Cells(
-        ops=ops,
-        opsT=[op.T.tocsr() for op in ops],
+        corners=np.ascontiguousarray(corners.T),
         coeff=local,
         indptr=indptr,
         indices=columns.astype(itype),
@@ -477,9 +453,16 @@ def _cell_operators(domain: GridDomain) -> _Cells:
     return cells
 
 
-def _cell_gradient(ops, full: np.ndarray) -> np.ndarray:
-    """(rows, m) stack of the cell gradients X_i full."""
-    return np.stack([op @ full for op in ops], axis=-1)
+def _cell_gradient(cells: _Cells, full: np.ndarray) -> np.ndarray:
+    """(m, rows) stack of the cell gradients X_i full."""
+    return np.einsum("icr,cr->ir", cells.coeff, full[cells.corners])
+
+
+def _cell_adjoint(cells: _Cells, w: np.ndarray, n_nodes: int) -> np.ndarray:
+    """sum_i X_i^T w[i] on the full lattice, for an (m, rows) stack w."""
+    return np.bincount(cells.corners.reshape(-1),
+                       np.einsum("icr,ir->cr", cells.coeff, w).reshape(-1),
+                       minlength=n_nodes)
 
 
 class _Objective:
@@ -495,7 +478,6 @@ class _Objective:
         self.f = f
         self.k = int(k)
         self.cells = _cell_operators(domain)
-        self.ops = self.cells.ops
         # hessian's two largest work arrays, reused by every step of the
         # level: allocated afresh, their megabytes are page-faulted in again
         # whenever the allocator has returned them to the system
@@ -506,9 +488,7 @@ class _Objective:
         self.cell = float(domain.h) ** domain.spec.dim
         # f(p)^k = q^kappa with q = |p|^2
         self.kappa = 0.5 * f.alpha * self.k
-        unit = np.zeros(domain.spec.horizontal_dim)
-        unit[0] = max(float(slope_scale), 0.0)
-        s = max(float(f.value(unit)), float(eps), 1e-12)
+        s = max(max(float(slope_scale), 0.0) ** f.alpha, float(eps), 1e-12)
         self.scale = s ** (1.0 / f.alpha)
         self.base = base_full / self.scale
         self.base_exact = base_full
@@ -538,16 +518,14 @@ class _Objective:
         return vals
 
     def value_grad(self, z):
-        full = self.full_of(z)
-        grad = _cell_gradient(self.ops, full)
-        fv = self.f.value(grad)
-        e = _power_sum(fv, self.k)
+        V = _cell_gradient(self.cells, self.full_of(z))
+        q = np.sum(V * V, axis=0)
+        e = _qsum(q, self.kappa)
         if not math.isfinite(e):
             return math.inf, None
-        w = self.k * _qpow(fv, self.k - 1)[:, None] * self.f.grad(grad)
-        g_full = np.zeros(self.domain.n_nodes)
-        for i, opT in enumerate(self.cells.opsT):
-            g_full += opT @ w[:, i]
+        # the gradient of q^kappa in V is 2 kappa q^(kappa-1) V
+        w = 2.0 * self.kappa * _qpow(q, self.kappa - 1.0) * V
+        g_full = _cell_adjoint(self.cells, w, self.domain.n_nodes)
         g = g_full[self.free] + self.sign * self.src
         return self.cell * (e + self.sign * self.src * float(np.sum(z))), \
             self.cell * g
@@ -562,16 +540,17 @@ class _Objective:
         the outer products of its rows of Y and X_i on its corners to
         these m + 1 terms.  One bincount sums every term over the cells in
         row order, and the terms are then added in the order above: the
-        order of a sparse-product assembly, which this matches bit for bit.
+        order of a sparse-product assembly, which this matches bit for bit
+        given the same Xu.
         """
         cells = self.cells
-        V = _cell_gradient(self.ops, self.full_of(z))
-        q = np.sum(V * V, axis=1)
+        V = _cell_gradient(cells, self.full_of(z))
+        q = np.sum(V * V, axis=0)
         kappa = self.kappa
         a = 2.0 * kappa * _qpow(q, kappa - 1.0)
         b = 4.0 * kappa * (kappa - 1.0) * _qpow(q, kappa - 2.0)
         x = cells.coeff
-        y = sum(V[:, i] * x[i] for i in range(x.shape[0]))
+        y = sum(V[i] * x[i] for i in range(x.shape[0]))
         factors = np.concatenate([y[None], x])
         weighted = np.concatenate([(y * b)[None], x * a])
         np.multiply(weighted[:, :, None, :], factors[:, None, :, :], out=self._block)
@@ -594,14 +573,13 @@ class _Objective:
         function; the line search exploits this instead of re-running
         matvecs per trial step.
         """
-        full = self.full_of(z)
-        V = _cell_gradient(self.ops, full)
+        V = _cell_gradient(self.cells, self.full_of(z))
         dfull = np.zeros(self.domain.n_nodes)
         dfull[self.free] = d
-        W = _cell_gradient(self.ops, dfull)
-        qa = np.sum(W * W, axis=1)
-        qb = 2.0 * np.sum(V * W, axis=1)
-        qc = np.sum(V * V, axis=1)
+        W = _cell_gradient(self.cells, dfull)
+        qa = np.sum(W * W, axis=0)
+        qb = 2.0 * np.sum(V * W, axis=0)
+        qc = np.sum(V * V, axis=0)
         lin0 = self.sign * self.src * float(np.sum(z))
         lin1 = self.sign * self.src * float(np.sum(d))
         return (qa, qb, qc, lin0, lin1, self.kappa)

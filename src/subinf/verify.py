@@ -140,10 +140,11 @@ class ViscosityReport:
 
 
 def _stencil_table(domain: GridDomain, radius: int = 2):
-    """Offsets delta and per-interior-node neighbor values u(x + delta).
+    """Offsets delta and per-interior-node neighbor indices x + delta.
 
-    Neighbors outside the lattice or in the exterior are NaN and are
-    skipped by the touching filter.
+    offs enumerates the cube [-radius, radius]^n in C order; valid marks
+    the neighbors that lie on the lattice and are not exterior (the rest
+    are skipped by the touching filter and the difference stencils).
     """
     n = domain.spec.dim
     ticks = np.arange(-radius, radius + 1)
@@ -159,67 +160,28 @@ def _stencil_table(domain: GridDomain, radius: int = 2):
     return offs, nb_flat, valid
 
 
-def _second_difference_matrices(u: ScalarField):
+def _second_difference_matrices(nb, center: np.ndarray, n: int, h: float):
     """Dense symmetric n-by-n second differences at interior nodes.
 
-    Diagonal entries are the usual centered second differences; mixed
-    entries use the four-point cross stencil and fall back to zero when
-    a corner neighbor is missing.
+    nb(offset) gives the neighbor values u(x + offset) from the stencil
+    table, NaN where missing, and center the values u(x).  Diagonal
+    entries are the usual centered second differences; mixed entries use
+    the four-point cross stencil.  An entry with a missing neighbor is
+    zero.
     """
-    dom = u.domain
-    n = dom.spec.dim
-    h = dom.h
-    inodes = dom.interior_flat
-    mi = dom.multi_indices[inodes]
-    dims = np.asarray(dom.dims)
-    vals = u.values
-
-    def at(offset):
-        nb = mi + np.asarray(offset)[None, :]
-        inside = np.all((nb >= 0) & (nb < dims[None, :]), axis=1)
-        flat = np.clip(nb, 0, dims - 1) @ dom.strides
-        ok = inside & (dom.classification[flat] != EXTERIOR)
-        out = np.where(ok, vals[flat], np.nan)
-        return out
-
-    center = vals[inodes]
-    D2 = np.zeros((inodes.size, n, n))
+    eye = np.eye(n, dtype=int)
+    D2 = np.zeros((center.size, n, n))
     for a in range(n):
-        e = np.zeros(n, dtype=int)
-        e[a] = 1
-        D2[:, a, a] = (at(e) - 2.0 * center + at(-e)) / (h * h)
+        D2[:, a, a] = (nb(eye[a]) - 2.0 * center + nb(-eye[a])) / (h * h)
     for a in range(n):
         for b in range(a + 1, n):
-            ea = np.zeros(n, dtype=int)
-            eb = np.zeros(n, dtype=int)
-            ea[a] = 1
-            eb[b] = 1
-            cross = (at(ea + eb) - at(ea - eb) - at(eb - ea) + at(-ea - eb)) \
+            ea, eb = eye[a], eye[b]
+            cross = (nb(ea + eb) - nb(ea - eb) - nb(eb - ea) + nb(-ea - eb)) \
                 / (4.0 * h * h)
-            cross = np.where(np.isfinite(cross), cross, 0.0)
             D2[:, a, b] = cross
             D2[:, b, a] = cross
     D2[~np.isfinite(D2)] = 0.0
     return D2
-
-
-def _one_sided_slopes(u: ScalarField):
-    """Forward and backward axis slopes at interior nodes."""
-    dom = u.domain
-    n = dom.spec.dim
-    h = dom.h
-    inodes = dom.interior_flat
-    mi = dom.multi_indices[inodes]
-    vals = u.values
-    center = vals[inodes]
-    fwd = np.zeros((inodes.size, n))
-    bwd = np.zeros((inodes.size, n))
-    for a in range(n):
-        up = vals[(mi + np.eye(n, dtype=int)[a]) @ dom.strides]
-        dn = vals[(mi - np.eye(n, dtype=int)[a]) @ dom.strides]
-        fwd[:, a] = (up - center) / h
-        bwd[:, a] = (center - dn) / h
-    return fwd, bwd
 
 
 def viscosity_check(u: ScalarField, op: OperatorSpec,
@@ -244,10 +206,24 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
     inodes = dom.interior_flat
     n_int = inodes.size
     offs, nb_flat, valid = _stencil_table(dom)
-    du = np.where(valid, u.values[nb_flat] - u.values[inodes][:, None], np.nan)
+    column = {tuple(o): c for c, o in enumerate(offs.tolist())}
+    center = u.values[inodes]
+    nbv = np.where(valid, u.values[nb_flat], np.nan)
+
+    def nb(offset):
+        return nbv[:, column[tuple(offset)]]
+
     delta = offs.astype(float) * h
-    fwd, bwd = _one_sided_slopes(u)
-    D2 = _second_difference_matrices(u)
+    # one-sided axis slopes; a missing side takes the other one, and a
+    # node with neither gets slope zero
+    eye = np.eye(n, dtype=int)
+    fwd = np.stack([(nb(e) - center) / h for e in eye], axis=1)
+    bwd = np.stack([(center - nb(-e)) / h for e in eye], axis=1)
+    fwd, bwd = np.where(np.isnan(fwd), bwd, fwd), np.where(np.isnan(bwd), fwd, bwd)
+    fwd, bwd = np.nan_to_num(fwd, nan=0.0), np.nan_to_num(bwd, nan=0.0)
+    D2 = _second_difference_matrices(nb, center, n, h)
+    # the differences u(x + delta) - u(x) replace the values, in place
+    du = np.subtract(nbv, center[:, None], out=nbv)
     frame = horizontal_frame(dom.spec)
     coords = dom.coords[inodes]
     a = frame.coefficients(coords)

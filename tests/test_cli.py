@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subinf
 from subinf import cli, fieldio
 
 LINE_CFG = """\
@@ -256,12 +259,45 @@ def test_acceptance_empty_config_dir_exits_2(tmp_path, capsys):
 
 
 def test_thread_cap_env(monkeypatch):
-    for var in cli._THREAD_VARS:
+    for var in subinf._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("SUBINF_THREADS", "2")
-    cli._apply_thread_cap()
-    for var in cli._THREAD_VARS:
+    subinf._apply_thread_cap()
+    for var in subinf._THREAD_VARS:
         assert os.environ[var] == "2"
     monkeypatch.setenv("SUBINF_THREADS", "owl")
     with pytest.raises(SystemExit):
-        cli._apply_thread_cap()
+        subinf._apply_thread_cap()
+
+
+@pytest.mark.parametrize("entry", ["subinf", "subinf.cli"])
+def test_thread_cap_is_set_before_numpy_loads(entry):
+    """The BLAS thread pools read their variables when numpy loads, so the
+    cap must be in the environment by then, whichever module is imported
+    first.  A finder on sys.meta_path prints the variable at that moment."""
+    spy = (
+        "import os, sys\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "            sys.meta_path.remove(self)\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        f"import {entry}\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in subinf._THREAD_VARS}
+    env["SUBINF_THREADS"] = "3"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subinf.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", spy], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["3"]
+
+
+@pytest.mark.parametrize("check", ["subelliptic", "amle"])
+def test_verify_zero_trials_exits_2(tmp_path, capsys, check):
+    cfg = write_cfg(tmp_path, LINE_CFG)
+    out = str(tmp_path / "v")
+    assert cli.main(["verify", cfg, "-o", out, "--check", check,
+                     "--trials", "0"]) == 2
+    assert "at least 1" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from subinf import acceptance, groups, integrands, solver
 from subinf.errors import DomainMismatchError, IncompleteFieldError, ParameterError
-from subinf.grids import GridDomain, ScalarField
+from subinf.grids import EXTERIOR, GridDomain, ScalarField
 from subinf.solver import BoundaryData, SolverConfig
 
 from test_convolution import heisenberg_with_holes
@@ -322,19 +322,50 @@ def test_hessian_matches_finite_differences(geometry, lower, upper, h, f, k):
     assert np.all(np.isfinite(flat.data))
 
 
+def cell_operators_by_definition(dom):
+    """The csr X_i of the cell quadrature, written cell by cell from
+    X_i u[r] = sum_j c_ij(x_r) (u[x_r + e_j] - u[x_r]) / h.  Cell r sits
+    at node x_r, in flat order, when x_r and every x_r + e_j lie on the
+    lattice and are not exterior."""
+    n = dom.spec.dim
+    m = dom.spec.horizontal_dim
+    entries = [[] for _ in range(m)]  # (row, column, value) per operator
+    r = 0
+    for x in range(dom.n_nodes):
+        mi = dom.multi_indices[x]
+        if any(mi[j] + 1 >= dom.dims[j] for j in range(n)):
+            continue
+        corners = [x] + [x + int(dom.strides[j]) for j in range(n)]
+        if any(dom.classification[c] == EXTERIOR for c in corners):
+            continue
+        c = dom.frame_coefficients[x]
+        for i in range(m):
+            for j in range(n):
+                entries[i].append((r, corners[j + 1], c[i, j] / dom.h))
+                entries[i].append((r, x, -c[i, j] / dom.h))
+        r += 1
+    ops = []
+    for ent in entries:
+        rows, cols, vals = (np.array(a) for a in zip(*ent))
+        ops.append(scipy.sparse.csr_matrix((vals, (rows, cols)),
+                                           shape=(r, dom.n_nodes)))
+    return ops
+
+
 def reference_hessian(obj, z):
     """The free-node Hessian of obj from sparse matrix products.
 
     With V = Xu per cell and the weights a, b of _Objective.hessian as
     diagonals A, B: H = cell * (Y^T B Y + sum_i X_i^T A X_i), where
     Y = sum_i diag(V_i) X_i and every X_i keeps only its free columns."""
-    ops_free = [op[:, obj.free].tocsr() for op in obj.ops]
-    V = solver._cell_gradient(obj.ops, obj.full_of(z))
-    q = np.sum(V * V, axis=1)
+    ops = cell_operators_by_definition(obj.domain)
+    ops_free = [op[:, obj.free].tocsr() for op in ops]
+    V = np.stack([op @ obj.full_of(z) for op in ops])
+    q = np.sum(V * V, axis=0)
     kappa = obj.kappa
     a = 2.0 * kappa * solver._qpow(q, kappa - 1.0)
     b = 4.0 * kappa * (kappa - 1.0) * solver._qpow(q, kappa - 2.0)
-    y = sum(scipy.sparse.diags(V[:, i]) @ op for i, op in enumerate(ops_free))
+    y = sum(scipy.sparse.diags(V[i]) @ op for i, op in enumerate(ops_free))
     hess = y.T @ scipy.sparse.diags(b) @ y
     for op in ops_free:
         hess = hess + op.T @ scipy.sparse.diags(a) @ op
@@ -350,6 +381,52 @@ HESSIAN_DOMAINS = {
     "grushin": lambda: GridDomain.box(groups.grushin(), [-1, -1], [1, 1], 0.25),
     "heis_holes": heisenberg_with_holes,
 }
+
+
+@pytest.mark.parametrize("lattice", HESSIAN_DOMAINS)
+def test_corner_table_applies_the_cell_operators_and_their_adjoint(lattice):
+    """_cell_gradient and _cell_adjoint against the operators written cell
+    by cell from their definition, and against each other."""
+    dom = HESSIAN_DOMAINS[lattice]()
+    cells = solver._cell_operators(dom)
+    ops = cell_operators_by_definition(dom)
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=dom.n_nodes)
+    w = rng.normal(size=(len(ops), ops[0].shape[0]))
+    Xu = solver._cell_gradient(cells, u)
+    XTw = solver._cell_adjoint(cells, w, dom.n_nodes)
+    ref = np.stack([op @ u for op in ops])
+    ref_T = sum(op.T @ w[i] for i, op in enumerate(ops))
+    assert Xu.shape == ref.shape
+    assert np.max(np.abs(Xu - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(XTw - ref_T)) <= 1e-13 * np.max(np.abs(ref_T))
+    # <Xu, w> = <u, X^T w> to rounding
+    lhs, rhs = np.sum(Xu * w), u @ XTw
+    assert abs(lhs - rhs) <= 1e-13 * np.sum(np.abs(Xu * w))
+
+
+@pytest.mark.parametrize("lattice", HESSIAN_DOMAINS)
+@pytest.mark.parametrize("eps,side", [(0.0, "lower"), (0.3, "upper")])
+def test_energy_gradient_is_the_adjoint_of_the_cell_operators(lattice, eps, side):
+    """value_grad against the k-energy written with the reference operators:
+    E = cell (sum_r q_r^kappa + sign src sum z), q = |Xu|^2, and
+    grad E = cell (sum_i X_i^T (2 kappa q^(kappa-1) X_i u) + sign src)."""
+    dom = HESSIAN_DOMAINS[lattice]()
+    g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, -1] ** 2)
+    f = integrands.power(1.5)
+    obj = solver._Objective(dom, g.base_values(), f, 4, eps, side,
+                            g.graph_lipschitz())
+    z = np.random.default_rng(3).normal(scale=0.3, size=dom.interior_flat.size)
+    ops = cell_operators_by_definition(dom)
+    V = np.stack([op @ obj.full_of(z) for op in ops])
+    q = np.sum(V * V, axis=0)
+    lin = obj.sign * obj.src
+    e_ref = obj.cell * (np.sum(q ** obj.kappa) + lin * np.sum(z))
+    w = 2.0 * obj.kappa * q ** (obj.kappa - 1.0) * V
+    g_ref = obj.cell * (sum(op.T @ w[i] for i, op in enumerate(ops))[obj.free] + lin)
+    e, grad = obj.value_grad(z)
+    assert e == pytest.approx(e_ref, rel=1e-13)
+    assert np.max(np.abs(grad - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
 
 
 @pytest.mark.parametrize("lattice", HESSIAN_DOMAINS)

@@ -3,7 +3,7 @@ import pytest
 
 from subinf import groups, integrands, solver, verify
 from subinf.errors import DomainMismatchError, ParameterError
-from subinf.grids import GridDomain, ScalarField
+from subinf.grids import BOUNDARY, EXTERIOR, INTERIOR, GridDomain, ScalarField
 from subinf.solver import BoundaryData, SolverConfig
 from subinf.verify import OperatorSpec
 
@@ -133,6 +133,39 @@ def test_viscosity_check_matches_unoptimized_einsum(monkeypatch, geometry,
                                ref.subsolution_violations, rtol=1e-13, atol=0)
     np.testing.assert_allclose(got.supersolution_violations,
                                ref.supersolution_violations, rtol=1e-13, atol=0)
+
+
+def test_viscosity_check_on_an_interior_that_touches_the_lattice_edge():
+    """A neighbor off the lattice is missing, like an exterior one.
+
+    On the 5x5 plane lattice, nodes (4, 2) and (2, 4) are interior and
+    have no +1 neighbor along one axis.  The same check on the 6x6
+    lattice that adds an exterior row and column must give the same
+    verdict at every interior node."""
+    spec = groups.euclidean(2)
+    cls = np.full((5, 5), BOUNDARY, dtype=np.int8)
+    cls[1:4, 1:4] = INTERIOR
+    cls[4, 2] = cls[2, 4] = INTERIOR
+    padded = np.full((6, 6), EXTERIOR, dtype=np.int8)
+    padded[:5, :5] = cls
+    doms = [GridDomain(spec, [0.0, 0.0], 0.25, c.shape, c.reshape(-1))
+            for c in (cls, padded)]
+
+    def field(dom):
+        x, y = dom.coords[:, 0], dom.coords[:, 1]
+        vals = x * x - 0.5 * y * y + 0.3 * x * y + x
+        vals[dom.classification == EXTERIOR] = np.nan
+        return ScalarField(dom, vals)
+
+    op = OperatorSpec.infinity_laplacian()
+    got, ref = (verify.viscosity_check(field(dom), op, jet_samples=16, seed=1)
+                for dom in doms)
+    assert doms[0].interior_flat.size == 11
+    assert (got.jets_above, got.jets_below) == (ref.jets_above, ref.jets_below)
+    assert got.jets_above + got.jets_below > 0
+    assert np.array_equal(got.subsolution_violations, ref.subsolution_violations)
+    assert np.array_equal(got.supersolution_violations,
+                          ref.supersolution_violations)
 
 
 # -- comparison and minimality ----------------------------------------------
