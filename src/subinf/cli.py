@@ -285,6 +285,7 @@ def _cmd_verify(args) -> int:
         op = _operator_for(cfg, f)
         rep = verify.viscosity_check(u, op, jet_samples=args.jets, seed=cfg.seed)
         entries["verify.jets"] = args.jets
+        entries["verify.candidates"] = rep.candidates
         entries["verify.tol"] = rep.tol
         entries["verify.worst_subsolution"] = rep.worst_subsolution_violation
         entries["verify.worst_supersolution"] = rep.worst_supersolution_violation

@@ -16,16 +16,25 @@ coordinate column at a time) in blocks of at most ``_BLOCK`` pairs, small
 enough for its passes to stay in cache: about 4 ns a pair on euclidean:2
 and 9 ns on heisenberg1 on a 2-core Xeon.
 
-*Window.*  The maximisation prunes candidates using the attainment bound
-K <= 4 R0 eps (R0 = 2 ||u||_inf) with slack 2h; the pruned set always
-contains y = x, so pruning never changes the maximum.  On both supported
-group geometries K(x, y) >= |x_i - y_i|^p along every horizontal axis i
-(the first ``horizontal_dim`` coordinates), so a y more than
-threshold^(1/p) + h from x along one of them lies above the threshold.
-The x nodes are taken in tiles of ``_TILE`` horizontal indices per axis,
-and each tile meets only the y nodes inside its window, in ascending flat
-order, so ``argmax`` picks the same node as over all of them.
-``shrink_domain`` cuts its boundary band to the same windows.
+*Window.*  y = x scores u(x), so the maximiser y* of x scores at least
+that: K(x, y*) <= 2 eps (u(y*) - u(x)) <= 2 eps (max u - u(x)).  Every y
+above this attainment bound scores strictly less than y = x and cannot
+attain or tie, so no mask is needed and the y outside the window are never
+evaluated.  The bound is padded by a relative margin for the rounding of
+u(y) - K / (2 eps); a constant field has bound 0 up to that margin, and
+each x then meets itself alone.  The x nodes are taken in cubic tiles of
+about ``_TILE_NODES`` nodes, each with the largest bound of its nodes.  The
+window of a tile is a set of index ranges along the last axis, one per
+line within bound^(1/p) of the tile along the axes before it; p is the
+homogeneity exponent, and K(x, y) >= |x_i - y_i|^p along every horizontal
+axis.  On euclidean:n a line keeps the y whose squared distance to the
+tile stays within the bound.  On heisenberg1 the line along t keeps the y
+whose twisted vertical term +-(x_t - y_t) + 2 (x_0 y_1 - x_1 y_0) can stay
+within the square root of what the horizontal gaps leave of the bound, so
+a tile meets only the t levels that can hold its maximisers.  The window
+lists y in ascending flat order, so ``argmax`` picks the same node as
+over all of them.  ``shrink_domain`` cuts its boundary band to the windows
+of its own threshold.
 
 *Extreme points.*  Along each axis a, the centred second difference
 D_a(x, y) = (K(x + h e_a, y) - 2 K(x, y) + K(x - h e_a, y)) / h^2 is
@@ -41,6 +50,7 @@ line along every axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -48,7 +58,7 @@ from .errors import ParameterError, UnsupportedGeometryError
 from .grids import GridDomain, ScalarField
 from .groups import pair_kernel
 
-_TILE = 4  # horizontal indices per axis in one tile of x nodes
+_TILE_NODES = 64  # about this many x nodes in one tile
 _BLOCK = 65_536  # most (x, y) pairs evaluated at once: 512 kB per array, in cache
 
 
@@ -63,32 +73,85 @@ def _require_group(dom: GridDomain) -> None:
             f"the convolution needs a group law; {dom.spec.id} has none")
 
 
-def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_flat: np.ndarray,
-                     threshold: float):
-    """Yield (xs, ys) blocks of flat indices covering every pair with K <= threshold.
+def _window(dom: GridDomain, lo: np.ndarray, hi: np.ndarray, bound: float,
+            kernel: str) -> np.ndarray:
+    """Flat indices, ascending, of every y with K(x, y) <= bound for some x in a tile.
 
-    Each tile of x nodes is paired with the y nodes whose horizontal indices
-    lie within ``reach`` of the tile's on every horizontal axis; any other y
-    is more than threshold^(1/p) + h away along some axis.  ``reach`` is
-    capped at the lattice, so an infinite threshold keeps every y.  ys keeps
-    the order of ``y_flat``; tiles with no y in the window are skipped, and
-    a tile with more than ``_BLOCK`` pairs is split by rows.
+    The tile spans the multi-indices [lo, hi].  The window is a set of lines
+    along the last axis, one per index of the axes before it within
+    bound^(1/p) of the tile.  On euclidean:n, K is at least the squared
+    index gaps to the tile along those axes, g, plus the squared difference
+    along the last axis.  On heisenberg1, K(x, y) >= g^2 + v^2 with
+    v = +-(x_t - y_t) + w and w = 2 (x_0 y_1 - x_1 y_0) (the minus sign for
+    the left kernel); on one line, w is linear in x and spans the values at
+    the tile's corners.  ``bound`` must already allow for rounding.
     """
-    m = dom.spec.horizontal_dim
-    hx = dom.multi_indices[x_flat, :m]
-    hy = dom.multi_indices[y_flat, :m]
-    radius = threshold ** (1.0 / dom.spec.gauge_exponent) / dom.h
-    reach = int(min(radius, max(dom.dims))) + 1
-    tile_dims = tuple(-(-d // _TILE) for d in dom.dims[:m])
-    key = np.ravel_multi_index(tuple((hx // _TILE).T), tile_dims)
+    spec, h = dom.spec, dom.h
+    dims = np.asarray(dom.dims)
+    last = spec.dim - 1
+    reach = int(min(bound ** (1.0 / spec.gauge_exponent) / h + 1e-9, dims.max()))
+    ticks = [np.arange(max(lo[a] - reach, 0), min(hi[a] + reach, dims[a] - 1) + 1)
+             for a in range(last)]
+    g = reduce(np.add.outer, [(np.maximum(np.maximum(lo[a] - j, j - hi[a]), 0) * h) ** 2
+                              for a, j in enumerate(ticks)], np.zeros(())).reshape(-1)
+    x_lo = dom.lower[last] + lo[last] * h
+    x_hi = dom.lower[last] + hi[last] * h
+    with np.errstate(invalid="ignore"):
+        if spec.name == "euclidean":
+            half = np.sqrt(bound - g)
+            y_lo, y_hi = x_lo - half, x_hi + half
+        else:
+            half = np.sqrt(bound - g * g)
+            y0, y1 = (dom.lower[a] + j * h for a, j in enumerate(ticks))
+            x0, x1 = (dom.lower[a] + np.array([lo[a], hi[a]]) * h for a in range(2))
+            w = 2.0 * (np.multiply.outer(x0, y1)[:, None, None, :]
+                       - np.multiply.outer(x1, y0)[None, :, :, None])
+            w = w.reshape(4, -1)
+            if kernel == "right":  # y_t = x_t + w -+ v
+                y_lo, y_hi = x_lo + w.min(axis=0) - half, x_hi + w.max(axis=0) + half
+            else:  # y_t = x_t - w +- v
+                y_lo, y_hi = x_lo - w.max(axis=0) - half, x_hi - w.min(axis=0) + half
+        first = np.ceil((y_lo - dom.lower[last]) / h - 1e-9)
+        stop = np.floor((y_hi - dom.lower[last]) / h + 1e-9) + 1
+    # fmax and fmin also map an empty line (NaN) to first = stop
+    first = np.fmin(np.fmax(first, 0), dims[last]).astype(np.int64)
+    stop = np.fmin(np.fmax(stop, first), dims[last]).astype(np.int64)
+    starts = first + reduce(np.add.outer, [j * dom.strides[a] for a, j in enumerate(ticks)],
+                            np.zeros((), dtype=np.int64)).reshape(-1)
+    counts = stop - first
+    total = int(counts.sum())
+    run_start = np.cumsum(counts) - counts
+    return np.repeat(starts - run_start, counts) + np.arange(total)
+
+
+def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_mask: np.ndarray,
+                     bound: np.ndarray, kernel: str):
+    """Yield (xs, ys) blocks of flat indices covering every pair that can matter.
+
+    The x nodes are taken in cubic tiles of about ``_TILE_NODES`` nodes.  A pair
+    can matter when K(x, y) <= bound[i] for x = x_flat[i]; a tile meets
+    the nodes of ``y_mask`` in its ``_window`` for the largest bound in the
+    tile, in ascending flat order.  Tiles with no such y are skipped, and a
+    tile with more than ``_BLOCK`` pairs is split by rows.
+    """
+    spec = dom.spec
+    # what the rounding of coordinates and of K can add to K
+    scale = 1.0 + float(np.max(np.abs([dom.lower, dom.upper])))
+    slop = 1e-12 * scale ** spec.gauge_exponent
+    width = max(1, round(_TILE_NODES ** (1.0 / len(dom.dims))))
+    mi = dom.multi_indices[x_flat]
+    key = np.ravel_multi_index(tuple((mi // width).T), tuple(-(-d // width) for d in dom.dims))
     order = np.argsort(key, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        lo = hx[group].min(axis=0) - reach
-        hi = hx[group].max(axis=0) + reach
-        ys = y_flat[np.all((hy >= lo) & (hy <= hi), axis=1)]
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    heads = np.concatenate(([0], cuts))
+    tile_bound = np.maximum.reduceat(np.broadcast_to(bound, x_flat.shape)[order], heads)
+    tile_lo = np.minimum.reduceat(mi[order], heads)
+    tile_hi = np.maximum.reduceat(mi[order], heads)
+    for xs, b, lo, hi in zip(np.split(x_flat[order], cuts), tile_bound, tile_lo, tile_hi):
+        ys = _window(dom, lo, hi, b * (1.0 + 1e-9) + slop, kernel)
+        ys = ys[y_mask[ys]]
         if ys.size == 0:
             continue
-        xs = x_flat[group]
         rows = max(1, _BLOCK // ys.size)
         for start in range(0, xs.size, rows):
             yield xs[start : start + rows], ys
@@ -121,7 +184,7 @@ def shrink_domain(dom: GridDomain, eps: float, kernel: str = "right") -> np.ndar
     if eps == 0.0 or dom.boundary_flat.size == 0:
         return interior.copy()
     keep = np.ones(dom.n_nodes, dtype=bool)
-    for xs, ys in _windowed_blocks(dom, interior, dom.boundary_flat, eps):
+    for xs, ys in _windowed_blocks(dom, interior, dom.boundary_mask, np.float64(eps), kernel):
         K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel)
         keep[xs] = K.min(axis=1) >= eps
     return interior[keep[interior]]
@@ -130,25 +193,31 @@ def shrink_domain(dom: GridDomain, eps: float, kernel: str = "right") -> np.ndar
 def sup_convolution(u: ScalarField, eps: float, kernel: str = "right") -> ConvolutionReport:
     """Exact discrete sup convolution at scale eps > 0.
 
-    Candidates y with K(x, y) above the threshold 4 R0 eps + 2h are masked
-    out; those outside x's tile window are above it and never evaluated.
+    Each tile of x nodes meets only the y nodes within its attainment bound
+    K <= 2 eps (max u - min over the tile of u), see the module docstring.
     """
     dom = u.domain
     _require_group(dom)
     if not eps > 0:
         raise ParameterError(f"sup convolution needs eps > 0, got {eps}")
     nodes = dom.nonexterior_flat
+    vals = u.values
     r0 = 2.0 * u.sup_norm()
-    threshold = 4.0 * r0 * eps + 2.0 * dom.h
+    inv_two_eps = 1.0 / (2.0 * eps)
+    # u(y) - K / (2 eps) >= u(x) needs K <= 2 eps (max u - u(x)); the pad
+    # covers the rounding of both sides, underflow included
+    pad = 2.0**-50 * r0 + 2.0**-1000
+    with np.errstate(divide="ignore"):
+        bound = (np.max(vals[nodes]) - vals[nodes] + pad) * (1.0 + 2.0**-40) \
+            / np.float64(inv_two_eps)
     out = np.full(dom.n_nodes, np.nan)
     arg = np.full(dom.n_nodes, -1, dtype=np.int64)
-    inv_two_eps = 1.0 / (2.0 * eps)
-    for xs, ys in _windowed_blocks(dom, nodes, nodes, threshold):
+    for xs, ys in _windowed_blocks(dom, nodes, dom.nonexterior_mask, bound, kernel):
         K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel)
-        vals = u.values[ys][None, :] - K * inv_two_eps
-        vals = np.where(K <= threshold, vals, -np.inf)
-        best = np.argmax(vals, axis=1)
-        out[xs] = vals[np.arange(xs.size), best]
+        K *= inv_two_eps
+        vals_xy = np.subtract(vals[ys], K, out=K)
+        best = np.argmax(vals_xy, axis=1)
+        out[xs] = vals_xy[np.arange(xs.size), best]
         arg[xs] = ys[best]
     field = ScalarField(dom, out, validate=False)
     shrunk = shrink_domain(dom, (1.0 + 4.0 * r0) * eps, kernel)

@@ -325,9 +325,6 @@ class ScalarField:
     def interior_values(self) -> np.ndarray:
         return self.values[self.domain.interior_flat]
 
-    def boundary_values(self) -> np.ndarray:
-        return self.values[self.domain.boundary_flat]
-
     def max_abs_interior(self) -> float:
         vals = self.interior_values()
         return float(np.max(np.abs(vals))) if vals.size else 0.0

@@ -21,6 +21,8 @@ from .integrands import Integrand
 from .solver import BoundaryData, SolverConfig, infinity_solve
 
 _KINDS = ("infinity_laplacian", "aronsson", "aux_lower", "aux_upper", "custom")
+_CHUNK = 32_768  # (offset, node) entries per ring plane in one chunk: 256 kB, in cache
+_JETS = 16_384  # certified jets whose operator values are evaluated at once
 
 
 @dataclass(frozen=True)
@@ -140,24 +142,30 @@ class ViscosityReport:
 
 
 def _stencil_table(domain: GridDomain, radius: int = 2):
-    """Offsets delta and per-interior-node neighbor indices x + delta.
+    """Offsets delta and offset-major neighbor indices x + delta of the interior.
 
-    offs enumerates the cube [-radius, radius]^n in C order; valid marks
-    the neighbors that lie on the lattice and are not exterior (the rest
-    are skipped by the touching filter and the difference stencils).
+    offs lists the cube [-radius, radius]^n, the 3^n offsets of the unit
+    ring first, each part in C order.  nb[o, k] is
+    interior node k shifted by offs[o]; valid marks the neighbors that lie
+    on the lattice and are not exterior (the rest are skipped by the
+    touching filter and the difference stencils), and an entry off the
+    lattice holds node k itself.
     """
     n = domain.spec.dim
     ticks = np.arange(-radius, radius + 1)
     grids = np.meshgrid(*([ticks] * n), indexing="ij")
     offs = np.stack([g.reshape(-1) for g in grids], axis=1)
+    offs = offs[np.argsort(np.max(np.abs(offs), axis=1) > 1, kind="stable")]
     inodes = domain.interior_flat
     mi = domain.multi_indices[inodes]
-    dims = np.asarray(domain.dims)
-    nb_multi = mi[:, None, :] + offs[None, :, :]
-    inside = np.all((nb_multi >= 0) & (nb_multi < dims[None, None, :]), axis=2)
-    nb_flat = np.clip(nb_multi, 0, dims - 1) @ domain.strides
-    valid = inside & (domain.classification[nb_flat] != EXTERIOR)
-    return offs, nb_flat, valid
+    inside = np.ones((offs.shape[0], inodes.size), dtype=bool)
+    for a in range(n):
+        pos = np.add.outer(ticks, mi[:, a])
+        inside &= ((pos >= 0) & (pos < domain.dims[a]))[offs[:, a] + radius]
+    nb = np.add.outer(offs @ domain.strides, inodes)
+    np.copyto(nb, inodes, where=~inside)
+    valid = inside & (domain.classification[nb] != EXTERIOR)
+    return offs, nb, valid
 
 
 def _second_difference_matrices(nb, center: np.ndarray, n: int, h: float):
@@ -184,20 +192,68 @@ def _second_difference_matrices(nb, center: np.ndarray, n: int, h: float):
     return D2
 
 
+def _gap_planes(delta: np.ndarray, du: np.ndarray, fwd: np.ndarray,
+                bwd: np.ndarray, D2: np.ndarray) -> list[np.ndarray]:
+    """(offset, node) planes [base, J_0, ..., J_{n-1}, Q] of the candidate gaps.
+
+    See viscosity_check.  du holds u(x + delta) - u(x), NaN where the
+    neighbor is missing; the NaN carries into base.
+    """
+    n = delta.shape[1]
+    base = np.multiply.outer(delta[:, 0], bwd[:, 0])
+    for a in range(1, n):
+        base += np.multiply.outer(delta[:, a], bwd[:, a])
+    base -= du
+    J = [np.multiply.outer(delta[:, a], fwd[:, a] - bwd[:, a]) for a in range(n)]
+    Q = np.zeros_like(base)
+    for a in range(n):
+        for b in range(n):
+            Q += np.multiply.outer(delta[:, a] * delta[:, b], D2[:, a, b])
+    Q *= 0.5
+    return [base, *J, Q]
+
+
+def _gap(planes: list[np.ndarray], lam: np.ndarray, zeta: float) -> np.ndarray:
+    """base + sum_a lam_a J_a + zeta Q, summed in that order."""
+    gap = planes[0] + lam[0] * planes[1]
+    for a in range(1, lam.size):
+        gap += lam[a] * planes[1 + a]
+    gap += zeta * planes[-1]
+    return gap
+
+
 def viscosity_check(u: ScalarField, op: OperatorSpec,
                     jet_samples: int = 64, tol: float | None = None,
                     seed: int = 0) -> ViscosityReport:
     """Test the sub/supersolution inequalities with discrete jets.
 
     Candidate quadratics at each interior node mix the one-sided
-    slopes (gradient part) and scale the full second-difference matrix
-    (Hessian part), plus sign-paired random shifts of size about h in
-    the gradient and about 1 in the Hessian.  A quadratic counts only
-    if it dominates u (resp. is dominated) on the whole radius-2
-    stencil with equality at the node; the candidate families are
-    closed under negation, so running the check on -u swaps the two
-    violation columns exactly.
+    slopes (gradient part, weights lam) and scale the full
+    second-difference matrix (Hessian part, weight zeta): 15 fixed
+    ones, plus random ones that come in sign pairs, shifted by +-g of
+    size about h in the gradient and +-H of size about 1 in the
+    Hessian, so an odd ``jet_samples`` runs one more.  A quadratic
+    counts only if it dominates u (resp. is dominated) on the whole
+    radius-2 stencil with equality at the node.
+
+    Its gap to u at offset delta is linear in the candidate,
+
+        base + sum_a lam_a J_a + zeta Q + c,
+
+    with base = bwd . delta - (u(x + delta) - u(x)),
+    J_a = (fwd_a - bwd_a) delta_a, Q = delta^T D2 delta / 2 and the
+    per-offset constant c = g . delta + delta^T H delta / 2.  base, J
+    and Q are offset-major planes, (offset, node), so that the min and
+    max over the stencil reduce whole rows, and a sign pair shares
+    everything but +-c.  They are built for the unit ring {-1, 0, 1}^n
+    first, a chunk of nodes at a time; the other offsets are summed only
+    at the nodes where the ring leaves a candidate's test open.  The jet
+    (p, M) and A are evaluated only for the certified (candidate, node)
+    pairs.  Running the check on -u negates every plane and swaps each
+    pair, so it swaps the two violation columns exactly.
     """
+    if jet_samples < 0:
+        raise ParameterError(f"jet_samples must be nonnegative, got {jet_samples}")
     dom = u.domain
     n = dom.spec.dim
     h = dom.h
@@ -205,84 +261,110 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
         tol = 10.0 * h * h
     inodes = dom.interior_flat
     n_int = inodes.size
-    offs, nb_flat, valid = _stencil_table(dom)
-    column = {tuple(o): c for c, o in enumerate(offs.tolist())}
+    offs, nb, valid = _stencil_table(dom)
+    row = {tuple(o): r for r, o in enumerate(offs.tolist())}
     center = u.values[inodes]
-    nbv = np.where(valid, u.values[nb_flat], np.nan)
+    nbv = np.where(valid, u.values[nb], np.nan)
+    del nb, valid
 
-    def nb(offset):
-        return nbv[:, column[tuple(offset)]]
+    def at(offset):
+        return nbv[row[tuple(offset)]]
 
     delta = offs.astype(float) * h
     # one-sided axis slopes; a missing side takes the other one, and a
     # node with neither gets slope zero
     eye = np.eye(n, dtype=int)
-    fwd = np.stack([(nb(e) - center) / h for e in eye], axis=1)
-    bwd = np.stack([(center - nb(-e)) / h for e in eye], axis=1)
+    fwd = np.stack([(at(e) - center) / h for e in eye], axis=1)
+    bwd = np.stack([(center - at(-e)) / h for e in eye], axis=1)
     fwd, bwd = np.where(np.isnan(fwd), bwd, fwd), np.where(np.isnan(bwd), fwd, bwd)
     fwd, bwd = np.nan_to_num(fwd, nan=0.0), np.nan_to_num(bwd, nan=0.0)
-    D2 = _second_difference_matrices(nb, center, n, h)
-    # the differences u(x + delta) - u(x) replace the values, in place
-    du = np.subtract(nbv, center[:, None], out=nbv)
+    D2 = _second_difference_matrices(at, center, n, h)
     frame = horizontal_frame(dom.spec)
     coords = dom.coords[inodes]
     a = frame.coefficients(coords)
     da = frame.coefficient_derivatives(coords)
     slack = 1e-12 * max(1.0, float(np.max(np.abs(u.values[inodes]), initial=0.0)))
 
-    lam_base = (0.0, 0.25, 0.5, 0.75, 1.0)
-    zeta_base = (0.0, h, 1.0)
-    cands = []
-    for lam in lam_base:
-        for zeta in zeta_base:
-            cands.append((np.full(n, lam), np.zeros(n), zeta,
-                          np.zeros((n, n))))
+    # (lam, zeta, g, H): the fixed candidates, then the sign pairs
+    zero_g, zero_h = np.zeros(n), np.zeros((n, n))
+    cands = [(np.full(n, lam), zeta, zero_g, zero_h)
+             for lam in (0.0, 0.25, 0.5, 0.75, 1.0) for zeta in (0.0, h, 1.0)]
+    fixed = len(cands)
     rng = np.random.default_rng(seed)
-    for _ in range((max(int(jet_samples), 0) + 1) // 2):
+    for _ in range((int(jet_samples) + 1) // 2):
         lam = rng.uniform(0.0, 1.0, n)
         gshift = rng.normal(size=n) * h
         zeta = rng.uniform(0.0, 1.0)
         B = rng.normal(size=(n, n))
         hshift = 0.5 * (B + B.T)
-        cands.append((lam, gshift, zeta, hshift))
-        cands.append((lam, -gshift, zeta, -hshift))
+        cands.append((lam, zeta, gshift, hshift))
+        cands.append((lam, zeta, -gshift, -hshift))
+    # per-offset constants c: zero for the fixed candidates, +-c for a pair
+    consts = [np.zeros((delta.shape[0], 1))] * fixed
+    for _, _, g, H in cands[fixed::2]:
+        c = (delta @ g + 0.5 * np.einsum("oa,ab,ob->o", delta, H, delta))[:, None]
+        consts += [c, -c]
 
+    # which candidates touch u at which nodes.  The unit ring, the first
+    # 3^n offsets, rules out most nodes; the other offsets are summed only
+    # at the nodes it leaves open, a chunk of nodes at a time so that the
+    # ring planes stay in cache
+    ring = 3**n
+    lowest = np.empty((len(cands), n_int))
+    highest = np.empty_like(lowest)
+    width = max(1, _CHUNK // ring)
+    for start in range(0, n_int, width):
+        cols = slice(start, start + width)
+        du = nbv[:, cols] - center[cols]
+        near = _gap_planes(delta[:ring], du[:ring], fwd[cols], bwd[cols], D2[cols])
+        for first in [*range(fixed), *range(fixed, len(cands), 2)]:
+            group = range(first, first + 1 if first < fixed else first + 2)
+            lam, zeta = cands[first][:2]
+            gap = _gap(near, lam, zeta)
+            for i in group:
+                diff = gap + consts[i][:ring]
+                lowest[i, cols] = np.fmin.reduce(diff, axis=0)
+                highest[i, cols] = np.fmax.reduce(diff, axis=0)
+            rows = slice(group.start, group.stop)
+            open_ = np.flatnonzero(np.any((lowest[rows, cols] >= -slack)
+                                          | (highest[rows, cols] <= slack), axis=0))
+            if open_.size:
+                k = start + open_
+                gap = _gap(_gap_planes(delta[ring:], du[ring:, open_], fwd[k], bwd[k], D2[k]),
+                           lam, zeta)
+                for i in group:
+                    diff = gap + consts[i][ring:]
+                    lowest[i, k] = np.fmin(lowest[i, k], np.fmin.reduce(diff, axis=0))
+                    highest[i, k] = np.fmax(highest[i, k], np.fmax.reduce(diff, axis=0))
+    above = lowest >= -slack
+    below = highest <= slack
+
+    # the certified jets, (candidate, node) in C order, a block at a time
+    lams, zetas, gshifts, hshifts = (np.array(col) for col in zip(*cands))
     sub_viol = np.zeros(n_int)
     sup_viol = np.zeros(n_int)
-    jets_above = 0
-    jets_below = 0
-    for lam, gshift, zeta, hshift in cands:
-        xi = lam[None, :] * fwd + (1.0 - lam)[None, :] * bwd + gshift[None, :]
-        S = zeta * D2 + hshift[None, :, :]
-        lin = xi @ delta.T
+    cand, node = np.nonzero(above | below)
+    for start in range(0, cand.size, _JETS):
+        c, k = cand[start : start + _JETS], node[start : start + _JETS]
+        lam = lams[c]
+        xi = lam * fwd[k] + (1.0 - lam) * bwd[k] + gshifts[c]
+        S = zetas[c][:, None, None] * D2[k] + hshifts[c]
+        ak = a[k]
+        p = np.einsum("kia,ka->ki", ak, xi)
         # optimize=True contracts pairwise, ~10x faster than the single
         # nested loop; it may round differently in the last bit
-        quad = 0.5 * np.einsum("oa,kab,ob->ko", delta, S, delta, optimize=True)
-        diff = lin + quad - du
-        with np.errstate(invalid="ignore"):
-            lo = np.nanmin(diff, axis=1)
-            hi = np.nanmax(diff, axis=1)
-        above = lo >= -slack
-        below = hi <= slack
-        if not (np.any(above) or np.any(below)):
-            continue
-        p = np.einsum("kia,ka->ki", a, xi)
-        M = np.einsum("kia,kjb,kab->kij", a, a, S, optimize=True) \
-            + np.einsum("kia,kajb,kb->kij", a, da, xi, optimize=True)
+        M = np.einsum("kia,kjb,kab->kij", ak, ak, S, optimize=True) \
+            + np.einsum("kia,kajb,kb->kij", ak, da[k], xi, optimize=True)
         M = 0.5 * (M + np.swapaxes(M, 1, 2))
-        A = op.evaluate(coords, p, M)
-        sub_viol = np.where(above, np.maximum(sub_viol, np.maximum(A, 0.0)),
-                            sub_viol)
-        sup_viol = np.where(below, np.maximum(sup_viol, np.maximum(-A, 0.0)),
-                            sup_viol)
-        jets_above += int(np.sum(above))
-        jets_below += int(np.sum(below))
+        A = op.evaluate(coords[k], p, M)
+        for viol, hit, val in ((sub_viol, above[c, k], A), (sup_viol, below[c, k], -A)):
+            np.maximum.at(viol, k[hit], np.maximum(val[hit], 0.0))
     return ViscosityReport(
         domain=dom,
         subsolution_violations=sub_viol,
         supersolution_violations=sup_viol,
-        jets_above=jets_above,
-        jets_below=jets_below,
+        jets_above=int(np.count_nonzero(above)),
+        jets_below=int(np.count_nonzero(below)),
         candidates=len(cands),
         tol=float(tol),
     )

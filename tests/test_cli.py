@@ -193,6 +193,25 @@ def test_verify_viscosity_passes_on_line(tmp_path, capsys):
     assert "certified jets" in capsys.readouterr().out
 
 
+def test_verify_viscosity_records_the_candidates_it_ran(tmp_path, capsys):
+    """Random jets come in sign pairs, so --jets 3 runs 4 besides the 15 fixed."""
+    cfg = write_cfg(tmp_path, LINE_CFG)
+    out = tmp_path / "v"
+    assert cli.main(["verify", cfg, "-o", str(out), "--check", "viscosity",
+                     "--jets", "3"]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "verify.jets = 3" in manifest
+    assert "verify.candidates = 19" in manifest
+
+
+def test_verify_negative_jets_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LINE_CFG)
+    out = str(tmp_path / "v")
+    assert cli.main(["verify", cfg, "-o", out, "--check", "viscosity",
+                     "--jets", "-1"]) == 2
+    assert "jet_samples" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("check", ["viscosity", "subelliptic"])
 def test_verify_does_not_depend_on_the_integrand_spelling(tmp_path, check):
     """squared_norm and power:2 name one integrand, so one operator."""

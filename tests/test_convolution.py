@@ -245,22 +245,38 @@ def _fields(dom):
     yield ScalarField(dom, 0.5 * spikes.astype(float))
 
 
+def _cases(dom):
+    for u in _fields(dom):
+        for eps in (0.02, 0.1, 2.0, np.inf):
+            yield u, eps
+    # constant: the attainment bound is 0, so no y but x can attain; at
+    # eps = inf every node ties with every other
+    const = ScalarField(dom, np.full(dom.n_nodes, 0.3))
+    yield const, 0.1
+    yield const, np.inf
+    # maxima on the index-4 plane of the first or the last axis: at
+    # eps = 8 h^2 a node 4 indices past it ties with it exactly, at the edge
+    # of its window, and the wall node comes first in flat order
+    for axis in (0, -1):
+        wall = (dom.multi_indices[:, axis] == 4).astype(float)
+        yield ScalarField(dom, wall), 8.0 * dom.h**2
+
+
 @pytest.mark.parametrize("kernel", ["right", "left"])
 @pytest.mark.parametrize("name", sorted(DYADIC) + sorted(NON_DYADIC))
 def test_convolutions_equal_dense_sweep_bit_for_bit(name, kernel):
     dom = {**DYADIC, **NON_DYADIC}[name]()
-    for u in _fields(dom):
-        for eps in (0.02, 0.1, 2.0, np.inf):
-            field, arg, shrunk = dense_sup(u, eps, kernel)
-            rep = convolution.sup_convolution(u, eps, kernel)
-            assert rep.field.values.tobytes() == field.tobytes()
-            assert np.array_equal(rep.attainment, arg)
-            assert np.array_equal(rep.shrunken, shrunk)
-            neg = ScalarField(dom, -u.values)
-            inf_rep = convolution.inf_convolution(neg, eps, kernel)
-            assert inf_rep.field.values.tobytes() == (-field).tobytes()
-            assert np.array_equal(inf_rep.attainment, arg)
-            assert np.array_equal(inf_rep.shrunken, shrunk)
+    for u, eps in _cases(dom):
+        field, arg, shrunk = dense_sup(u, eps, kernel)
+        rep = convolution.sup_convolution(u, eps, kernel)
+        assert rep.field.values.tobytes() == field.tobytes()
+        assert np.array_equal(rep.attainment, arg)
+        assert np.array_equal(rep.shrunken, shrunk)
+        neg = ScalarField(dom, -u.values)
+        inf_rep = convolution.inf_convolution(neg, eps, kernel)
+        assert inf_rep.field.values.tobytes() == (-field).tobytes()
+        assert np.array_equal(inf_rep.attainment, arg)
+        assert np.array_equal(inf_rep.shrunken, shrunk)
 
 
 def test_convolution_evaluates_fewer_pairs_than_the_dense_sweep(monkeypatch):
@@ -280,6 +296,21 @@ def test_convolution_evaluates_fewer_pairs_than_the_dense_sweep(monkeypatch):
     pairs.clear()
     convolution.kernel_second_difference_bound(dom)
     assert sum(pairs) == 2 * 3 * 4 * 4  # per axis, three shifts of corner x corner
+    # on a constant field each x meets itself alone, so each tile meets itself
+    pairs.clear()
+    convolution.shrink_domain(dom, (1.0 + 4.0 * 0.5) * 0.02)
+    shrink_pairs = sum(pairs)
+    pairs.clear()
+    convolution.sup_convolution(ScalarField(dom, np.full(dom.n_nodes, 0.25)), 0.02)
+    assert sum(pairs) - shrink_pairs <= n * convolution._TILE_NODES
+    # windows bounded along the horizontal axes alone admit about n^2 / 4
+    # pairs here; bounding the twisted t term as well halves that
+    heis = GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 1 / 8)
+    u = ScalarField(heis, 0.25 * np.exp(-2.0 * np.sum(heis.coords**2, axis=1)))
+    n = heis.nonexterior_flat.size
+    pairs.clear()
+    convolution.sup_convolution(u, 0.05)
+    assert sum(pairs) < n * n / 6
 
 
 def test_group_law_is_required():

@@ -168,6 +168,159 @@ def test_viscosity_check_on_an_interior_that_touches_the_lattice_edge():
                           ref.supersolution_violations)
 
 
+def test_viscosity_check_counts_sign_paired_jets():
+    dom = GridDomain.box(groups.euclidean(1), [0.0], [1.0], 1.0 / 16)
+    u = ScalarField.from_function(dom, lambda c: np.abs(c[:, 0] - 0.5))
+    op = OperatorSpec.infinity_laplacian()
+    counts = [verify.viscosity_check(u, op, jet_samples=j).candidates
+              for j in (0, 1, 2, 3, 64)]
+    assert counts == [15, 17, 17, 19, 79]
+    with pytest.raises(ParameterError, match="jet_samples"):
+        verify.viscosity_check(u, op, jet_samples=-5)
+
+
+# -- reference: the check as first written, one candidate and node at a time --
+
+
+def reference_stencil_table(domain, radius=2):
+    n = domain.spec.dim
+    ticks = np.arange(-radius, radius + 1)
+    grids = np.meshgrid(*([ticks] * n), indexing="ij")
+    offs = np.stack([g.reshape(-1) for g in grids], axis=1)
+    mi = domain.multi_indices[domain.interior_flat]
+    dims = np.asarray(domain.dims)
+    nb_multi = mi[:, None, :] + offs[None, :, :]
+    inside = np.all((nb_multi >= 0) & (nb_multi < dims[None, None, :]), axis=2)
+    nb_flat = np.clip(nb_multi, 0, dims - 1) @ domain.strides
+    valid = inside & (domain.classification[nb_flat] != EXTERIOR)
+    return offs, nb_flat, valid
+
+
+def reference_second_differences(nb, center, n, h):
+    eye = np.eye(n, dtype=int)
+    D2 = np.zeros((center.size, n, n))
+    for a in range(n):
+        D2[:, a, a] = (nb(eye[a]) - 2.0 * center + nb(-eye[a])) / (h * h)
+    for a in range(n):
+        for b in range(a + 1, n):
+            ea, eb = eye[a], eye[b]
+            cross = (nb(ea + eb) - nb(ea - eb) - nb(eb - ea) + nb(-ea - eb)) \
+                / (4.0 * h * h)
+            D2[:, a, b] = cross
+            D2[:, b, a] = cross
+    D2[~np.isfinite(D2)] = 0.0
+    return D2
+
+
+def reference_viscosity_check(u, op, jet_samples, seed):
+    """(sub, super violations, jets above, jets below, candidates)."""
+    dom = u.domain
+    n = dom.spec.dim
+    h = dom.h
+    inodes = dom.interior_flat
+    offs, nb_flat, valid = reference_stencil_table(dom)
+    column = {tuple(o): c for c, o in enumerate(offs.tolist())}
+    center = u.values[inodes]
+    nbv = np.where(valid, u.values[nb_flat], np.nan)
+
+    def nb(offset):
+        return nbv[:, column[tuple(offset)]]
+
+    delta = offs.astype(float) * h
+    eye = np.eye(n, dtype=int)
+    fwd = np.stack([(nb(e) - center) / h for e in eye], axis=1)
+    bwd = np.stack([(center - nb(-e)) / h for e in eye], axis=1)
+    fwd, bwd = np.where(np.isnan(fwd), bwd, fwd), np.where(np.isnan(bwd), fwd, bwd)
+    fwd, bwd = np.nan_to_num(fwd, nan=0.0), np.nan_to_num(bwd, nan=0.0)
+    D2 = reference_second_differences(nb, center, n, h)
+    du = nbv - center[:, None]
+    frame = groups.horizontal_frame(dom.spec)
+    coords = dom.coords[inodes]
+    a = frame.coefficients(coords)
+    da = frame.coefficient_derivatives(coords)
+    slack = 1e-12 * max(1.0, float(np.max(np.abs(center), initial=0.0)))
+    cands = [(np.full(n, lam), np.zeros(n), zeta, np.zeros((n, n)))
+             for lam in (0.0, 0.25, 0.5, 0.75, 1.0) for zeta in (0.0, h, 1.0)]
+    rng = np.random.default_rng(seed)
+    for _ in range((jet_samples + 1) // 2):
+        lam = rng.uniform(0.0, 1.0, n)
+        gshift = rng.normal(size=n) * h
+        zeta = rng.uniform(0.0, 1.0)
+        B = rng.normal(size=(n, n))
+        hshift = 0.5 * (B + B.T)
+        cands.append((lam, gshift, zeta, hshift))
+        cands.append((lam, -gshift, zeta, -hshift))
+    sub = np.zeros(inodes.size)
+    sup = np.zeros(inodes.size)
+    above_total = below_total = 0
+    for lam, gshift, zeta, hshift in cands:
+        xi = lam[None, :] * fwd + (1.0 - lam)[None, :] * bwd + gshift[None, :]
+        S = zeta * D2 + hshift[None, :, :]
+        quad = 0.5 * np.einsum("oa,kab,ob->ko", delta, S, delta)
+        diff = xi @ delta.T + quad - du
+        with np.errstate(invalid="ignore"):
+            above = np.nanmin(diff, axis=1) >= -slack
+            below = np.nanmax(diff, axis=1) <= slack
+        p = np.einsum("kia,ka->ki", a, xi)
+        M = np.einsum("kia,kjb,kab->kij", a, a, S) + np.einsum("kia,kajb,kb->kij", a, da, xi)
+        A = op.evaluate(coords, p, 0.5 * (M + np.swapaxes(M, 1, 2)))
+        sub = np.where(above, np.maximum(sub, np.maximum(A, 0.0)), sub)
+        sup = np.where(below, np.maximum(sup, np.maximum(-A, 0.0)), sup)
+        above_total += int(np.sum(above))
+        below_total += int(np.sum(below))
+    return sub, sup, above_total, below_total, len(cands)
+
+
+def cone_field(dom, lower, upper, seed=11):
+    """Min of six offset cones, as in the A5 fixture."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(np.add(lower, 0.2), np.subtract(upper, 0.2),
+                          (6, len(lower)))
+    dist = np.linalg.norm(dom.coords[:, None, :] - centres[None], axis=2)
+    return ScalarField(dom, np.min(rng.uniform(0.0, 0.1, 6) + dist, axis=1))
+
+
+def lattice_edge_field():
+    """The 5x5 plane lattice whose interior reaches its last row and column."""
+    cls = np.full((5, 5), BOUNDARY, dtype=np.int8)
+    cls[1:4, 1:4] = INTERIOR
+    cls[4, 2] = cls[2, 4] = INTERIOR
+    dom = GridDomain(groups.euclidean(2), [0.0, 0.0], 0.25, cls.shape, cls.reshape(-1))
+    x, y = dom.coords[:, 0], dom.coords[:, 1]
+    return ScalarField(dom, x * x - 0.5 * y * y + 0.3 * x * y + x)
+
+
+def box_cones(geometry, lower, upper, h):
+    return lambda: cone_field(GridDomain.box(groups.from_id(geometry), lower, upper, h),
+                              lower, upper)
+
+
+VISCOSITY_CASES = {
+    "plane_cones": box_cones("euclidean:2", [0, 0], [2, 2], 1 / 16),
+    "heis_cones": box_cones("heisenberg1", [-1, -1, -1], [1, 1, 1], 1 / 4),
+    "grushin_cones": box_cones("grushin", [-1, -1], [1, 1], 1 / 8),
+    "line_cones": box_cones("euclidean:1", [0], [1], 1 / 32),
+    "lattice_edge": lattice_edge_field,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VISCOSITY_CASES))
+def test_viscosity_check_matches_the_reference(name):
+    """Same jets and candidates exactly; violations to rtol 1e-13.
+
+    The planes sum each gap in another order than the reference, and the
+    jets of the touched nodes are contracted on fewer rows, so a violation
+    may round differently in its last bits."""
+    u = VISCOSITY_CASES[name]()
+    op = OperatorSpec.infinity_laplacian()
+    got = verify.viscosity_check(u, op, jet_samples=32, seed=4)
+    sub, sup, above, below, candidates = reference_viscosity_check(u, op, 32, 4)
+    assert (got.jets_above, got.jets_below, got.candidates) == (above, below, candidates)
+    assert above + below > 0
+    np.testing.assert_allclose(got.subsolution_violations, sub, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got.supersolution_violations, sup, rtol=1e-13, atol=0)
+
+
 # -- comparison and minimality ----------------------------------------------
 
 
