@@ -24,6 +24,21 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY = 4
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer option no smaller than low."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="subinf",
@@ -63,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("viscosity", "comparison", "amle", "subelliptic"))
     p.add_argument("--shift", type=float, default=0.1,
                    help="constant added to the comparison control")
-    p.add_argument("--jets", type=int, default=64, help="random jets per node (viscosity)")
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--jets", type=_int_at_least(0), default=64,
+                   help="random jets per node (viscosity)")
+    p.add_argument("--trials", type=_int_at_least(1), default=None,
                    help="sub-box trials (amle) or samples (subelliptic)")
     p.add_argument("--ratio-tol", type=float, default=1.1,
                    help="amle: largest admissible energy ratio")
@@ -387,7 +403,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (code 2) or --help
+        return exc.code
     from .errors import SubinfError
 
     try:

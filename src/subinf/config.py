@@ -96,7 +96,6 @@ class ProblemConfig:
             prefix + "solver.k_max": sv.k_max,
             prefix + "solver.max_iterations": sv.max_iterations,
             prefix + "solver.gradient_tolerance": sv.gradient_tolerance,
-            prefix + "solver.max_backtracks": sv.max_backtracks,
             prefix + "solver.cross_tolerance": sv.cross_tolerance,
             prefix + "solver.initialization": sv.initialization,
             prefix + "solver.k_schedule": sched,
@@ -242,19 +241,17 @@ def parse_config(text: str, source: str = "<config>", base_dir: str = ".") -> Pr
     _builtin_check(boundary, spec.dim, at["boundary"])
 
     kwargs = {}
+    lines = {}
     for key, kind in (
         ("k_max", int), ("max_iterations", int), ("gradient_tolerance", float),
-        ("max_backtracks", int), ("cross_tolerance", float),
-        ("initialization", str), ("k_schedule", _ints),
+        ("cross_tolerance", float), ("initialization", str), ("k_schedule", _ints),
     ):
         if key in solv:
-            line = solv[key].line
+            lines[key] = solv[key].line
             kwargs[key] = _take(solv, key, source, kind)
-            kwargs["__line_" + key] = line
     if solv:
         key = sorted(solv)[0]
         raise ConfigError(f"{source}, line {solv[key].line}: unknown field {key!r} in [solver]")
-    lines = {k[7:]: kwargs.pop(k) for k in list(kwargs) if k.startswith("__line_")}
     try:
         solver = SolverConfig(**kwargs)
     except Exception as exc:

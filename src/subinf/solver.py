@@ -118,8 +118,11 @@ class BoundaryData:
     def graph_lipschitz(self) -> float:
         """Largest |g(a) - g(b)| / gauge distance over boundary pairs.
 
-        Used to normalize the solve so that f(Xu) stays near unit size;
-        the max principle keeps solution slopes at this order.  The gauge
+        The solve divides every field by it (see _Objective), so the
+        scaled boundary data has this constant 1.  It does not bound the
+        solution's slopes: max |Xu| can sit above it, as on the gauge box
+        of heisenberg1 at h = 1/8, where it is 1.0 and the k = 16
+        solution's max |Xu| is 1.19.  The gauge
         distance is the left kernel's root, as in groups.gauge_distance;
         grushin, which has no gauge, uses the coordinate distance.  Both
         are symmetric bit for bit, and so is |g(a) - g(b)|, so only the
@@ -202,7 +205,6 @@ class SolverConfig:
     k_max: int = 256
     max_iterations: int = 20000
     gradient_tolerance: float = 1e-8
-    max_backtracks: int = 60
     cross_tolerance: float = 1e-4
     initialization: str = "boundary"
     k_schedule: tuple = ()
@@ -213,8 +215,8 @@ class SolverConfig:
         for name in ("gradient_tolerance", "cross_tolerance"):
             if getattr(self, name) <= 0:
                 raise ParameterError("%s must be positive" % name)
-        if self.max_iterations < 1 or self.max_backtracks < 1:
-            raise ParameterError("iteration limits must be at least 1")
+        if self.max_iterations < 1:
+            raise ParameterError("max_iterations must be at least 1")
         if self.initialization not in ("boundary", "zero"):
             raise ParameterError(
                 "initialization must be 'boundary' or 'zero', got %r"
@@ -275,8 +277,9 @@ class SolveReport:
     energy_trace maps each k level to its per-iteration objective values
     (cell quadrature, original units).  cross_trace lists (k, sup-norm
     change from the previous level).  residual is the final
-    Euler-Lagrange sup-norm in normalized units (the problem is scaled
-    so the initial max of f(Xu) is about 1).  levels holds one
+    Euler-Lagrange sup-norm in normalized units: fields divided by
+    BoundaryData.graph_lipschitz of the boundary data (see _Objective),
+    which does not bound the scaled f(Xu).  levels holds one
     LevelReport per descent run, warm-up levels included; converged
     requires the last one to have met gradient_tolerance.
     """
@@ -358,17 +361,18 @@ class _Cells:
     (X_i u)[r] = sum_c coeff[i, c, r] u[corners[c, r]]: c_ij(x) / h on
     x + e_j, minus their sum on x.  This table is the only description
     of the X_i: _cell_gradient applies it, value_grad its adjoint, and
-    hessian its outer products.  The free-node Hessian lives on the fixed
-    csr pattern (indptr, indices), and _Objective.hessian sums its m + 1
-    terms (see there) into m + 1 stacked copies of it: pair_of lists,
-    term by term and cell by cell, the entries of the flattened
-    (m+1, n+1, n+1, rows) local block whose two corners are both free,
-    and pos their slots in the stack.  diag_pos is the slot of each free
-    node's diagonal, stored even where no cell touches the node.
+    hessian its outer products.  gram[c, d, r] = sum_i coeff[i, c, r]
+    coeff[i, d, r] is the cell's block of sum_i X_i^T X_i, fixed per
+    lattice.  The free-node Hessian lives on the fixed csr pattern
+    (indptr, indices): pair_of lists, cell by cell, the entries of a
+    flattened (n+1, n+1, rows) local block whose two corners are both
+    free, and pos their slots in the pattern.  diag_pos is the slot of
+    each free node's diagonal, stored even where no cell touches the node.
     """
 
     corners: np.ndarray
     coeff: np.ndarray
+    gram: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     pair_of: np.ndarray
@@ -414,9 +418,7 @@ def _cell_operators(domain: GridDomain) -> _Cells:
     index = np.full(domain.n_nodes, -1)
     index[free] = np.arange(nf)
     fc = index[corners]
-    # the (row, c, c') entries with both corners free, in row order, so
-    # that bincount adds up each slot's cells in ascending order, as a
-    # row-by-row sparse product does
+    # the (row, c, c') entries with both corners free
     shape = (nr, n + 1, n + 1)
     both = (fc[:, :, None] >= 0) & (fc[:, None, :] >= 0)
     fi = np.broadcast_to(fc[:, :, None], shape)[both]
@@ -438,15 +440,14 @@ def _cell_operators(domain: GridDomain) -> _Cells:
     indptr = np.zeros(nf + 1, dtype=itype)
     indptr[1:] = slot[:, -1] + 1
     columns = index[(free[:, None] + offsets[None, :])[present]]
-    # Hessian term t reads local block t and writes pattern copy t
-    term = np.arange(coeff.shape[1] + 1)
     cells = _Cells(
         corners=np.ascontiguousarray(corners.T),
         coeff=local,
+        gram=np.einsum("icr,idr->cdr", local, local),
         indptr=indptr,
         indices=columns.astype(itype),
-        pair_of=np.add.outer(term * (n + 1) ** 2 * nr, pair * nr + r).reshape(-1),
-        pos=np.add.outer(term * nnz, slot.reshape(-1)[at]).reshape(-1),
+        pair_of=pair * nr + r,
+        pos=slot.reshape(-1)[at],
         diag_pos=slot[:, centre],
     )
     domain._op_cache[key] = cells
@@ -468,9 +469,13 @@ def _cell_adjoint(cells: _Cells, w: np.ndarray, n_nodes: int) -> np.ndarray:
 class _Objective:
     """Scaled cell-quadrature energy for one (k, eps, side) level.
 
-    Fields are scaled so the warm start has max f(Xu) near 1; the
-    source coefficient is folded into a single scalar so the scaled
-    minimizer maps back to the original one exactly.
+    Fields are divided by scale = max(L^alpha, eps)^(1/alpha), with L
+    = slope_scale, the graph_lipschitz of the boundary data, so the
+    scaled boundary data has gauge Lipschitz constant at most 1.  The
+    scaled f(Xu) is not bounded by 1: the solution's max |Xu| can sit
+    above L, and the warm start's steps far above it.  The source
+    coefficient is folded into a single scalar so the scaled minimizer
+    maps back to the original one exactly.
     """
 
     def __init__(self, domain, base_full, f, k, eps, side, slope_scale):
@@ -478,12 +483,6 @@ class _Objective:
         self.f = f
         self.k = int(k)
         self.cells = _cell_operators(domain)
-        # hessian's two largest work arrays, reused by every step of the
-        # level: allocated afresh, their megabytes are page-faulted in again
-        # whenever the allocator has returned them to the system
-        m, corners, rows = self.cells.coeff.shape
-        self._block = np.empty((m + 1, corners, corners, rows))
-        self._picked = np.empty(self.cells.pair_of.size)
         self.free = domain.interior_flat
         self.cell = float(domain.h) ** domain.spec.dim
         # f(p)^k = q^kappa with q = |p|^2
@@ -534,14 +533,11 @@ class _Objective:
         """Hessian of the scaled energy in the free nodes, as csr.
 
         With V = Xu per row and q = |V|^2, the Hessian of q^kappa in V is
-        2 kappa q^(kappa-1) I + 4 kappa (kappa-1) q^(kappa-2) V V^T, so
-        H = cell * (Y^T B Y + sum_i X_i^T A X_i) with A, B those two
-        weights as diagonals and Y = sum_i diag(V_i) X_i.  Each cell adds
-        the outer products of its rows of Y and X_i on its corners to
-        these m + 1 terms.  One bincount sums every term over the cells in
-        row order, and the terms are then added in the order above: the
-        order of a sparse-product assembly, which this matches bit for bit
-        given the same Xu.
+        a I + b V V^T, a = 2 kappa q^(kappa-1) and b = 4 kappa (kappa-1)
+        q^(kappa-2), so H = cell * sum over cells of a G + b y y^T, with G
+        the cell's block of sum_i X_i^T X_i (_Cells.gram) and y its row of
+        Y = sum_i diag(V_i) X_i on its corners.  One bincount adds the
+        blocks' both-free entries into the csr pattern.
         """
         cells = self.cells
         V = _cell_gradient(cells, self.full_of(z))
@@ -549,18 +545,10 @@ class _Objective:
         kappa = self.kappa
         a = 2.0 * kappa * _qpow(q, kappa - 1.0)
         b = 4.0 * kappa * (kappa - 1.0) * _qpow(q, kappa - 2.0)
-        x = cells.coeff
-        y = sum(V[i] * x[i] for i in range(x.shape[0]))
-        factors = np.concatenate([y[None], x])
-        weighted = np.concatenate([(y * b)[None], x * a])
-        np.multiply(weighted[:, :, None, :], factors[:, None, :, :], out=self._block)
-        np.take(self._block.reshape(-1), cells.pair_of, out=self._picked)
-        nnz = cells.indices.size
-        sums = np.bincount(cells.pos, self._picked,
-                           minlength=factors.shape[0] * nnz).reshape(-1, nnz)
-        data = sums[0]
-        for term in sums[1:]:
-            data = data + term
+        y = np.einsum("ir,icr->cr", V, cells.coeff)
+        block = cells.gram * a + (y * b)[:, None] * y[None]
+        data = np.bincount(cells.pos, block.reshape(-1)[cells.pair_of],
+                           minlength=cells.indices.size)
         nf = self.free.size
         return sp.csr_matrix((self.cell * data, cells.indices, cells.indptr),
                              shape=(nf, nf))
@@ -669,6 +657,8 @@ _SHIFT_CAP, _SHIFT_FLOOR = 1e-3, 1e-14
 # Floor and cap of the relative CG residual |r|_2 <= eta |b|_2 that
 # _forcing picks; only a direction solved to _CG_RTOL may end a level.
 _CG_RTOL, _ETA_MAX = 1e-8, 0.5
+# Energy evaluations per line search, see _line_minimize.
+_LINE_EVALS = 60
 
 
 def _forcing(residual: float, ratio: float | None) -> float:
@@ -790,8 +780,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
                 stop = "overflow"
                 break
             state = obj.direction_state(z, d)
-            t = _line_minimize(obj, state, float(g @ d), 1.0,
-                               config.max_backtracks)
+            t = _line_minimize(obj, state, float(g @ d), 1.0, _LINE_EVALS)
             if t > 0.0:
                 z_new = z + t * d
                 e_new, g_new = obj.value_grad(z_new)

@@ -113,7 +113,7 @@ def test_solve_reports_nonconvergence_with_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["armijo_c = 1e-4", "armijo_shrink = 0.5",
-                                 "deterministic = true"])
+                                 "deterministic = true", "max_backtracks = 60"])
 def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
     cfg = write_cfg(tmp_path, LINE_CFG + key + "\n")
     assert cli.main(["solve", cfg, "-o", str(tmp_path / "out")]) == 2
@@ -204,12 +204,17 @@ def test_verify_viscosity_records_the_candidates_it_ran(tmp_path, capsys):
     assert "verify.candidates = 19" in manifest
 
 
-def test_verify_negative_jets_exits_2(tmp_path, capsys):
+def _no_solve(cfg):
+    raise AssertionError("the solve ran before the options were checked")
+
+
+def test_verify_negative_jets_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_solve_problem", _no_solve)
     cfg = write_cfg(tmp_path, LINE_CFG)
     out = str(tmp_path / "v")
     assert cli.main(["verify", cfg, "-o", out, "--check", "viscosity",
                      "--jets", "-1"]) == 2
-    assert "jet_samples" in capsys.readouterr().err
+    assert "argument --jets: must be at least 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("check", ["viscosity", "subelliptic"])
@@ -314,7 +319,8 @@ def test_thread_cap_is_set_before_numpy_loads(entry):
 
 
 @pytest.mark.parametrize("check", ["subelliptic", "amle"])
-def test_verify_zero_trials_exits_2(tmp_path, capsys, check):
+def test_verify_zero_trials_exits_2(tmp_path, capsys, monkeypatch, check):
+    monkeypatch.setattr(cli, "_solve_problem", _no_solve)
     cfg = write_cfg(tmp_path, LINE_CFG)
     out = str(tmp_path / "v")
     assert cli.main(["verify", cfg, "-o", out, "--check", check,

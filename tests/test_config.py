@@ -47,7 +47,7 @@ def test_defaults_show_up_in_resolved_items():
     assert items["config.integrand"] == "squared_norm"
     assert items["config.solver.k_schedule"] == "auto"
     assert items["config.solver.max_iterations"] == 20000
-    assert len(items) == 16
+    assert len(items) == 15
 
 
 @pytest.mark.parametrize("mangle,where", [
@@ -63,6 +63,8 @@ def test_defaults_show_up_in_resolved_items():
     (lambda t: t + "junk\n", "line 15"),
     (lambda t: t.replace("[solver]", "[tuner]"), "line 12: unknown section"),
     (lambda t: t.replace("k_max = 32", "k_max = 2"), r"line 13: \[solver\]"),
+    (lambda t: t.replace("k_max = 32", "max_iterations = 0"),
+     r"line 13: \[solver\] max_iterations"),
     (lambda t: t.replace("seed = 7", "wheel = 7"), "unknown field 'wheel'"),
 ])
 def test_errors_are_line_anchored(mangle, where):
