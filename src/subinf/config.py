@@ -23,6 +23,7 @@ traceback over a typo.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -226,12 +227,15 @@ def parse_config(text: str, source: str = "<config>", base_dir: str = ".") -> Pr
             f"{at['lower']}: fields 'lower'/'upper' must have {spec.dim} coordinates "
             f"for geometry {geometry}"
         )
+    for key, coords in (("lower", lower), ("upper", upper)):
+        if not all(map(math.isfinite, coords)):
+            raise ConfigError(f"{at[key]}: field {key!r} must be finite, got {coords}")
     if any(u <= l for l, u in zip(lower, upper)):
         raise ConfigError(f"{at['upper']}: field 'upper' must exceed 'lower' on every axis")
-    if not (h > 0):
-        raise ConfigError(f"{at['h']}: field 'h' must be positive, got {h}")
-    if eps < 0:
-        raise ConfigError(f"{at['eps']}: field 'eps' must be nonnegative, got {eps}")
+    if not 0 < h < math.inf:
+        raise ConfigError(f"{at['h']}: field 'h' must be positive and finite, got {h}")
+    if not 0 <= eps < math.inf:
+        raise ConfigError(f"{at['eps']}: field 'eps' must be nonnegative and finite, got {eps}")
     if side not in ("lower", "upper"):
         raise ConfigError(f"{at['side']}: field 'side' must be lower or upper, got {side!r}")
     try:

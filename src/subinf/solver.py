@@ -18,8 +18,12 @@ this one quadrature.  One table per lattice describes it (_Cells): the
 flat indices of each cell's n + 1 corners and the coefficients of each
 X_i on them.  The gradient Xu is a gather of the corner values
 contracted with the coefficients, its adjoint one bincount over the
-corners, and the energy, its gradient, the line search and the Hessian
-all take powers of q = |Xu|^2 (f(Xu)^k = q^kappa, kappa = alpha k / 2).
+corners.  With q = |Xu|^2, f(Xu)^k = q^kappa, kappa = alpha k / 2, and
+one helper (_power_law) defines this power law for energy(), the
+gradient, the Hessian and the line search: F = q^kappa from one
+np.power, +inf past the double range, and F' and F'' from F by division
+by q, capped at exp(_EXP_MAX).  At q = 0, q^0 = 1 and every other power
+is 0.
 
 Each level is solved by damped Newton steps on the free nodes with an
 exact line search along each step (see _descend), and reports why it
@@ -213,8 +217,10 @@ class SolverConfig:
         if int(self.k_max) < 4:
             raise ParameterError("k_max must be at least 4, got %s" % (self.k_max,))
         for name in ("gradient_tolerance", "cross_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ParameterError("%s must be positive" % name)
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ParameterError("%s must be positive and finite, got %s"
+                                     % (name, value))
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be at least 1")
         if self.initialization not in ("boundary", "zero"):
@@ -308,23 +314,26 @@ class StrictifyResult:
         return iter((self.field, self.mu))
 
 
-def _qsum(q: np.ndarray, kappa: float) -> float:
-    """sum(q**kappa) for q >= 0, +inf once a term leaves the double range."""
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.power(q, kappa)))
+def _power_law(q: np.ndarray, kappa: float):
+    """The k-energy's power law per cell: F = q^kappa and its derivatives
+    F' = kappa q^(kappa-1) and F'' = kappa (kappa-1) q^(kappa-2).
 
-
-def _qpow(q: np.ndarray, e: float) -> np.ndarray:
-    """q**e for q >= 0, in log space with the exponent capped at _EXP_MAX.
-
-    q = 0 maps to 0 (to 1 when e = 0): rows with no gradient get no
-    weight, where a negative power would be infinite.
+    F is one np.power, +inf once it leaves the double range.  Where
+    q > 0, q^(kappa-1) = F / q and q^(kappa-2) = q^(kappa-1) / q, each
+    capped at exp(_EXP_MAX), so that kappa - 1 = 0 never multiplies an
+    infinity.  At q = 0, q^0 = 1 and every other power is 0: cells with
+    no gradient get no weight, where a negative power would be infinite.
     """
-    if e == 0.0:
-        return np.ones_like(q)
-    with np.errstate(divide="ignore"):
-        logq = np.log(q)
-    return np.where(q > 0, np.exp(np.minimum(e * logq, _EXP_MAX)), 0.0)
+    cap = math.exp(_EXP_MAX)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        F = np.power(q, kappa)
+        p1 = np.minimum(F / q, cap)
+        p2 = np.minimum(p1 / q, cap)
+        if not q.all():
+            flat = q == 0
+            p1[flat] = kappa == 1.0
+            p2[flat] = kappa == 2.0
+        return F, kappa * p1, kappa * (kappa - 1.0) * p2
 
 
 def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
@@ -340,12 +349,13 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
         raise ParameterError("k must be at least 1, got %s" % (k,))
     if side not in _SIDES:
         raise ParameterError("side must be 'lower' or 'upper', got %r" % (side,))
-    if eps < 0:
+    if not eps >= 0:
         raise ParameterError("eps must be nonnegative")
     dom = u.domain
     V = _cell_gradient(_cell_operators(dom), u.values)
     cell = float(dom.h) ** dom.spec.dim
-    total = _qsum(np.sum(V * V, axis=0), 0.5 * f.alpha * int(k)) * cell
+    F = _power_law(np.sum(V * V, axis=0), 0.5 * f.alpha * int(k))[0]
+    total = float(np.sum(F)) * cell
     if eps > 0:
         src = eps ** (k - 1) * cell * float(np.sum(u.values[dom.interior_flat]))
         total = total - src if side == "lower" else total + src
@@ -475,7 +485,10 @@ class _Objective:
     scaled f(Xu) is not bounded by 1: the solution's max |Xu| can sit
     above L, and the warm start's steps far above it.  The source
     coefficient is folded into a single scalar so the scaled minimizer
-    maps back to the original one exactly.
+    maps back to the original one exactly.  The energy, its gradient, its
+    Hessian and the line search all take F = q^kappa, F' and F'' per cell
+    from _power_law, so the line search's phi(0) is value_grad's energy
+    bit for bit.
     """
 
     def __init__(self, domain, base_full, f, k, eps, side, slope_scale):
@@ -518,12 +531,12 @@ class _Objective:
 
     def value_grad(self, z):
         V = _cell_gradient(self.cells, self.full_of(z))
-        q = np.sum(V * V, axis=0)
-        e = _qsum(q, self.kappa)
+        F, F1, _ = _power_law(np.sum(V * V, axis=0), self.kappa)
+        e = float(np.sum(F))
         if not math.isfinite(e):
             return math.inf, None
-        # the gradient of q^kappa in V is 2 kappa q^(kappa-1) V
-        w = 2.0 * self.kappa * _qpow(q, self.kappa - 1.0) * V
+        # the gradient of F(|V|^2) in V is 2 F' V
+        w = 2.0 * F1 * V
         g_full = _cell_adjoint(self.cells, w, self.domain.n_nodes)
         g = g_full[self.free] + self.sign * self.src
         return self.cell * (e + self.sign * self.src * float(np.sum(z))), \
@@ -533,18 +546,17 @@ class _Objective:
         """Hessian of the scaled energy in the free nodes, as csr.
 
         With V = Xu per row and q = |V|^2, the Hessian of q^kappa in V is
-        a I + b V V^T, a = 2 kappa q^(kappa-1) and b = 4 kappa (kappa-1)
-        q^(kappa-2), so H = cell * sum over cells of a G + b y y^T, with G
-        the cell's block of sum_i X_i^T X_i (_Cells.gram) and y its row of
+        a I + b V V^T, with a = 2 F' = 2 kappa q^(kappa-1) and
+        b = 4 F'' = 4 kappa (kappa-1) q^(kappa-2) from _power_law.  So
+        H = cell * sum over cells of a G + b y y^T, with G the cell's
+        block of sum_i X_i^T X_i (_Cells.gram) and y its row of
         Y = sum_i diag(V_i) X_i on its corners.  One bincount adds the
         blocks' both-free entries into the csr pattern.
         """
         cells = self.cells
         V = _cell_gradient(cells, self.full_of(z))
-        q = np.sum(V * V, axis=0)
-        kappa = self.kappa
-        a = 2.0 * kappa * _qpow(q, kappa - 1.0)
-        b = 4.0 * kappa * (kappa - 1.0) * _qpow(q, kappa - 2.0)
+        _, F1, F2 = _power_law(np.sum(V * V, axis=0), self.kappa)
+        a, b = 2.0 * F1, 4.0 * F2
         y = np.einsum("ir,icr->cr", V, cells.coeff)
         block = cells.gram * a + (y * b)[:, None] * y[None]
         data = np.bincount(cells.pos, block.reshape(-1)[cells.pair_of],
@@ -570,26 +582,24 @@ class _Objective:
         qc = np.sum(V * V, axis=0)
         lin0 = self.sign * self.src * float(np.sum(z))
         lin1 = self.sign * self.src * float(np.sum(d))
-        return (qa, qb, qc, lin0, lin1, self.kappa)
+        return (qa, qb, qc, lin0, lin1)
 
     def line_eval(self, state, t: float):
-        """(phi, phi', phi'') of the restricted energy at step t."""
-        qa, qb, qc, lin0, lin1, kappa = state
+        """(phi, phi', phi'') of the restricted energy at step t.
+
+        With q(t) = |V + t W|^2 per cell and F, F', F'' from _power_law,
+        the sums are F, F' q' and F'' q'^2 + 2 F' |W|^2, plus the source
+        term; all three are +inf once F leaves the double range.
+        """
+        qa, qb, qc, lin0, lin1 = state
         q = np.maximum((qa * t + qb) * t + qc, 0.0)
         qp = 2.0 * qa * t + qb
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            logq = np.log(q)
-            p0 = np.where(q > 0, np.exp(kappa * logq), 0.0)
-            p1 = np.where(q > 0, np.exp((kappa - 1.0) * logq), 0.0)
-            if kappa == 1.0:
-                p1 = np.ones_like(q)
-            p2 = np.where(q > 0, np.exp((kappa - 2.0) * logq), 0.0)
-        e0 = float(np.sum(p0))
+        F, F1, F2 = _power_law(q, self.kappa)
+        e0 = float(np.sum(F))
         if not math.isfinite(e0):
             return math.inf, math.inf, math.inf
-        e1 = float(np.sum(kappa * p1 * qp))
-        e2 = float(np.sum(kappa * (kappa - 1.0) * p2 * qp * qp
-                          + 2.0 * kappa * p1 * qa))
+        e1 = float(np.sum(F1 * qp))
+        e2 = float(np.sum(F2 * qp * qp + 2.0 * F1 * qa))
         phi = self.cell * (e0 + lin0 + t * lin1)
         dphi = self.cell * (e1 + lin1)
         return phi, dphi, self.cell * e2
@@ -605,22 +615,21 @@ class _Objective:
         return math.copysign(math.exp(m), scaled_energy)
 
 
-def _line_minimize(obj: _Objective, state, slope: float, t_init: float,
-                   max_steps: int):
+def _line_minimize(obj: _Objective, state, slope: float):
     """Safeguarded Newton search for the minimum of the restricted energy.
 
     The restricted energy is convex in t, so Newton steps on its
-    derivative bracketed by bisection converge fast; returns the best
-    step found.  Convexity also gives phi(t) <= phi(s) for s < t
-    wherever phi'(t) <= 0, so such steps, and the one where phi'
-    vanishes, count as progress even when the change in phi is below
-    its rounding error.
+    derivative bracketed by bisection converge fast; starts at t = 1 and
+    returns the best step found in _LINE_EVALS evaluations.  Convexity
+    also gives phi(t) <= phi(s) for s < t wherever phi'(t) <= 0, so such
+    steps, and the one where phi' vanishes, count as progress even when
+    the change in phi is below its rounding error.
     """
     t_lo, t_hi = 0.0, math.inf
-    t = max(t_init, 1e-300)
+    t = 1.0
     best_t, best_phi = 0.0, obj.line_eval(state, 0.0)[0]
     dphi0 = abs(slope)
-    for _ in range(max_steps):
+    for _ in range(_LINE_EVALS):
         phi, dphi, d2phi = obj.line_eval(state, t)
         if not math.isfinite(phi):
             t_hi = t
@@ -780,7 +789,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
                 stop = "overflow"
                 break
             state = obj.direction_state(z, d)
-            t = _line_minimize(obj, state, float(g @ d), 1.0, _LINE_EVALS)
+            t = _line_minimize(obj, state, float(g @ d))
             if t > 0.0:
                 z_new = z + t * d
                 e_new, g_new = obj.value_grad(z_new)
@@ -887,7 +896,7 @@ def minimize_k(g: BoundaryData, f: Integrand, k: int, eps: float, side: str,
         raise ParameterError("k must be at least 1, got %s" % (k,))
     if side not in _SIDES:
         raise ParameterError("side must be 'lower' or 'upper', got %r" % (side,))
-    if eps < 0:
+    if not eps >= 0:
         raise ParameterError("eps must be nonnegative")
     chain = []
     kk = 2
@@ -912,7 +921,7 @@ def aux_solve(g: BoundaryData, f: Integrand, eps: float, side: str,
     the supersolution branch v_eps.
     """
     config = config or SolverConfig()
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError("aux_solve requires eps > 0, got %s" % (eps,))
     if side not in _SIDES:
         raise ParameterError("side must be 'lower' or 'upper', got %r" % (side,))
@@ -935,11 +944,11 @@ def strictify(v: ScalarField, delta: float, eps: float,
     perturbation sup|g_delta(v) - v| is recorded post hoc; it stays
     within about 1.0625 * delta * sup|v|.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ParameterError("delta must be positive, got %s" % (delta,))
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError("eps must be positive, got %s" % (eps,))
-    if alpha < 1:
+    if not alpha >= 1:
         raise ParameterError("alpha must be at least 1, got %s" % (alpha,))
     sup = v.sup_norm()
     degenerate = sup == 0.0

@@ -66,6 +66,23 @@ def test_defaults_show_up_in_resolved_items():
     (lambda t: t.replace("k_max = 32", "max_iterations = 0"),
      r"line 13: \[solver\] max_iterations"),
     (lambda t: t.replace("seed = 7", "wheel = 7"), "unknown field 'wheel'"),
+    # non-finite numbers
+    (lambda t: t.replace("lower = 0", "lower = nan"),
+     "line 4: field 'lower' must be finite"),
+    (lambda t: t.replace("upper = 1", "upper = inf"),
+     "line 5: field 'upper' must be finite"),
+    (lambda t: t.replace("h = 0.125", "h = inf"),
+     "line 6: field 'h' must be positive and finite, got inf"),
+    (lambda t: t.replace("eps = 0.01", "eps = nan"),
+     "line 8: field 'eps' must be nonnegative and finite, got nan"),
+    (lambda t: t.replace("eps = 0.01", "eps = inf"),
+     "line 8: field 'eps' must be nonnegative and finite, got inf"),
+    (lambda t: t.replace("k_max = 32", "gradient_tolerance = inf"),
+     r"line 13: \[solver\] gradient_tolerance .* got inf"),
+    (lambda t: t.replace("k_max = 32", "gradient_tolerance = nan"),
+     r"line 13: \[solver\] gradient_tolerance .* got nan"),
+    (lambda t: t.replace("cross_tolerance = 1e-5", "cross_tolerance = nan"),
+     r"line 14: \[solver\] cross_tolerance .* got nan"),
 ])
 def test_errors_are_line_anchored(mangle, where):
     with pytest.raises(ConfigError, match=where):

@@ -58,6 +58,8 @@ def test_energy_validation():
         solver.energy(u, SQ, 2, side="middle")
     with pytest.raises(ParameterError):
         solver.energy(u, SQ, 2, eps=-1.0)
+    with pytest.raises(ParameterError):
+        solver.energy(u, SQ, 2, eps=math.nan)
 
 
 @given(st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
@@ -194,6 +196,10 @@ def test_config_validation():
         SolverConfig(k_schedule=(8, 2))
     with pytest.raises(ParameterError):
         SolverConfig(initialization="random")
+    for name in ("gradient_tolerance", "cross_tolerance"):
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match=name):
+                SolverConfig(**{name: bad})
 
 
 # -- single-level minimization --------------------------------------------
@@ -363,8 +369,12 @@ def reference_hessian(obj, z):
     V = np.stack([op @ obj.full_of(z) for op in ops])
     q = np.sum(V * V, axis=0)
     kappa = obj.kappa
-    a = 2.0 * kappa * solver._qpow(q, kappa - 1.0)
-    b = 4.0 * kappa * (kappa - 1.0) * solver._qpow(q, kappa - 2.0)
+    # q^e where q > 0; at q = 0, q^0 = 1 and every other power is 0
+    pos = q > 0
+    qs = np.where(pos, q, 1.0)
+    a = 2.0 * kappa * np.where(pos, qs ** (kappa - 1.0), float(kappa == 1.0))
+    b = 4.0 * kappa * (kappa - 1.0) * np.where(pos, qs ** (kappa - 2.0),
+                                               float(kappa == 2.0))
     y = sum(scipy.sparse.diags(V[i]) @ op for i, op in enumerate(ops_free))
     hess = y.T @ scipy.sparse.diags(b) @ y
     for op in ops_free:
@@ -454,6 +464,30 @@ def test_hessian_matches_the_sparse_product_reference(lattice, f, k, start):
     diag_pos = obj.cells.diag_pos
     assert np.array_equal(row_of[diag_pos], np.arange(nf))
     assert np.array_equal(hess.indices[diag_pos], np.arange(nf))
+
+
+@pytest.mark.parametrize("lattice", HESSIAN_DOMAINS)
+@pytest.mark.parametrize("f", [SQ, integrands.power(1.5)], ids=["sq", "power1.5"])
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+@pytest.mark.parametrize("start", ["random", "flat"])  # flat: q = 0 on whole cells
+def test_line_search_sees_the_energy_the_descent_tests(lattice, f, k, start):
+    """phi(0) of the line search is value_grad's energy bit for bit, and
+    phi'(0) and phi''(0) are g.d and d^T H d; at kappa = 1 and 2 the flat
+    start has cells where q^(kappa-1) or q^(kappa-2) is q^0 = 1."""
+    dom = HESSIAN_DOMAINS[lattice]()
+    g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, -1] ** 2)
+    obj = solver._Objective(dom, g.base_values(), f, k, 0.3, "upper",
+                            g.graph_lipschitz())
+    nf = dom.interior_flat.size
+    rng = np.random.default_rng(k)
+    z = np.zeros(nf) if start == "flat" else rng.normal(scale=0.3, size=nf)
+    d = rng.normal(size=nf)
+    e, grad = obj.value_grad(z)
+    assert math.isfinite(e)
+    phi, dphi, d2phi = obj.line_eval(obj.direction_state(z, d), 0.0)
+    assert phi == e
+    assert dphi == pytest.approx(grad @ d, rel=1e-12)
+    assert d2phi == pytest.approx(d @ (obj.hessian(z) @ d), rel=1e-12)
 
 
 def _damped_newton_system(geometry, lower, upper, h, k, start):
@@ -739,6 +773,8 @@ def test_minimize_k_validation():
     with pytest.raises(ParameterError):
         solver.minimize_k(g, SQ, 2, -1.0, "lower")
     with pytest.raises(ParameterError):
+        solver.minimize_k(g, SQ, 2, math.nan, "lower")
+    with pytest.raises(ParameterError):
         solver.minimize_k(g, SQ, 2, 0.0, "above")
 
 
@@ -813,6 +849,8 @@ def test_aux_solve_sides_and_validation():
     with pytest.raises(ParameterError):
         solver.aux_solve(g, SQ, 0.0, "lower")
     with pytest.raises(ParameterError):
+        solver.aux_solve(g, SQ, math.nan, "lower")
+    with pytest.raises(ParameterError):
         solver.aux_solve(g, SQ, 0.1, "middle")
     cfg = SolverConfig(k_max=8)
     lo = solver.aux_solve(g, SQ, 0.05, "lower", cfg).solution
@@ -861,7 +899,13 @@ def test_strictify_degenerate_and_validation():
     with pytest.raises(ParameterError):
         solver.strictify(z, delta=0.1, eps=0.0)
     with pytest.raises(ParameterError):
+        solver.strictify(z, delta=math.nan, eps=0.2)
+    with pytest.raises(ParameterError):
+        solver.strictify(z, delta=0.1, eps=math.nan)
+    with pytest.raises(ParameterError):
         solver.strictify(z, delta=0.1, eps=0.2, alpha=0.5)
+    with pytest.raises(ParameterError):
+        solver.strictify(z, delta=0.1, eps=0.2, alpha=math.nan)
 
 
 def test_strictify_preserves_order_of_bounded_fields():
