@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridDomain, HorizontalField, ScalarField, SymMatrixField
+from .grids import GridDomain, HorizontalField, ScalarField
 from .integrands import Integrand
 
 
@@ -41,8 +41,12 @@ def _extended_gradient_columns(u: ScalarField) -> np.ndarray:
     return np.stack([op @ vals for op in ops], axis=1)  # (N, m)
 
 
-def horizontal_hessian(u: ScalarField) -> SymMatrixField:
-    """Symmetrised horizontal Hessian (X_i X_j u + X_j X_i u) / 2."""
+def horizontal_hessian(u: ScalarField) -> np.ndarray:
+    """Symmetrised horizontal Hessian (X_i X_j u + X_j X_i u) / 2.
+
+    Returns an (interior nodes, m, m) array, row r at interior_flat[r],
+    symmetric in its last two axes bit for bit.
+    """
     dom = u.domain
     m = dom.spec.horizontal_dim
     first = _extended_gradient_columns(u)  # (N, m)
@@ -52,8 +56,7 @@ def horizontal_hessian(u: ScalarField) -> SymMatrixField:
     for i in range(m):
         col = ops[i] @ first  # d/dX_i of each X_j u, all columns at once
         second[:, i, :] = col[idx]
-    sym = 0.5 * (second + np.swapaxes(second, 1, 2))
-    return SymMatrixField.from_matrices(dom, sym)
+    return 0.5 * (second + np.swapaxes(second, 1, 2))
 
 
 def infinity_laplacian(u: ScalarField) -> ScalarField:
@@ -64,7 +67,7 @@ def infinity_laplacian(u: ScalarField) -> ScalarField:
     """
     dom = u.domain
     grad = horizontal_gradient(u).values
-    hess = horizontal_hessian(u).as_matrices()
+    hess = horizontal_hessian(u)
     vals = -np.einsum("ki,kij,kj->k", grad, hess, grad)
     return _interior_result(dom, vals)
 
@@ -82,7 +85,7 @@ def aronsson_residual(
     """
     dom = u.domain
     grad = horizontal_gradient(u).values
-    hess = horizontal_hessian(u).as_matrices()
+    hess = horizontal_hessian(u)
     fp = f.grad(grad)
     vals = -np.einsum("ki,kij,kj->k", fp, hess, fp)
     singular = np.zeros(grad.shape[0], dtype=bool)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,26 +80,20 @@ class ProblemConfig:
         dom = domain if domain is not None else self.domain()
         return BoundaryData.from_field(self.boundary_field(dom))
 
-    def resolved_items(self, prefix: str = "config.") -> dict:
+    def resolved_items(self) -> dict:
         """Every field with defaults expanded, for the run manifest."""
-        sv = self.solver
-        sched = " ".join(str(k) for k in sv.k_schedule) if sv.k_schedule else "auto"
         return {
-            prefix + "geometry": self.geometry,
-            prefix + "lower": list(self.lower),
-            prefix + "upper": list(self.upper),
-            prefix + "h": self.h,
-            prefix + "boundary": self.boundary,
-            prefix + "integrand": self.integrand,
-            prefix + "eps": self.eps,
-            prefix + "side": self.side,
-            prefix + "seed": self.seed,
-            prefix + "solver.k_max": sv.k_max,
-            prefix + "solver.max_iterations": sv.max_iterations,
-            prefix + "solver.gradient_tolerance": sv.gradient_tolerance,
-            prefix + "solver.cross_tolerance": sv.cross_tolerance,
-            prefix + "solver.initialization": sv.initialization,
-            prefix + "solver.k_schedule": sched,
+            "config.geometry": self.geometry,
+            "config.lower": list(self.lower),
+            "config.upper": list(self.upper),
+            "config.h": self.h,
+            "config.boundary": self.boundary,
+            "config.integrand": self.integrand,
+            "config.eps": self.eps,
+            "config.side": self.side,
+            "config.seed": self.seed,
+            **{"config.solver." + fd.name: getattr(self.solver, fd.name)
+               for fd in fields(self.solver)},
         }
 
 
@@ -189,11 +183,6 @@ def _floats(value: str) -> tuple:
     return tuple(float(t) for t in toks)
 
 
-def _ints(value: str) -> tuple:
-    toks = value.replace(",", " ").split()
-    return tuple(int(t) for t in toks)
-
-
 def parse_config(text: str, source: str = "<config>", base_dir: str = ".") -> ProblemConfig:
     sections = _scan(text, source)
     prob = sections["problem"]
@@ -248,7 +237,7 @@ def parse_config(text: str, source: str = "<config>", base_dir: str = ".") -> Pr
     lines = {}
     for key, kind in (
         ("k_max", int), ("max_iterations", int), ("gradient_tolerance", float),
-        ("cross_tolerance", float), ("initialization", str), ("k_schedule", _ints),
+        ("cross_tolerance", float), ("initialization", str),
     ):
         if key in solv:
             lines[key] = solv[key].line

@@ -111,8 +111,8 @@ class GridDomain:
         classification[core] = INTERIOR
         return cls(spec, lower, h, dims, classification.reshape(-1))
 
-    def subbox(self, lo_idx, hi_idx, band: int = 1) -> "GridDomain":
-        """Box sub-domain over the inclusive index window [lo_idx, hi_idx]."""
+    def subbox(self, lo_idx, hi_idx) -> "GridDomain":
+        """Box sub-domain over the inclusive index window [lo_idx, hi_idx], band 1."""
         lo = np.asarray(lo_idx, dtype=int)
         hi = np.asarray(hi_idx, dtype=int)
         if lo.shape != (self.spec.dim,) or hi.shape != (self.spec.dim,):
@@ -121,7 +121,7 @@ class GridDomain:
             raise ParameterError(f"sub-box [{lo}, {hi}] leaves the lattice {self.dims}")
         lower = self.lower + lo * self.h
         upper = self.lower + hi * self.h
-        return GridDomain.box(self.spec, lower, upper, self.h, band=band)
+        return GridDomain.box(self.spec, lower, upper, self.h)
 
     # -- basic queries -----------------------------------------------------
 
@@ -349,44 +349,6 @@ class HorizontalField:
             raise IncompleteFieldError("non-finite horizontal component")
         self.domain = domain
         self.values = values
-
-
-def sym_index_pairs(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i, m)]
-
-
-class SymMatrixField:
-    """Symmetric m-by-m matrix per interior node, stored as the upper triangle."""
-
-    def __init__(self, domain: GridDomain, packed: np.ndarray):
-        packed = np.asarray(packed, dtype=float)
-        m = domain.spec.horizontal_dim
-        n_int = domain.interior_flat.size
-        width = m * (m + 1) // 2
-        if packed.shape != (n_int, width):
-            raise IncompleteFieldError(
-                f"symmetric field must have shape ({n_int}, {width}), got {packed.shape}"
-            )
-        if not np.all(np.isfinite(packed)):
-            raise IncompleteFieldError("non-finite matrix entry")
-        self.domain = domain
-        self.packed = packed
-
-    @classmethod
-    def from_matrices(cls, domain: GridDomain, mats: np.ndarray) -> "SymMatrixField":
-        m = domain.spec.horizontal_dim
-        pairs = sym_index_pairs(m)
-        packed = np.stack([mats[:, i, j] for i, j in pairs], axis=1)
-        return cls(domain, packed)
-
-    def as_matrices(self) -> np.ndarray:
-        m = self.domain.spec.horizontal_dim
-        n = self.packed.shape[0]
-        mats = np.zeros((n, m, m))
-        for col, (i, j) in enumerate(sym_index_pairs(m)):
-            mats[:, i, j] = self.packed[:, col]
-            mats[:, j, i] = self.packed[:, col]
-        return mats
 
 
 def require_same_lattice(a, b) -> None:

@@ -201,7 +201,8 @@ def _nearest_tiles(dom: GridDomain, bc: np.ndarray):
 class SolverConfig:
     """Knobs for the descent and the k-doubling schedule.
 
-    k_schedule overrides the default dyadic schedule 2, 4, ..., k_max.
+    The levels are the powers of two from 2 up to k_max, then k_max
+    itself (see schedule); minimize_k ends at a k of its own instead.
     cross_tolerance is the sup-norm change between consecutive k levels
     at which the schedule stops early.
     """
@@ -211,7 +212,6 @@ class SolverConfig:
     gradient_tolerance: float = 1e-8
     cross_tolerance: float = 1e-4
     initialization: str = "boundary"
-    k_schedule: tuple = ()
 
     def __post_init__(self):
         if int(self.k_max) < 4:
@@ -228,15 +228,8 @@ class SolverConfig:
                 "initialization must be 'boundary' or 'zero', got %r"
                 % (self.initialization,)
             )
-        if self.k_schedule:
-            ks = tuple(int(k) for k in self.k_schedule)
-            if any(k < 1 for k in ks) or list(ks) != sorted(set(ks)):
-                raise ParameterError("k_schedule must be strictly increasing, >= 1")
-            object.__setattr__(self, "k_schedule", ks)
 
     def schedule(self) -> tuple:
-        if self.k_schedule:
-            return self.k_schedule
         ks = []
         k = 2
         while k <= self.k_max:
@@ -281,8 +274,7 @@ class SolveReport:
     """Outcome of a solve: the field plus convergence bookkeeping.
 
     energy_trace maps each k level to its per-iteration objective values
-    (cell quadrature, original units).  cross_trace lists (k, sup-norm
-    change from the previous level).  residual is the final
+    (cell quadrature, original units).  residual is the final
     Euler-Lagrange sup-norm in normalized units: fields divided by
     BoundaryData.graph_lipschitz of the boundary data (see _Objective),
     which does not bound the scaled f(Xu).  levels holds one
@@ -296,7 +288,6 @@ class SolveReport:
     residual: float
     iterations: int
     converged: bool
-    cross_trace: list = dc_field(default_factory=list)
     message: str = ""
     levels: list = dc_field(default_factory=list)
 
@@ -343,7 +334,10 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
     Sums f(Xu)^k = q^kappa, with q = |Xu|^2 and kappa = alpha k / 2,
     over the lattice cells of _cell_operators; the lower side subtracts
     the eps^(k-1) * u source over interior nodes, the upper side adds it.
-    With eps = 0 there is no source term.
+    With eps = 0, or a zero interior sum, there is no source term.  A cell
+    sum past the double range is +inf.  Once eps^(k-1) leaves the double
+    range the source is +-inf, and so is the energy, unless the cell sum
+    is +inf too: then the larger of the two in log space decides.
     """
     if k < 1:
         raise ParameterError("k must be at least 1, got %s" % (k,))
@@ -354,12 +348,20 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
     dom = u.domain
     V = _cell_gradient(_cell_operators(dom), u.values)
     cell = float(dom.h) ** dom.spec.dim
-    F = _power_law(np.sum(V * V, axis=0), 0.5 * f.alpha * int(k))[0]
-    total = float(np.sum(F)) * cell
-    if eps > 0:
-        src = eps ** (k - 1) * cell * float(np.sum(u.values[dom.interior_flat]))
-        total = total - src if side == "lower" else total + src
-    return float(total)
+    q, kappa = np.sum(V * V, axis=0), 0.5 * f.alpha * int(k)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(_power_law(q, kappa)[0])) * cell
+    s = float(np.sum(u.values[dom.interior_flat])) if eps > 0 else 0.0
+    if side == "lower":
+        s = -s
+    if s == 0.0:
+        return total
+    log_src = (k - 1) * math.log(eps)
+    src = eps ** (k - 1) * cell * s if log_src <= _EXP_MAX else math.copysign(math.inf, s)
+    if src == -math.inf and total == math.inf:
+        log_cells = np.logaddexp.reduce(kappa * np.log(q[q > 0]))
+        return src if log_src + math.log(-s) > log_cells else total
+    return total + src
 
 
 @dataclass(frozen=True)
@@ -875,7 +877,6 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
         residual=residual,
         iterations=sum(lv.iterations for lv in levels),
         converged=levels[-1].converged and settled,
-        cross_trace=[(lv.k, lv.change) for lv in levels[1:]],
         message=message,
         levels=levels,
     )

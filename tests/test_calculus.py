@@ -25,16 +25,28 @@ def test_hessian_of_vertical_coordinate_cancels():
     # X1X2 t = 2 and X2X1 t = -2, so the symmetrised Hessian vanishes.
     dom = h1_box()
     u = ScalarField.from_function(dom, lambda c: c[:, 2])
-    hess = calculus.horizontal_hessian(u).as_matrices()
+    hess = calculus.horizontal_hessian(u)
     assert np.max(np.abs(hess)) < 1e-10
 
 
 def test_euclidean_hessian_exact_on_quadratics():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.125)
     u = ScalarField.from_function(dom, lambda c: c[:, 0] ** 2 + 3 * c[:, 0] * c[:, 1])
-    hess = calculus.horizontal_hessian(u).as_matrices()
+    hess = calculus.horizontal_hessian(u)
     expect = np.array([[2.0, 3.0], [3.0, 0.0]])
     assert np.allclose(hess - expect, 0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("gid", ["heisenberg1", "grushin"])
+def test_hessian_is_one_symmetric_matrix_per_interior_node(gid):
+    spec = groups.from_id(gid)
+    dom = GridDomain.box(spec, [-1.0] * spec.dim, [1.0] * spec.dim, 0.25)
+    u = ScalarField(dom, np.random.default_rng(5).normal(size=dom.n_nodes))
+    hess = calculus.horizontal_hessian(u)
+    m = spec.horizontal_dim
+    assert hess.shape == (dom.interior_flat.size, m, m)
+    assert np.all(np.isfinite(hess)) and np.any(hess[:, 0, 1] != 0.0)
+    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
 
 
 def test_infinity_laplacian_1d_quadratic():

@@ -102,18 +102,21 @@ def test_solve_manifest_records_resolved_config(tmp_path):
 
 def test_solve_reports_nonconvergence_with_exit_3(tmp_path, capsys):
     text = PLANE_CFG.replace("boundary = linear:1,-0.5", "boundary = aronsson43")
-    text = text.replace("k_max = 8", "k_schedule = 64\nmax_iterations = 1")
+    text = text.replace("k_max = 8", "k_max = 8\nmax_iterations = 1")
     cfg = write_cfg(tmp_path, text)
     assert cli.main(["solve", cfg, "-o", str(tmp_path / "out")]) == 3
     assert "NOT converged" in capsys.readouterr().out
     text = (tmp_path / "out" / "manifest.txt").read_text()
-    assert "result.level.64.stop = budget" in text
-    assert "result.level.64.iterations = 1" in text
-    assert "result.message = k=64: budget" in text
+    for k in (2, 4, 8):
+        assert f"result.level.{k}.stop = budget" in text
+        assert f"result.level.{k}.iterations = 1" in text
+    assert ("result.message = k=2: budget; k=4: budget; k=8: budget; "
+            "k schedule exhausted before cross-level tolerance\n") in text
 
 
 @pytest.mark.parametrize("key", ["armijo_c = 1e-4", "armijo_shrink = 0.5",
-                                 "deterministic = true", "max_backtracks = 60"])
+                                 "deterministic = true", "max_backtracks = 60",
+                                 "k_schedule = 3 5 9"])
 def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
     cfg = write_cfg(tmp_path, LINE_CFG + key + "\n")
     assert cli.main(["solve", cfg, "-o", str(tmp_path / "out")]) == 2

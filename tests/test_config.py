@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from subinf import config, fieldio, groups
 from subinf.config import load_config, parse_config
 from subinf.errors import ConfigError
 from subinf.grids import GridDomain, ScalarField
+from subinf.solver import SolverConfig
 
 GOOD = """\
 # a one dimensional line problem
@@ -45,9 +48,9 @@ def test_defaults_show_up_in_resolved_items():
     cfg = parse_config(GOOD, source="good.cfg")
     items = cfg.resolved_items()
     assert items["config.integrand"] == "squared_norm"
-    assert items["config.solver.k_schedule"] == "auto"
     assert items["config.solver.max_iterations"] == 20000
-    assert len(items) == 15
+    solver_keys = {key for key in items if key.startswith("config.solver.")}
+    assert solver_keys == {"config.solver." + fd.name for fd in fields(SolverConfig)}
 
 
 @pytest.mark.parametrize("mangle,where", [
@@ -183,11 +186,3 @@ def test_boundary_file_lattice_mismatch(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config("/nonexistent/path.cfg")
-
-
-def test_solver_k_schedule_override():
-    text = GOOD + "k_schedule = 3 5 9\n"
-    cfg = parse_config(text, source="s.cfg")
-    assert cfg.solver.k_schedule == (3, 5, 9)
-    assert cfg.solver.schedule() == (3, 5, 9)
-    assert cfg.resolved_items()["config.solver.k_schedule"] == "3 5 9"

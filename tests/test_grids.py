@@ -136,21 +136,6 @@ def test_horizontal_field_shape_check():
         grids.HorizontalField(dom, np.zeros((n_int, 3)))
 
 
-def test_sym_matrix_field_round_trip():
-    dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
-    n_int = dom.interior_flat.size
-    rng = np.random.default_rng(1)
-    mats = rng.normal(size=(n_int, 2, 2))
-    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
-    field = grids.SymMatrixField.from_matrices(dom, mats)
-    assert field.packed.shape == (n_int, 3)
-    assert np.array_equal(field.as_matrices(), mats)
-
-
-def test_sym_index_pairs():
-    assert grids.sym_index_pairs(2) == [(0, 0), (0, 1), (1, 1)]
-
-
 def test_require_same_lattice():
     a = box1d(4)
     b = box1d(4)

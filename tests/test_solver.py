@@ -49,6 +49,28 @@ def test_energy_source_term_sign():
     assert np.isclose(solver.energy(u, SQ, 3, eps=0.5, side="upper"), base + s)
 
 
+def test_energy_source_past_the_double_range():
+    # eps^(k-1) = 10^399 overflows a double; the energy is then -inf on
+    # the lower side and +inf on the upper side, never an OverflowError
+    dom = line_domain(4)
+    u = ScalarField.from_function(dom, lambda c: c[:, 0])
+    assert solver.energy(u, SQ, 300, eps=10.0) == pytest.approx(-3.75e298, rel=1e-3)
+    assert solver.energy(u, SQ, 400, eps=10.0) == -math.inf
+    assert solver.energy(u, SQ, 400, eps=10.0, side="upper") == math.inf
+    # a zero interior sum adds no source term
+    centred = ScalarField.from_function(dom, lambda c: c[:, 0] - 0.5)
+    assert solver.energy(centred, SQ, 400, eps=10.0) == 1.0
+    # slope 10: q^kappa = 100^400 overflows too, and the larger term in
+    # log space decides, 400 ln 100 against 399 ln eps
+    steep = ScalarField.from_function(dom, lambda c: 10.0 * c[:, 0])
+    assert solver.energy(steep, SQ, 400, eps=10.0) == math.inf
+    assert solver.energy(steep, SQ, 400, eps=1e3) == -math.inf
+    assert solver.energy(steep, SQ, 400, eps=1e3, side="upper") == math.inf
+    # each cell's q^2 is finite, their sum is not
+    huge = ScalarField.from_function(dom, lambda c: 1.7e308 ** 0.25 * c[:, 0])
+    assert solver.energy(huge, SQ, 2) == math.inf
+
+
 def test_energy_validation():
     dom = line_domain(4)
     u = ScalarField.zeros(dom)
@@ -184,16 +206,11 @@ def test_graph_lipschitz_linear():
 def test_schedule_is_dyadic_with_exact_cap():
     assert SolverConfig(k_max=24).schedule() == (2, 4, 8, 16, 24)
     assert SolverConfig(k_max=16).schedule() == (2, 4, 8, 16)
-    assert SolverConfig(k_schedule=(3, 5, 9)).schedule() == (3, 5, 9)
 
 
 def test_config_validation():
     with pytest.raises(ParameterError):
         SolverConfig(k_max=2)
-    with pytest.raises(ParameterError):
-        SolverConfig(k_schedule=(4, 4))
-    with pytest.raises(ParameterError):
-        SolverConfig(k_schedule=(8, 2))
     with pytest.raises(ParameterError):
         SolverConfig(initialization="random")
     for name in ("gradient_tolerance", "cross_tolerance"):
@@ -792,7 +809,9 @@ def test_infinity_solve_linear_and_boundary_round_trip():
     # reimposes the data after unscaling, so the match is bitwise
     got = rep.solution.values[dom.boundary_flat]
     assert np.array_equal(got, g.values)
-    assert rep.cross_trace, "doubling must record cross-level gaps"
+    changes = [lv.change for lv in rep.levels[1:]]
+    assert changes and all(c is not None for c in changes), \
+        "doubling must record cross-level gaps"
 
 
 def test_minimize_k_translation_equivariance():
