@@ -136,6 +136,7 @@ def _report_entries(report) -> dict:
         "result.residual": report.residual,
         "result.k_schedule": list(report.k_schedule),
         "result.message": report.message or "ok",
+        "result.start.cg_iterations": report.start_cg_iterations,
     }
     for lv in report.levels:
         entries[f"result.level.{lv.k}.stop"] = lv.stop

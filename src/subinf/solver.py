@@ -25,9 +25,13 @@ np.power, +inf past the double range, and F' and F'' from F by division
 by q, capped at exp(_EXP_MAX).  At q = 0, q^0 = 1 and every other power
 is 0.
 
-Each level is solved by damped Newton steps on the free nodes with an
+The first level starts from the harmonic extension of the boundary
+data, the k = 1 minimizer of the squared norm (_harmonic_start).  Each
+level is solved by damped Newton steps on the free nodes with an
 exact line search along each step (see _descend), and reports why it
 stopped (LevelReport); only gradient_tolerance counts as converged.
+Each iterate is evaluated once (value_grad): the gradient, the Hessian
+and the line search share its V = Xu and power law (_Point).
 The Newton systems are solved by Jacobi-preconditioned conjugate
 gradients (_pcg), capped at one iteration per free node, to a relative
 residual that _forcing picks per step (Eisenstat-Walker forcing terms):
@@ -61,8 +65,10 @@ _EXP_MAX = 709.0
 class BoundaryData:
     """Prescribed values on the boundary nodes of a grid domain.
 
-    extend_nearest (the warm start) and graph_lipschitz (the solve's
-    scale) are exact sweeps over node pairs through groups.pair_kernel.
+    graph_lipschitz (the solve's scale) is an exact sweep over node pairs
+    through groups.pair_kernel; a solve starts from the harmonic extension
+    of the data (_harmonic_start).  extend_nearest, the nearest-boundary
+    step function, is no longer a start and no solve calls it.
     """
 
     def __init__(self, domain: GridDomain, values):
@@ -204,7 +210,9 @@ class SolverConfig:
     The levels are the powers of two from 2 up to k_max, then k_max
     itself (see schedule); minimize_k ends at a k of its own instead.
     cross_tolerance is the sup-norm change between consecutive k levels
-    at which the schedule stops early.
+    at which the schedule stops early.  initialization picks the first
+    level's start: boundary, the harmonic extension of the boundary data
+    (see _harmonic_start), or zero on the free nodes.
     """
 
     k_max: int = 256
@@ -280,6 +288,9 @@ class SolveReport:
     which does not bound the scaled f(Xu).  levels holds one
     LevelReport per descent run, warm-up levels included; converged
     requires the last one to have met gradient_tolerance.
+    start_cg_iterations is the CG work of the harmonic start (0 for
+    initialization zero), which no level counts; with the levels'
+    cg_iterations it accounts for every CG iteration of the solve.
     """
 
     solution: ScalarField
@@ -290,6 +301,7 @@ class SolveReport:
     converged: bool
     message: str = ""
     levels: list = dc_field(default_factory=list)
+    start_cg_iterations: int = 0
 
 
 @dataclass
@@ -478,6 +490,18 @@ def _cell_adjoint(cells: _Cells, w: np.ndarray, n_nodes: int) -> np.ndarray:
                        minlength=n_nodes)
 
 
+@dataclass(frozen=True)
+class _Point:
+    """One iterate as value_grad evaluated it: the free values z, the
+    cell gradients V = Xu, q = |V|^2, and F' and F'' of _power_law at q."""
+
+    z: np.ndarray
+    V: np.ndarray
+    q: np.ndarray
+    F1: np.ndarray
+    F2: np.ndarray
+
+
 class _Objective:
     """Scaled cell-quadrature energy for one (k, eps, side) level.
 
@@ -485,7 +509,8 @@ class _Objective:
     = slope_scale, the graph_lipschitz of the boundary data, so the
     scaled boundary data has gauge Lipschitz constant at most 1.  The
     scaled f(Xu) is not bounded by 1: the solution's max |Xu| can sit
-    above L, and the warm start's steps far above it.  The source
+    above L, and so can the harmonic start's (2.2 against L = 1.0 on the
+    heisenberg1 gauge box at h = 1/8).  The source
     coefficient is folded into a single scalar so the scaled minimizer
     maps back to the original one exactly.  The energy, its gradient, its
     Hessian and the line search all take F = q^kappa, F' and F'' per cell
@@ -532,20 +557,27 @@ class _Objective:
         return vals
 
     def value_grad(self, z):
+        """(energy, gradient, point) at the free values z.
+
+        point is the _Point that hessian and direction_state read, so an
+        iterate is evaluated once; (inf, None, None) once the energy
+        leaves the double range.
+        """
         V = _cell_gradient(self.cells, self.full_of(z))
-        F, F1, _ = _power_law(np.sum(V * V, axis=0), self.kappa)
+        q = np.sum(V * V, axis=0)
+        F, F1, F2 = _power_law(q, self.kappa)
         e = float(np.sum(F))
         if not math.isfinite(e):
-            return math.inf, None
+            return math.inf, None, None
         # the gradient of F(|V|^2) in V is 2 F' V
         w = 2.0 * F1 * V
         g_full = _cell_adjoint(self.cells, w, self.domain.n_nodes)
         g = g_full[self.free] + self.sign * self.src
         return self.cell * (e + self.sign * self.src * float(np.sum(z))), \
-            self.cell * g
+            self.cell * g, _Point(z, V, q, F1, F2)
 
-    def hessian(self, z):
-        """Hessian of the scaled energy in the free nodes, as csr.
+    def hessian(self, point):
+        """Hessian of the scaled energy in the free nodes at point, as csr.
 
         With V = Xu per row and q = |V|^2, the Hessian of q^kappa in V is
         a I + b V V^T, with a = 2 F' = 2 kappa q^(kappa-1) and
@@ -556,10 +588,8 @@ class _Objective:
         blocks' both-free entries into the csr pattern.
         """
         cells = self.cells
-        V = _cell_gradient(cells, self.full_of(z))
-        _, F1, F2 = _power_law(np.sum(V * V, axis=0), self.kappa)
-        a, b = 2.0 * F1, 4.0 * F2
-        y = np.einsum("ir,icr->cr", V, cells.coeff)
+        a, b = 2.0 * point.F1, 4.0 * point.F2
+        y = np.einsum("ir,icr->cr", point.V, cells.coeff)
         block = cells.gram * a + (y * b)[:, None] * y[None]
         data = np.bincount(cells.pos, block.reshape(-1)[cells.pair_of],
                            minlength=cells.indices.size)
@@ -567,24 +597,22 @@ class _Objective:
         return sp.csr_matrix((self.cell * data, cells.indices, cells.indptr),
                              shape=(nf, nf))
 
-    def direction_state(self, z, d):
-        """Per-row quadratics describing the energy along z + t*d.
+    def direction_state(self, point, d):
+        """Per-row quadratics describing the energy along z + t*d from point.
 
         Each row contributes f(V + t W)^k with |V + t W|^2 quadratic in
         t, so the restricted energy is an explicit one-variable
         function; the line search exploits this instead of re-running
         matvecs per trial step.
         """
-        V = _cell_gradient(self.cells, self.full_of(z))
         dfull = np.zeros(self.domain.n_nodes)
         dfull[self.free] = d
         W = _cell_gradient(self.cells, dfull)
         qa = np.sum(W * W, axis=0)
-        qb = 2.0 * np.sum(V * W, axis=0)
-        qc = np.sum(V * V, axis=0)
-        lin0 = self.sign * self.src * float(np.sum(z))
+        qb = 2.0 * np.sum(point.V * W, axis=0)
+        lin0 = self.sign * self.src * float(np.sum(point.z))
         lin1 = self.sign * self.src * float(np.sum(d))
-        return (qa, qb, qc, lin0, lin1)
+        return (qa, qb, point.q, lin0, lin1)
 
     def line_eval(self, state, t: float):
         """(phi, phi', phi'') of the restricted energy at step t.
@@ -617,19 +645,21 @@ class _Objective:
         return math.copysign(math.exp(m), scaled_energy)
 
 
-def _line_minimize(obj: _Objective, state, slope: float):
+def _line_minimize(obj: _Objective, state, slope: float, phi0: float):
     """Safeguarded Newton search for the minimum of the restricted energy.
 
     The restricted energy is convex in t, so Newton steps on its
     derivative bracketed by bisection converge fast; starts at t = 1 and
-    returns the best step found in _LINE_EVALS evaluations.  Convexity
+    returns the best step found in _LINE_EVALS evaluations.  phi0 is the
+    energy at t = 0, value_grad's energy of the iterate, which line_eval
+    would return there bit for bit.  Convexity
     also gives phi(t) <= phi(s) for s < t wherever phi'(t) <= 0, so such
     steps, and the one where phi' vanishes, count as progress even when
     the change in phi is below its rounding error.
     """
     t_lo, t_hi = 0.0, math.inf
     t = 1.0
-    best_t, best_phi = 0.0, obj.line_eval(state, 0.0)[0]
+    best_t, best_phi = 0.0, phi0
     dphi0 = abs(slope)
     for _ in range(_LINE_EVALS):
         phi, dphi, d2phi = obj.line_eval(state, t)
@@ -750,8 +780,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
     budget after config.max_iterations steps; overflow when the energy
     or the Newton system left the double range.
     """
-    z = np.array(z0, dtype=float)
-    e, g = obj.value_grad(z)
+    e, g, point = obj.value_grad(np.array(z0, dtype=float))
     if g is None:
         raise ParameterError("initial iterate overflows the energy")
     trace = [e]
@@ -773,7 +802,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
         ratio = None if prev is None else gmax / prev[0] * (gnorm / prev[1])
         prev = (gmax, gnorm)
         rtol = _forcing(residual, ratio)
-        hess = obj.hessian(z)
+        hess = obj.hessian(point)
         diag_pos = obj.cells.diag_pos
         diag = hess.data[diag_pos]
         top = float(np.max(diag))
@@ -790,11 +819,10 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
             if not np.all(np.isfinite(d)):
                 stop = "overflow"
                 break
-            state = obj.direction_state(z, d)
-            t = _line_minimize(obj, state, float(g @ d))
+            state = obj.direction_state(point, d)
+            t = _line_minimize(obj, state, float(g @ d), e)
             if t > 0.0:
-                z_new = z + t * d
-                e_new, g_new = obj.value_grad(z_new)
+                e_new, g_new, point_new = obj.value_grad(point.z + t * d)
                 if g_new is None:
                     stop = "overflow"
                     break
@@ -810,36 +838,69 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
             rtol = _CG_RTOL
         if stop is not None:
             break
-        z, e, g = z_new, e_new, g_new
+        e, g, point = e_new, g_new, point_new
         trace.append(e)
         if t >= 0.9:
             mu = max(mu * _MU_DOWN, _MU_MIN)
         else:
             mu = min(mu * _MU_UP, _MU_MAX)
-    return z, trace, residual, len(trace) - 1, stop, cg_iterations
+    return point.z, trace, residual, len(trace) - 1, stop, cg_iterations
 
 
 def _level_message(levels) -> str:
     return "; ".join("k=%d: %s" % (lv.k, lv.stop) for lv in levels)
 
 
+def _harmonic_start(g: BoundaryData, slope: float):
+    """The discrete Dirichlet (harmonic) extension of g, and its CG iterations.
+
+    This is the k = 1 level of the squared norm on the same cells: its
+    Hessian 2 cell sum_i X_i^T X_i does not depend on the field, so the
+    minimizer is one _pcg solve to _CG_RTOL, with no damping and no line
+    search, scaled by slope as the levels are.  The solve is for the
+    correction to the constant field at the midpoint m of the data's
+    range: a large offset in g then cannot overflow the energy, and a
+    free node that no cell touches, whose row of H is empty, has no
+    gradient and keeps the value m, inside [min g, max g].  Exterior
+    nodes are NaN.
+    """
+    dom = g.domain
+    obj = _Objective(dom, g.base_values(), Integrand(2.0), 1, 0.0, "lower", slope)
+    mid = 0.5 * float(np.min(g.values)) + 0.5 * float(np.max(g.values))
+    z = np.full(obj.free.size, mid / obj.scale)
+    _, grad, point = obj.value_grad(z)
+    iterations = 0
+    if np.any(grad):
+        hess = obj.hessian(point)
+        diag_pos = obj.cells.diag_pos
+        hess.data[diag_pos[hess.data[diag_pos] == 0.0]] = 1.0
+        d, iterations = _pcg(hess, -grad, _CG_RTOL)
+        # a Hessian past the double range leaves the start at m, and the
+        # first level's own Hessian then ends it as overflow
+        if np.all(np.isfinite(d)):
+            z = z + d
+    return obj.solution_of(z), iterations
+
+
 def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
                   config: SolverConfig, chain: tuple | None = None) -> SolveReport:
     """Descend each k level in turn, warm-starting from the level before.
 
-    Without chain, the levels are config.schedule() and the run stops
-    once consecutive levels agree to config.cross_tolerance.  A chain is
-    run to its end, and converges when its last level does.
+    The first level starts from the harmonic extension of g
+    (initialization boundary, see _harmonic_start) or from zero on the
+    free nodes (initialization zero).  Without chain, the levels are
+    config.schedule() and the run stops once consecutive levels agree to
+    config.cross_tolerance.  A chain is run to its end, and converges when
+    its last level does.
     """
     dom = g.domain
     base = g.base_values()
-    if config.initialization == "boundary":
-        warm = g.extend_nearest().values.copy()
-    else:
-        warm = base.copy()
-    warm[dom.classification == EXTERIOR] = 0.0
-    warm = np.where(np.isnan(warm), 0.0, warm)
     slope = g.graph_lipschitz()
+    # a level reads its start on the free nodes only (z0_of)
+    if config.initialization == "boundary":
+        warm, start_cg = _harmonic_start(g, slope)
+    else:
+        warm, start_cg = base, 0
     trace = {}
     levels = []
     prev_vals = None
@@ -862,7 +923,7 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
         if diff is not None and not chain and diff <= config.cross_tolerance:
             stopped = True
             break
-        warm = np.where(np.isnan(vals), 0.0, vals)
+        warm = vals
     # the last level must meet its own tolerance, and unless it is the
     # only level or ends a chain, the schedule must have met the
     # cross-level one
@@ -879,6 +940,7 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
         converged=levels[-1].converged and settled,
         message=message,
         levels=levels,
+        start_cg_iterations=start_cg,
     )
 
 

@@ -331,7 +331,7 @@ def test_hessian_matches_finite_differences(geometry, lower, upper, h, f, k):
     obj = solver._Objective(dom, g.base_values(), f, k, 0.0, "lower",
                             g.graph_lipschitz())
     z = np.random.default_rng(k).normal(scale=0.3, size=dom.interior_flat.size)
-    hess = obj.hessian(z).toarray()
+    hess = obj.hessian(obj.value_grad(z)[2]).toarray()
     step = 1e-6
     fd = np.empty_like(hess)
     for i in range(z.size):
@@ -341,7 +341,7 @@ def test_hessian_matches_finite_differences(geometry, lower, upper, h, f, k):
     assert np.max(np.abs(hess - fd)) <= 1e-7 * np.max(np.abs(fd))
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
     # a flat start (q = 0 on whole cells) keeps every weight finite
-    flat = obj.hessian(np.zeros(z.size))
+    flat = obj.hessian(obj.value_grad(np.zeros(z.size))[2])
     assert np.all(np.isfinite(flat.data))
 
 
@@ -451,7 +451,7 @@ def test_energy_gradient_is_the_adjoint_of_the_cell_operators(lattice, eps, side
     e_ref = obj.cell * (np.sum(q ** obj.kappa) + lin * np.sum(z))
     w = 2.0 * obj.kappa * q ** (obj.kappa - 1.0) * V
     g_ref = obj.cell * (sum(op.T @ w[i] for i, op in enumerate(ops))[obj.free] + lin)
-    e, grad = obj.value_grad(z)
+    e, grad, _ = obj.value_grad(z)
     assert e == pytest.approx(e_ref, rel=1e-13)
     assert np.max(np.abs(grad - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
 
@@ -468,7 +468,7 @@ def test_hessian_matches_the_sparse_product_reference(lattice, f, k, start):
     nf = dom.interior_flat.size
     z = (np.zeros(nf) if start == "flat"
          else np.random.default_rng(k).normal(scale=0.3, size=nf))
-    hess = obj.hessian(z)
+    hess = obj.hessian(obj.value_grad(z)[2])
     ref = reference_hessian(obj, z).toarray()
     assert np.max(np.abs(ref)) > 0
     assert np.max(np.abs(hess.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -499,12 +499,12 @@ def test_line_search_sees_the_energy_the_descent_tests(lattice, f, k, start):
     rng = np.random.default_rng(k)
     z = np.zeros(nf) if start == "flat" else rng.normal(scale=0.3, size=nf)
     d = rng.normal(size=nf)
-    e, grad = obj.value_grad(z)
+    e, grad, point = obj.value_grad(z)
     assert math.isfinite(e)
-    phi, dphi, d2phi = obj.line_eval(obj.direction_state(z, d), 0.0)
+    phi, dphi, d2phi = obj.line_eval(obj.direction_state(point, d), 0.0)
     assert phi == e
     assert dphi == pytest.approx(grad @ d, rel=1e-12)
-    assert d2phi == pytest.approx(d @ (obj.hessian(z) @ d), rel=1e-12)
+    assert d2phi == pytest.approx(d @ (obj.hessian(point) @ d), rel=1e-12)
 
 
 def _damped_newton_system(geometry, lower, upper, h, k, start):
@@ -516,8 +516,8 @@ def _damped_newton_system(geometry, lower, upper, h, k, start):
     n = dom.interior_flat.size
     z = (np.zeros(n) if start == "flat"
          else np.random.default_rng(k).normal(scale=0.3, size=n))
-    grad = obj.value_grad(z)[1]
-    hess = obj.hessian(z)
+    _, grad, point = obj.value_grad(z)
+    hess = obj.hessian(point)
     diag = hess.diagonal()
     top = float(np.max(diag))
     shift = (min(float(np.max(np.abs(grad))), solver._SHIFT_CAP * top)
@@ -717,9 +717,10 @@ def test_only_a_direction_solved_to_cg_rtol_ends_a_level_as_stalled(monkeypatch)
     for _, level_calls in ends:
         assert level_calls[-1][0] == solver._CG_RTOL
         (rtol, b), (_, b_last) = level_calls[-2:]
-        if rtol > solver._CG_RTOL:
-            # the loose direction failed first, on the same system
-            assert np.array_equal(b, b_last)
+        if np.array_equal(b, b_last):
+            # the last system was solved twice: a loose direction failed
+            # first, and the level solved it again to _CG_RTOL
+            assert rtol > solver._CG_RTOL
             resolved += 1
     assert resolved >= 1
 
@@ -760,9 +761,8 @@ def test_stall_and_budget_are_not_convergence():
 
 @pytest.mark.parametrize("name", ["a6_line.cfg", "a6_heisenberg.cfg", "a10_line.cfg"])
 def test_flat_warm_start_levels_converge_in_few_iterations(name):
-    """The eps solves of A6 and A10 start from step-function warm starts
-
-    whose flat cells leave rows of the Hessian empty; every level must
+    """The eps solves of A6 and A10, and A6 from both starts: the zero
+    start's flat cells leave rows of the Hessian empty.  Every level must
     still reach gradient_tolerance in a bounded number of steps."""
     cfg = acceptance._cfg(acceptance.bundled_config_dir(), name)
     g = cfg.boundary_data()
@@ -860,6 +860,95 @@ def test_zero_initialization_reaches_the_same_solution():
     b = solver.infinity_solve(
         g, SQ, SolverConfig(k_max=8, initialization="zero")).solution.values
     assert np.max(np.abs(a - b)) <= 1e-6
+
+
+# -- harmonic start --------------------------------------------------------
+
+
+@pytest.mark.parametrize("geometry,lower,upper,h", [
+    ("euclidean:2", [-1, -1], [1, 1], 0.125),
+    ("heisenberg1", [-1, -1, -1], [1, 1, 1], 0.25),
+    ("grushin", [-1, -1], [1, 1], 0.125),  # nodes on the degenerate x = 0 line
+])
+def test_harmonic_start_is_the_dirichlet_solution(geometry, lower, upper, h):
+    """The start against a direct solve of L u = 0 on the free nodes, with
+    L = sum_i X_i^T X_i assembled from the operators written cell by cell.
+
+    CG stops once the residual of L (u - m) = -L m, m the constant
+    midpoint field, is within _CG_RTOL of the right-hand side in the
+    2-norm, so the start lies within _CG_RTOL |L (ref - m)| / lambda_min(L)
+    of the direct solution ref; the factor 1.01 covers rounding."""
+    dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
+    g = BoundaryData.from_function(
+        dom, lambda c: 3.0 + c[:, 0] * np.abs(c[:, 1]) + c[:, -1] ** 3)
+    start, iterations = solver._harmonic_start(g, g.graph_lipschitz())
+    ops = cell_operators_by_definition(dom)
+    lap = sum(op.T @ op for op in ops).tocsr()
+    free, bnd = dom.interior_flat, dom.boundary_flat
+    lap_ff = lap[free][:, free]
+    ref = scipy.sparse.linalg.spsolve(lap_ff.tocsc(), -(lap[free][:, bnd] @ g.values))
+    mid = 0.5 * g.values.min() + 0.5 * g.values.max()
+    rhs = np.linalg.norm(lap_ff @ (ref - mid))
+    lam_min = np.linalg.eigvalsh(lap_ff.toarray())[0]
+    assert 0 < iterations <= free.size
+    assert np.linalg.norm(start[free] - ref) <= 1.01 * solver._CG_RTOL * rhs / lam_min
+    assert np.array_equal(start[bnd], g.values)
+
+
+def test_harmonic_start_of_linear_line_data_is_the_a1_minimizer():
+    """A1's data is u = x on [0, 1]: the start is the answer, so level 2
+    has nothing left to do."""
+    cfg = acceptance._cfg(acceptance.bundled_config_dir(), "a1_line.cfg")
+    g = cfg.boundary_data()
+    dom = g.domain
+    start, _ = solver._harmonic_start(g, g.graph_lipschitz())
+    assert np.max(np.abs(start - dom.coords[:, 0])) <= 1e-12
+    rep = solver.infinity_solve(g, cfg.integrand_obj(), cfg.solver)
+    assert rep.levels[0].k == 2
+    assert (rep.levels[0].stop, rep.levels[0].iterations) == ("gradient_tolerance", 0)
+
+
+def test_the_start_and_the_levels_account_for_every_cg_iteration(monkeypatch):
+    its = []
+    pcg = solver._pcg
+
+    def counting(A, b, rtol):
+        out = pcg(A, b, rtol)
+        its.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_pcg", counting)
+    dom = GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.125)
+    g = BoundaryData.from_function(
+        dom, lambda c: np.abs(c[:, 0]) ** (4 / 3) - np.abs(c[:, 1]) ** (4 / 3))
+    rep = solver.infinity_solve(g, SQ, SolverConfig(k_max=8))
+    assert rep.start_cg_iterations == its[0] > 0
+    assert sum(its) == rep.start_cg_iterations + sum(lv.cg_iterations for lv in rep.levels)
+    zero = solver.infinity_solve(g, SQ, SolverConfig(k_max=8, initialization="zero"))
+    assert zero.start_cg_iterations == 0
+
+
+def test_harmonic_start_stays_in_the_data_range_around_an_exterior_cavity():
+    """Exterior nodes inside the box with no boundary band around them.
+    The free node at (4, 4) lies in no cell, so its row of the k = 1
+    Hessian is empty; it must still get a finite value in the data range."""
+    box = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.125)
+    cls = box.classification.reshape(box.dims).copy()
+    for i, j in [(5, 4), (4, 5), (3, 5), (5, 3), (5, 5), (6, 5), (5, 6)]:
+        cls[i, j] = EXTERIOR
+    dom = GridDomain(box.spec, box.lower, box.h, box.dims, cls.reshape(-1))
+    orphan = dom.flat_of_multi((4, 4))
+    assert orphan in dom.interior_flat
+    assert orphan not in solver._cell_operators(dom).corners
+    g = BoundaryData.from_function(dom, lambda c: 2.0 + c[:, 0] ** 2 - c[:, 1])
+    start, _ = solver._harmonic_start(g, g.graph_lipschitz())
+    inside = dom.nonexterior_flat
+    assert np.all(np.isfinite(start[inside]))
+    assert np.all(np.isnan(start[dom.classification == EXTERIOR]))
+    assert g.values.min() <= start[inside].min()
+    assert start[inside].max() <= g.values.max()
+    rep = solver.infinity_solve(g, SQ, SolverConfig(k_max=4))
+    assert np.all(np.isfinite(rep.solution.values[inside]))
 
 
 def test_aux_solve_sides_and_validation():
