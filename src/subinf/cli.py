@@ -147,6 +147,8 @@ def _report_entries(report) -> dict:
         entries[f"result.level.{lv.k}.energy_end"] = lv.energy_end
         entries[f"result.level.{lv.k}.change"] = \
             "none" if lv.change is None else lv.change
+        entries[f"result.level.{lv.k}.scale"] = lv.scale
+        entries[f"result.level.{lv.k}.unseen"] = lv.unseen
     return entries
 
 

@@ -27,6 +27,9 @@ is 0.
 
 The first level starts from the harmonic extension of the boundary
 data, the k = 1 minimizer of the squared norm (_harmonic_start).  Each
+level's energy is homogeneous, so its minimizer does not depend on how
+the field is scaled: every level divides its fields by the largest cell
+|Xu| of its own start (_cell_q), which is one pass over the cells.  Each
 level is solved by damped Newton steps on the free nodes with an
 exact line search along each step (see _descend), and reports why it
 stopped (LevelReport); only gradient_tolerance counts as converged.
@@ -65,10 +68,11 @@ _EXP_MAX = 709.0
 class BoundaryData:
     """Prescribed values on the boundary nodes of a grid domain.
 
-    graph_lipschitz (the solve's scale) is an exact sweep over node pairs
-    through groups.pair_kernel; a solve starts from the harmonic extension
-    of the data (_harmonic_start).  extend_nearest, the nearest-boundary
-    step function, is no longer a start and no solve calls it.
+    A solve starts from the harmonic extension of the data
+    (_harmonic_start) and scales each level by its start (_run_schedule).
+    Neither graph_lipschitz, an exact sweep over boundary pairs through
+    groups.pair_kernel, nor extend_nearest, the nearest-boundary step
+    function, is called by a solve.
     """
 
     def __init__(self, domain: GridDomain, values):
@@ -128,11 +132,11 @@ class BoundaryData:
     def graph_lipschitz(self) -> float:
         """Largest |g(a) - g(b)| / gauge distance over boundary pairs.
 
-        The solve divides every field by it (see _Objective), so the
-        scaled boundary data has this constant 1.  It does not bound the
-        solution's slopes: max |Xu| can sit above it, as on the gauge box
-        of heisenberg1 at h = 1/8, where it is 1.0 and the k = 16
-        solution's max |Xu| is 1.19.  The gauge
+        No solve uses it as its scale any more: it does not bound the
+        solution's slopes, as on the gauge box of heisenberg1 at h = 1/8,
+        where it is 1.0 and the k = 16 solution's max |Xu| is 1.19, so
+        that the weights q^(kappa-1) of the high levels left the double
+        range.  The gauge
         distance is the left kernel's root, as in groups.gauge_distance;
         grushin, which has no gauge, uses the coordinate distance.  Both
         are symmetric bit for bit, and so is |g(a) - g(b)|, so only the
@@ -253,7 +257,11 @@ class LevelReport:
     """How the descent of one k level ended.
 
     stop is gradient_tolerance, stalled, budget or overflow (see
-    _descend); only gradient_tolerance counts as converged.
+    _descend); only gradient_tolerance counts as converged.  residual is
+    the last max |g| per cell in the level's own units: scale is the
+    divisor of its fields (_Objective), the largest cell |Xu| of its
+    start.  unseen counts the free nodes its last iterate cannot move:
+    every cell touching them weighs below 1e-6 of the heaviest (_unseen).
     cg_iterations totals the CG iterations over the level's Newton
     systems, re-solves at the tight tolerance included (see _descend),
     and seconds is the level's wall time.  energy_start and
@@ -271,6 +279,8 @@ class LevelReport:
     energy_start: float
     energy_end: float
     change: float | None
+    scale: float
+    unseen: int
 
     @property
     def converged(self) -> bool:
@@ -282,10 +292,9 @@ class SolveReport:
     """Outcome of a solve: the field plus convergence bookkeeping.
 
     energy_trace maps each k level to its per-iteration objective values
-    (cell quadrature, original units).  residual is the final
-    Euler-Lagrange sup-norm in normalized units: fields divided by
-    BoundaryData.graph_lipschitz of the boundary data (see _Objective),
-    which does not bound the scaled f(Xu).  levels holds one
+    (cell quadrature, original units).  residual is the last level's
+    final Euler-Lagrange sup-norm, in that level's units: its fields
+    divided by LevelReport.scale (see _Objective).  levels holds one
     LevelReport per descent run, warm-up levels included; converged
     requires the last one to have met gradient_tolerance.
     start_cg_iterations is the CG work of the harmonic start (0 for
@@ -358,9 +367,8 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
     if not eps >= 0:
         raise ParameterError("eps must be nonnegative")
     dom = u.domain
-    V = _cell_gradient(_cell_operators(dom), u.values)
     cell = float(dom.h) ** dom.spec.dim
-    q, kappa = np.sum(V * V, axis=0), 0.5 * f.alpha * int(k)
+    q, kappa = _cell_q(dom, u.values), 0.5 * f.alpha * int(k)
     with np.errstate(over="ignore"):
         total = float(np.sum(_power_law(q, kappa)[0])) * cell
     s = float(np.sum(u.values[dom.interior_flat])) if eps > 0 else 0.0
@@ -506,11 +514,9 @@ class _Objective:
     """Scaled cell-quadrature energy for one (k, eps, side) level.
 
     Fields are divided by scale = max(L^alpha, eps)^(1/alpha), with L
-    = slope_scale, the graph_lipschitz of the boundary data, so the
-    scaled boundary data has gauge Lipschitz constant at most 1.  The
-    scaled f(Xu) is not bounded by 1: the solution's max |Xu| can sit
-    above L, and so can the harmonic start's (2.2 against L = 1.0 on the
-    heisenberg1 gauge box at h = 1/8).  The source
+    = slope_scale, the largest cell |Xu| of the level's start, so that
+    with eps = 0 the scaled start has max |Xu| = 1, and its cell weights
+    q^(kappa-1) are at most 1 however large k is.  The source
     coefficient is folded into a single scalar so the scaled minimizer
     maps back to the original one exactly.  The energy, its gradient, its
     Hessian and the line search all take F = q^kappa, F' and F'' per cell
@@ -650,7 +656,11 @@ def _line_minimize(obj: _Objective, state, slope: float, phi0: float):
 
     The restricted energy is convex in t, so Newton steps on its
     derivative bracketed by bisection converge fast; starts at t = 1 and
-    returns the best step found in _LINE_EVALS evaluations.  phi0 is the
+    returns the best step found in _LINE_EVALS evaluations.  At high
+    kappa a Newton step from t = 1 moves t by only about 1/(2 kappa), so
+    once the bracket is finite, a Newton step not shorter than half the
+    step before last gives way to bisection (rtsafe, Press et al.,
+    Numerical Recipes, section 9.4).  phi0 is the
     energy at t = 0, value_grad's energy of the iterate, which line_eval
     would return there bit for bit.  Convexity
     also gives phi(t) <= phi(s) for s < t wherever phi'(t) <= 0, so such
@@ -661,6 +671,7 @@ def _line_minimize(obj: _Objective, state, slope: float, phi0: float):
     t = 1.0
     best_t, best_phi = 0.0, phi0
     dphi0 = abs(slope)
+    moved = before = math.inf  # the last two changes of t
     for _ in range(_LINE_EVALS):
         phi, dphi, d2phi = obj.line_eval(state, t)
         if not math.isfinite(phi):
@@ -680,12 +691,17 @@ def _line_minimize(obj: _Objective, state, slope: float, phi0: float):
             t_new = t - dphi / d2phi
         else:
             t_new = math.nan
-        if math.isfinite(t_new) and t_lo < t_new < t_hi:
-            t = t_new
+        # rtsafe's safeguard: within a finite bracket, a Newton step not
+        # shorter than half the step before last gives way to bisection
+        if (math.isfinite(t_new) and t_lo < t_new < t_hi
+                and (math.isinf(t_hi) or abs(t_new - t) < 0.5 * before)):
+            t_next = t_new
         elif math.isinf(t_hi):
-            t = 2.0 * t
+            t_next = 2.0 * t
         else:
-            t = 0.5 * (t_lo + t_hi)
+            t_next = 0.5 * (t_lo + t_hi)
+        moved, before = abs(t_next - t), moved
+        t = t_next
         if math.isfinite(t_hi) and t_hi - t_lo <= 1e-14 * max(t_hi, 1e-300):
             break
     return best_t
@@ -700,6 +716,8 @@ _SHIFT_CAP, _SHIFT_FLOOR = 1e-3, 1e-14
 _CG_RTOL, _ETA_MAX = 1e-8, 0.5
 # Energy evaluations per line search, see _line_minimize.
 _LINE_EVALS = 60
+# Relative cell weight below which a level cannot see a node, see _unseen.
+_UNSEEN = 1e-6
 
 
 def _forcing(residual: float, ratio: float | None) -> float:
@@ -851,13 +869,41 @@ def _level_message(levels) -> str:
     return "; ".join("k=%d: %s" % (lv.k, lv.stop) for lv in levels)
 
 
-def _harmonic_start(g: BoundaryData, slope: float):
+def _cell_q(domain: GridDomain, full: np.ndarray) -> np.ndarray:
+    """q = |Xu|^2 per cell of the full-lattice field u.
+
+    energy() sums q^kappa over it, and a level's scale is sqrt(max q) of
+    its start (see _run_schedule).
+    """
+    V = _cell_gradient(_cell_operators(domain), full)
+    return np.sum(V * V, axis=0)
+
+
+def _unseen(obj: _Objective, q: np.ndarray) -> int:
+    """Free nodes that every touching cell weighs below _UNSEEN at q.
+
+    A cell's weight in the level's Hessian, relative to the heaviest
+    cell's, is (q / max q)^(kappa - 1).  A free node whose cells all sit
+    below _UNSEEN, or that lies in no cell, is one the level cannot move.
+    """
+    top = float(np.max(q))
+    rel = q / top if top > 0.0 else np.zeros_like(q)
+    heavy = rel ** (obj.kappa - 1.0) >= _UNSEEN
+    seen = np.zeros(obj.domain.n_nodes, dtype=bool)
+    for corner in obj.cells.corners:
+        seen[corner[heavy]] = True
+    return int(obj.free.size - np.count_nonzero(seen[obj.free]))
+
+
+def _harmonic_start(g: BoundaryData):
     """The discrete Dirichlet (harmonic) extension of g, and its CG iterations.
 
     This is the k = 1 level of the squared norm on the same cells: its
     Hessian 2 cell sum_i X_i^T X_i does not depend on the field, so the
     minimizer is one _pcg solve to _CG_RTOL, with no damping and no line
-    search, scaled by slope as the levels are.  The solve is for the
+    search.  It is scaled, as a level is, by the largest cell |Xu| of its
+    start, the constant midpoint field; as the energy is quadratic, that
+    affects only rounding.  The solve is for the
     correction to the constant field at the midpoint m of the data's
     range: a large offset in g then cannot overflow the energy, and a
     free node that no cell touches, whose row of H is empty, has no
@@ -865,9 +911,13 @@ def _harmonic_start(g: BoundaryData, slope: float):
     nodes are NaN.
     """
     dom = g.domain
-    obj = _Objective(dom, g.base_values(), Integrand(2.0), 1, 0.0, "lower", slope)
+    base = g.base_values()
     mid = 0.5 * float(np.min(g.values)) + 0.5 * float(np.max(g.values))
-    z = np.full(obj.free.size, mid / obj.scale)
+    flat = base.copy()
+    flat[dom.interior_flat] = mid
+    slope = math.sqrt(float(np.max(_cell_q(dom, flat))))
+    obj = _Objective(dom, base, Integrand(2.0), 1, 0.0, "lower", slope)
+    z = obj.z0_of(flat)
     _, grad, point = obj.value_grad(z)
     iterations = 0
     if np.any(grad):
@@ -888,37 +938,41 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
 
     The first level starts from the harmonic extension of g
     (initialization boundary, see _harmonic_start) or from zero on the
-    free nodes (initialization zero).  Without chain, the levels are
-    config.schedule() and the run stops once consecutive levels agree to
-    config.cross_tolerance.  A chain is run to its end, and converges when
+    free nodes (initialization zero).  Each level is scaled by the
+    largest cell |Xu| of its start; the q = |Xu|^2 of a level's answer
+    gives the next level's scale and this level's unseen count.  Without
+    chain, the levels are config.schedule() and the run stops once
+    consecutive levels agree to config.cross_tolerance.  A chain is run to its end, and converges when
     its last level does.
     """
     dom = g.domain
     base = g.base_values()
-    slope = g.graph_lipschitz()
     # a level reads its start on the free nodes only (z0_of)
     if config.initialization == "boundary":
-        warm, start_cg = _harmonic_start(g, slope)
+        warm, start_cg = _harmonic_start(g)
     else:
         warm, start_cg = base, 0
+    q = _cell_q(dom, warm)
     trace = {}
     levels = []
     prev_vals = None
     stopped = False
     for k in chain or config.schedule():
         start = time.perf_counter()
-        obj = _Objective(dom, base, f, k, eps, side, slope)
+        obj = _Objective(dom, base, f, k, eps, side, math.sqrt(float(np.max(q))))
         z, level_trace, residual, iters, stop, cg_iters = _descend(
             obj, obj.z0_of(warm), config)
         trace[k] = [obj.energy_original_units(e) for e in level_trace]
         vals = obj.solution_of(z)
+        q = _cell_q(dom, vals)
         diff = None
         if prev_vals is not None:
             diff = float(np.max(np.abs(
                 vals[dom.interior_flat] - prev_vals[dom.interior_flat])))
         levels.append(LevelReport(k, iters, residual, stop, cg_iters,
                                   time.perf_counter() - start,
-                                  trace[k][0], trace[k][-1], diff))
+                                  trace[k][0], trace[k][-1], diff,
+                                  obj.scale, _unseen(obj, q)))
         prev_vals = vals
         if diff is not None and not chain and diff <= config.cross_tolerance:
             stopped = True

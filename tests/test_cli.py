@@ -96,8 +96,10 @@ def test_solve_manifest_records_resolved_config(tmp_path):
     assert "result.level.4.iterations = " in text
     assert "result.level.4.residual = " in text
     assert "result.level.2.change = none" in text
-    for key in ("cg_iterations", "energy_start", "energy_end", "change"):
+    for key in ("cg_iterations", "energy_start", "energy_end", "change", "scale"):
         assert f"result.level.4.{key} = " in text
+    # linear data: the level's start is the answer, with slope 1 in every cell
+    assert "result.level.4.unseen = 0" in text
 
 
 def test_solve_reports_nonconvergence_with_exit_3(tmp_path, capsys):
