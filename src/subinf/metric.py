@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
+
+# scipy.sparse.csgraph is imported inside the functions that use it: it
+# loads scipy.sparse.linalg and scipy.linalg, which no solve needs.
 
 from .errors import ConnectivityError, ParameterError
 from .grids import GridDomain
@@ -179,6 +181,8 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
 
 
 def _check_connected(graph: HorizontalGraph) -> None:
+    from scipy.sparse import csgraph
+
     dom = graph.domain
     n_comp, labels = csgraph.connected_components(graph.matrix, directed=False)
     live = dom.nonexterior_flat
@@ -194,6 +198,8 @@ def _check_connected(graph: HorizontalGraph) -> None:
 
 def cc_distance(graph: HorizontalGraph, a, b, return_path: bool = False):
     """Shortest horizontal path cost between two lattice nodes."""
+    from scipy.sparse import csgraph
+
     ia, ib = graph.node_index(a), graph.node_index(b)
     dist, pred = csgraph.dijkstra(
         graph.matrix, directed=False, indices=ia, return_predecessors=True
@@ -214,5 +220,7 @@ def cc_distance(graph: HorizontalGraph, a, b, return_path: bool = False):
 
 def cc_distances_from(graph: HorizontalGraph, a) -> np.ndarray:
     """All-node distance vector from one source (inf where unreachable)."""
+    from scipy.sparse import csgraph
+
     ia = graph.node_index(a)
     return csgraph.dijkstra(graph.matrix, directed=False, indices=ia)

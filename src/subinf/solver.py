@@ -42,7 +42,8 @@ loose far from the minimizer, down to 1e-8 near it.  A capped or loose
 iterate is still a descent direction; a step along one that makes no
 progress is solved again to 1e-8 before the level ends as stalled.
 Each step sums the Hessian's per-cell blocks into a csr pattern that is
-laid out once per lattice (_Cells), with one bincount.
+laid out once per lattice (_Cells), with one bincount, and damps its
+diagonal in place.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import groups
 from .errors import IncompleteFieldError, ParameterError
@@ -570,16 +572,16 @@ class _Objective:
         leaves the double range.
         """
         V = _cell_gradient(self.cells, self.full_of(z))
-        q = np.sum(V * V, axis=0)
+        q = (V * V).sum(axis=0)
         F, F1, F2 = _power_law(q, self.kappa)
-        e = float(np.sum(F))
+        e = float(F.sum())
         if not math.isfinite(e):
             return math.inf, None, None
         # the gradient of F(|V|^2) in V is 2 F' V
         w = 2.0 * F1 * V
         g_full = _cell_adjoint(self.cells, w, self.domain.n_nodes)
         g = g_full[self.free] + self.sign * self.src
-        return self.cell * (e + self.sign * self.src * float(np.sum(z))), \
+        return self.cell * (e + self.sign * self.src * float(z.sum())), \
             self.cell * g, _Point(z, V, q, F1, F2)
 
     def hessian(self, point):
@@ -614,10 +616,10 @@ class _Objective:
         dfull = np.zeros(self.domain.n_nodes)
         dfull[self.free] = d
         W = _cell_gradient(self.cells, dfull)
-        qa = np.sum(W * W, axis=0)
-        qb = 2.0 * np.sum(point.V * W, axis=0)
-        lin0 = self.sign * self.src * float(np.sum(point.z))
-        lin1 = self.sign * self.src * float(np.sum(d))
+        qa = (W * W).sum(axis=0)
+        qb = 2.0 * (point.V * W).sum(axis=0)
+        lin0 = self.sign * self.src * float(point.z.sum())
+        lin1 = self.sign * self.src * float(d.sum())
         return (qa, qb, point.q, lin0, lin1)
 
     def line_eval(self, state, t: float):
@@ -631,11 +633,11 @@ class _Objective:
         q = np.maximum((qa * t + qb) * t + qc, 0.0)
         qp = 2.0 * qa * t + qb
         F, F1, F2 = _power_law(q, self.kappa)
-        e0 = float(np.sum(F))
+        e0 = float(F.sum())
         if not math.isfinite(e0):
             return math.inf, math.inf, math.inf
-        e1 = float(np.sum(F1 * qp))
-        e2 = float(np.sum(F2 * qp * qp + 2.0 * F1 * qa))
+        e1 = float((F1 * qp).sum())
+        e2 = float((F2 * qp * qp + 2.0 * F1 * qa).sum())
         phi = self.cell * (e0 + lin0 + t * lin1)
         dphi = self.cell * (e1 + lin1)
         return phi, dphi, self.cell * e2
@@ -736,25 +738,33 @@ def _forcing(residual: float, ratio: float | None) -> float:
 
 
 def _pcg(A, b: np.ndarray, rtol: float):
-    """Jacobi-preconditioned conjugate gradients for A x = b, A SPD.
+    """Jacobi-preconditioned conjugate gradients for A x = b, A SPD csr.
 
     Starts from x = 0 and stops once |r|_2 <= rtol |b|_2, or after as
     many iterations as there are unknowns.  Every iterate minimizes
     x.A x / 2 - b.x over a Krylov space that contains b, so b.x > 0
     even for a capped or loose solve.  x, r, z and p are updated in
-    place.  Returns (x, iterations).
+    place.  A p is scipy's csr_matvec kernel, the one A @ p runs, called
+    directly into one buffer zeroed each iteration: on lattices of about
+    a thousand free nodes scipy's per-call dispatch of A @ p costs about
+    half as much as the kernel.  The kernel needs A's indptr and indices
+    of one dtype, as csr_matrix keeps them.  Returns (x, iterations).
     """
-    scale = np.max(np.abs(b))
+    n = b.size
+    scale = np.abs(b).max()
     r = b / scale  # |b|_2 itself overflows once entries pass ~1e154
     x = np.zeros_like(r)
     step = np.empty_like(r)
+    ap = np.empty_like(r)
     inv = 1.0 / A.diagonal()
     z = inv * r
     p = z.copy()
     rz = r @ z
     stop = rtol * math.sqrt(r @ r)
-    for it in range(1, r.size + 1):
-        ap = A @ p
+    indptr, indices, data = A.indptr, A.indices, A.data
+    for it in range(1, n + 1):
+        ap.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, p, ap)
         alpha = rz / (p @ ap)
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=ap)
@@ -777,16 +787,18 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
     the relative term mu is cut by 0.3 after a full step (t near 1) and
     raised by 3 otherwise, and the identity term, which shrinks with
     the gradient (Fan and Yuan's Levenberg-Marquardt rule), keeps the
-    system regular where flat cells leave rows of H empty.  H + D is
-    SPD, and _pcg solves it by Jacobi-preconditioned CG from d = 0, at
-    most one iteration per free node, to the relative residual that
-    _forcing picks from the residual and the fall of |g|_2: loose while
-    the iterate is far from the minimizer, down to _CG_RTOL = 1e-8 near
-    it.  Every CG iterate, capped or loose, is a descent direction, so
-    it goes to the line search like a converged one.  When a step makes
-    no progress (see stalled below) along a loosely solved direction,
-    the same system is solved again to _CG_RTOL before the level gives
-    up, so only a direction solved to _CG_RTOL can end it as stalled.
+    system regular where flat cells leave rows of H empty.  D is added
+    in place to the diagonal of H's csr, read first, so a step builds
+    one csr.  H + D is SPD, and _pcg solves it by Jacobi-preconditioned
+    CG from d = 0, at most one iteration per free node, to the relative
+    residual that _forcing picks from the residual and the fall of
+    |g|_2: loose while the iterate is far from the minimizer, down to
+    _CG_RTOL = 1e-8 near it.  Every CG iterate, capped or loose, is a
+    descent direction, so it goes to the line search like a converged
+    one.  When a step makes no progress (see stalled below) along a
+    loosely solved direction, the same system is solved again to
+    _CG_RTOL before the level gives up, so only a direction solved to
+    _CG_RTOL can end it as stalled.
 
     Returns (z, energy trace, residual, iterations, stop, CG
     iterations): iterations is the number of accepted steps, the CG
@@ -807,7 +819,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
     prev = None  # largest entry and scaled 2-norm of the last gradient
     stop = None
     while True:
-        gmax = float(np.max(np.abs(g)))
+        gmax = float(np.abs(g).max())
         residual = gmax / obj.cell
         if residual <= config.gradient_tolerance:
             stop = "gradient_tolerance"
@@ -820,21 +832,19 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
         ratio = None if prev is None else gmax / prev[0] * (gnorm / prev[1])
         prev = (gmax, gnorm)
         rtol = _forcing(residual, ratio)
-        hess = obj.hessian(point)
+        A = obj.hessian(point)
         diag_pos = obj.cells.diag_pos
-        diag = hess.data[diag_pos]
-        top = float(np.max(diag))
+        diag = A.data[diag_pos]
+        top = float(diag.max())
         shift = (min(gmax, _SHIFT_CAP * top) + _SHIFT_FLOOR * top
                  if top > 0.0 else gmax)
         with np.errstate(invalid="ignore", over="ignore"):
-            damped = hess.data.copy()
-            damped[diag_pos] += mu * diag + shift
-        A = sp.csr_matrix((damped, hess.indices, hess.indptr), shape=hess.shape)
+            A.data[diag_pos] += mu * diag + shift
         while True:
             with np.errstate(invalid="ignore", over="ignore"):
                 d, its = _pcg(A, -g, rtol)
             cg_iterations += its
-            if not np.all(np.isfinite(d)):
+            if not np.isfinite(d).all():
                 stop = "overflow"
                 break
             state = obj.direction_state(point, d)
@@ -845,7 +855,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
                     stop = "overflow"
                     break
                 if (e - e_new > 1e-15 * abs(e)
-                        or np.max(np.abs(g_new)) <= 0.5 * gmax):
+                        or np.abs(g_new).max() <= 0.5 * gmax):
                     break
             # no step, or the energy fell by no more than its rounding
             # error and the residual did not halve: the numerical floor,

@@ -323,6 +323,27 @@ def test_thread_cap_is_set_before_numpy_loads(entry):
     assert out.split() == ["3"]
 
 
+def test_solve_does_not_load_the_graph_stack(tmp_path):
+    """metric imports scipy.sparse.csgraph only where it is used, so a
+    solve in a fresh interpreter loads neither csgraph nor the linear
+    algebra it pulls in."""
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    script = (
+        "import sys\n"
+        "from subinf import cli\n"
+        f"code = cli.main(['solve', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+        "assert code == 0, code\n"
+        "print('loaded', *[m for m in ('scipy.sparse.csgraph',\n"
+        "    'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subinf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1].split() == ["loaded"]
+
+
 @pytest.mark.parametrize("check", ["subelliptic", "amle"])
 def test_verify_zero_trials_exits_2(tmp_path, capsys, monkeypatch, check):
     monkeypatch.setattr(cli, "_solve_problem", _no_solve)

@@ -507,8 +507,8 @@ def test_line_search_sees_the_energy_the_descent_tests(lattice, f, k, start):
     assert d2phi == pytest.approx(d @ (obj.hessian(point) @ d), rel=1e-12)
 
 
-def _damped_newton_system(geometry, lower, upper, h, k, start):
-    """The first Newton system (H + D, g) of a level, damped as in _descend."""
+def _first_newton_iterate(geometry, lower, upper, h, k, start):
+    """A level's objective and the free values its descent starts from."""
     dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
     g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, 1] ** 2)
     obj = solver._Objective(dom, g.base_values(), SQ, k, 0.0, "lower",
@@ -516,6 +516,12 @@ def _damped_newton_system(geometry, lower, upper, h, k, start):
     n = dom.interior_flat.size
     z = (np.zeros(n) if start == "flat"
          else np.random.default_rng(k).normal(scale=0.3, size=n))
+    return obj, z
+
+
+def _damped_newton_system(geometry, lower, upper, h, k, start):
+    """The first Newton system (H + D, g) of a level, damped as in _descend."""
+    obj, z = _first_newton_iterate(geometry, lower, upper, h, k, start)
     _, grad, point = obj.value_grad(z)
     hess = obj.hessian(point)
     diag = hess.diagonal()
@@ -586,11 +592,43 @@ def test_pcg_solves_the_damped_newton_system(geometry, lower, upper, h, k,
 @pytest.mark.parametrize("rtol", [solver._CG_RTOL, 1e-3, 0.5])
 def test_pcg_matches_the_reference_loop_bit_for_bit(geometry, lower, upper, h,
                                                     k, start, rtol):
+    """Also on int64 indices: _pcg calls scipy's csr kernel itself, which
+    takes indptr and indices of either index dtype."""
     A, g = _damped_newton_system(geometry, lower, upper, h, k, start)
-    x, its = solver._pcg(A, g, rtol)
     ref, its_ref = reference_pcg(A, g, rtol)
-    assert its == its_ref
-    assert np.array_equal(x, ref)
+    wide = A.copy()
+    wide.indptr = A.indptr.astype(np.int64)
+    wide.indices = A.indices.astype(np.int64)
+    for M in (A, wide):
+        x, its = solver._pcg(M, g, rtol)
+        assert its == its_ref
+        assert np.array_equal(x, ref)
+
+
+@DAMPED_SYSTEMS
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("start", ["random", "flat"])
+def test_descend_damps_the_hessian_in_place(monkeypatch, geometry, lower,
+                                            upper, h, k, start):
+    """_descend adds D to the diagonal of the step's own Hessian csr; the
+    first system _pcg gets is H + D entry for entry, on the lattice's
+    csr pattern."""
+    systems = []
+    pcg = solver._pcg
+
+    def recording(A, b, rtol):
+        systems.append((A.copy(), b.copy()))
+        return pcg(A, b, rtol)
+
+    monkeypatch.setattr(solver, "_pcg", recording)
+    obj, z = _first_newton_iterate(geometry, lower, upper, h, k, start)
+    solver._descend(obj, z, SolverConfig(max_iterations=1))
+    A, b = systems[0]
+    ref, grad = _damped_newton_system(geometry, lower, upper, h, k, start)
+    assert np.array_equal(b, -grad)
+    assert np.array_equal(A.indptr, obj.cells.indptr)
+    assert np.array_equal(A.indices, obj.cells.indices)
+    assert np.array_equal(A.toarray(), ref.toarray())
 
 
 def test_pcg_keeps_its_stop_rule_beyond_the_range_of_the_2_norm():
