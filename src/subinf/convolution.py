@@ -34,7 +34,11 @@ within the square root of what the horizontal gaps leave of the bound, so
 a tile meets only the t levels that can hold its maximisers.  The window
 lists y in ascending flat order, so ``argmax`` picks the same node as
 over all of them.  ``shrink_domain`` cuts its boundary band to the windows
-of its own threshold.
+of its own threshold.  The windows are array passes over a table with one
+row per (tile, line), for groups of consecutive tiles: a group's table and
+its concatenated windows each stay within ``_BLOCK`` entries unless one
+tile's window alone is larger, so memory does not grow with the lattice or
+with eps, up to eps = inf.
 
 *Extreme points.*  Along each axis a, the centred second difference
 D_a(x, y) = (K(x + h e_a, y) - 2 K(x, y) + K(x - h e_a, y)) / h^2 is
@@ -73,55 +77,75 @@ def _require_group(dom: GridDomain) -> None:
             f"the convolution needs a group law; {dom.spec.id} has none")
 
 
-def _window(dom: GridDomain, lo: np.ndarray, hi: np.ndarray, bound: float,
-            kernel: str) -> np.ndarray:
-    """Flat indices, ascending, of every y with K(x, y) <= bound for some x in a tile.
+def _runs(sizes: np.ndarray, limit: int):
+    """Yield [start, stop) runs of consecutive items whose sizes sum to at most limit.
 
-    The tile spans the multi-indices [lo, hi].  The window is a set of lines
-    along the last axis, one per index of the axes before it within
-    bound^(1/p) of the tile.  On euclidean:n, K is at least the squared
-    index gaps to the tile along those axes, g, plus the squared difference
-    along the last axis.  On heisenberg1, K(x, y) >= g^2 + v^2 with
-    v = +-(x_t - y_t) + w and w = 2 (x_0 y_1 - x_1 y_0) (the minus sign for
-    the left kernel); on one line, w is linear in x and spans the values at
-    the tile's corners.  ``bound`` must already allow for rounding.
+    An item larger than ``limit`` is a run of its own.
+    """
+    start, total = 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if i > start and total + size > limit:
+            yield start, i
+            start, total = i, 0
+        total += size
+    if sizes.size:
+        yield start, sizes.size
+
+
+def _lines(dom: GridDomain, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray,
+           tick_lo: np.ndarray, ticks: np.ndarray, kernel: str):
+    """(starts, counts): the flat index runs of the window lines of a group of tiles.
+
+    Row i of each argument describes one tile: its corner multi-indices lo
+    and hi, its bound (already allowing for rounding) and, along each axis
+    before the last, the first index of its lines and their number.  A line
+    runs along the last axis, one per combination of those indices, tile by
+    tile and in C order within a tile; it keeps the y that can satisfy the
+    bound for some x in the tile.  On euclidean:n, K is at least the
+    squared index gaps to the tile along the axes before the last, g, plus
+    the squared difference along the last axis.  On heisenberg1,
+    K(x, y) >= g^2 + v^2 with v = +-(x_t - y_t) + w and
+    w = 2 (x_0 y_1 - x_1 y_0) (the minus sign for the left kernel); on one
+    line, w is linear in x and spans the values at the tile's corners.
     """
     spec, h = dom.spec, dom.h
-    dims = np.asarray(dom.dims)
     last = spec.dim - 1
-    reach = int(min(bound ** (1.0 / spec.gauge_exponent) / h + 1e-9, dims.max()))
-    ticks = [np.arange(max(lo[a] - reach, 0), min(hi[a] + reach, dims[a] - 1) + 1)
-             for a in range(last)]
-    g = reduce(np.add.outer, [(np.maximum(np.maximum(lo[a] - j, j - hi[a]), 0) * h) ** 2
-                              for a, j in enumerate(ticks)], np.zeros(())).reshape(-1)
-    x_lo = dom.lower[last] + lo[last] * h
-    x_hi = dom.lower[last] + hi[last] * h
+    n_lines = ticks.prod(axis=1)
+    tile = np.repeat(np.arange(n_lines.size), n_lines)
+    rest = np.arange(tile.size) - np.repeat(np.cumsum(n_lines) - n_lines, n_lines)
+    j = np.empty((last, tile.size), dtype=np.int64)
+    for a in reversed(range(last)):
+        rest, j[a] = np.divmod(rest, ticks[tile, a])
+        j[a] += tick_lo[tile, a]
+    g = np.zeros(tile.size)
+    for a in range(last):
+        g = g + (np.maximum(np.maximum(lo[tile, a] - j[a], j[a] - hi[tile, a]), 0) * h) ** 2
+    bound = bound[tile]
+    x_lo = (dom.lower[last] + lo[:, last] * h)[tile]
+    x_hi = (dom.lower[last] + hi[:, last] * h)[tile]
     with np.errstate(invalid="ignore"):
         if spec.name == "euclidean":
             half = np.sqrt(bound - g)
             y_lo, y_hi = x_lo - half, x_hi + half
         else:
             half = np.sqrt(bound - g * g)
-            y0, y1 = (dom.lower[a] + j * h for a, j in enumerate(ticks))
-            x0, x1 = (dom.lower[a] + np.array([lo[a], hi[a]]) * h for a in range(2))
-            w = 2.0 * (np.multiply.outer(x0, y1)[:, None, None, :]
-                       - np.multiply.outer(x1, y0)[None, :, :, None])
-            w = w.reshape(4, -1)
+            y0, y1 = (dom.lower[a] + j[a] * h for a in range(2))
+            x0, x1 = ([(dom.lower[a] + c[:, a] * h)[tile] for c in (lo, hi)] for a in range(2))
+            w = [2.0 * (c0 * y1 - c1 * y0) for c0 in x0 for c1 in x1]
+            w_min, w_max = reduce(np.minimum, w), reduce(np.maximum, w)
             if kernel == "right":  # y_t = x_t + w -+ v
-                y_lo, y_hi = x_lo + w.min(axis=0) - half, x_hi + w.max(axis=0) + half
+                y_lo, y_hi = x_lo + w_min - half, x_hi + w_max + half
             else:  # y_t = x_t - w +- v
-                y_lo, y_hi = x_lo - w.max(axis=0) - half, x_hi - w.min(axis=0) + half
+                y_lo, y_hi = x_lo - w_max - half, x_hi - w_min + half
         first = np.ceil((y_lo - dom.lower[last]) / h - 1e-9)
         stop = np.floor((y_hi - dom.lower[last]) / h + 1e-9) + 1
     # fmax and fmin also map an empty line (NaN) to first = stop
-    first = np.fmin(np.fmax(first, 0), dims[last]).astype(np.int64)
-    stop = np.fmin(np.fmax(stop, first), dims[last]).astype(np.int64)
-    starts = first + reduce(np.add.outer, [j * dom.strides[a] for a, j in enumerate(ticks)],
-                            np.zeros((), dtype=np.int64)).reshape(-1)
-    counts = stop - first
-    total = int(counts.sum())
-    run_start = np.cumsum(counts) - counts
-    return np.repeat(starts - run_start, counts) + np.arange(total)
+    first = np.fmin(np.fmax(first, 0), dom.dims[last]).astype(np.int64)
+    stop = np.fmin(np.fmax(stop, first), dom.dims[last]).astype(np.int64)
+    starts = first.copy()
+    for a in range(last):
+        starts += j[a] * dom.strides[a]
+    return starts, stop - first
 
 
 def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_mask: np.ndarray,
@@ -130,11 +154,15 @@ def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_mask: np.ndarray,
 
     The x nodes are taken in cubic tiles of about ``_TILE_NODES`` nodes.  A pair
     can matter when K(x, y) <= bound[i] for x = x_flat[i]; a tile meets
-    the nodes of ``y_mask`` in its ``_window`` for the largest bound in the
-    tile, in ascending flat order.  Tiles with no such y are skipped, and a
-    tile with more than ``_BLOCK`` pairs is split by rows.
+    the nodes of ``y_mask`` in its window for the largest bound in the tile
+    (see the module docstring), in ascending flat order.  Tiles with no
+    such y are skipped, and a tile with more than ``_BLOCK`` pairs is split
+    by rows.  The windows of consecutive tiles are computed together, by
+    ``_lines``, in groups whose lines and then whose concatenated windows
+    number at most ``_BLOCK`` unless one tile alone has more.
     """
-    spec = dom.spec
+    spec, h = dom.spec, dom.h
+    last = spec.dim - 1
     # what the rounding of coordinates and of K can add to K
     scale = 1.0 + float(np.max(np.abs([dom.lower, dom.upper])))
     slop = 1e-12 * scale ** spec.gauge_exponent
@@ -142,19 +170,43 @@ def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_mask: np.ndarray,
     mi = dom.multi_indices[x_flat]
     key = np.ravel_multi_index(tuple((mi // width).T), tuple(-(-d // width) for d in dom.dims))
     order = np.argsort(key, kind="stable")
-    cuts = np.flatnonzero(np.diff(key[order])) + 1
-    heads = np.concatenate(([0], cuts))
-    tile_bound = np.maximum.reduceat(np.broadcast_to(bound, x_flat.shape)[order], heads)
+    x_sorted = x_flat[order]
+    heads = np.concatenate(([0], np.flatnonzero(np.diff(key[order])) + 1))
+    tails = np.append(heads[1:], x_flat.size)
+    tile_bound = np.maximum.reduceat(np.broadcast_to(bound, x_flat.shape)[order], heads) \
+        * (1.0 + 1e-9) + slop
     tile_lo = np.minimum.reduceat(mi[order], heads)
     tile_hi = np.maximum.reduceat(mi[order], heads)
-    for xs, b, lo, hi in zip(np.split(x_flat[order], cuts), tile_bound, tile_lo, tile_hi):
-        ys = _window(dom, lo, hi, b * (1.0 + 1e-9) + slop, kernel)
-        ys = ys[y_mask[ys]]
-        if ys.size == 0:
-            continue
-        rows = max(1, _BLOCK // ys.size)
-        for start in range(0, xs.size, rows):
-            yield xs[start : start + rows], ys
+    # lines within bound^(1/p) of the tile along the axes before the last;
+    # a scalar power per tile, as numpy's array power may round differently
+    top = max(dom.dims)
+    reach = np.array([int(min(b ** (1.0 / spec.gauge_exponent) / h + 1e-9, top))
+                      for b in tile_bound.tolist()], dtype=np.int64)[:, None]
+    tick_lo = np.maximum(tile_lo[:, :last] - reach, 0)
+    ticks = np.minimum(tile_hi[:, :last] + reach, np.asarray(dom.dims[:last], dtype=np.int64) - 1) - tick_lo + 1
+    n_lines = ticks.prod(axis=1)
+    for t0, t1 in _runs(n_lines, _BLOCK):
+        starts, counts = _lines(dom, tile_lo[t0:t1], tile_hi[t0:t1], tile_bound[t0:t1],
+                                tick_lo[t0:t1], ticks[t0:t1], kernel)
+        line_ends = np.cumsum(n_lines[t0:t1])
+        line_heads = line_ends - n_lines[t0:t1]
+        sizes = np.add.reduceat(counts, line_heads)
+        for s0, s1 in _runs(sizes, _BLOCK):
+            lines = slice(line_heads[s0], line_ends[s1 - 1])
+            c = counts[lines]
+            ys = np.repeat(starts[lines] - (np.cumsum(c) - c), c) + np.arange(int(c.sum()))
+            keep = y_mask[ys]
+            # the kept y of tile t0 + s0 + i are ys[cuts[i] : cuts[i + 1]]
+            cuts = np.concatenate(([0], np.cumsum(keep)))
+            cuts = cuts[np.concatenate(([0], np.cumsum(sizes[s0:s1])))]
+            ys = ys[keep]
+            for t, a, b in zip(range(t0 + s0, t0 + s1), cuts[:-1].tolist(), cuts[1:].tolist()):
+                if a == b:
+                    continue
+                xs = x_sorted[heads[t] : tails[t]]
+                rows = max(1, _BLOCK // (b - a))
+                for start in range(0, xs.size, rows):
+                    yield xs[start : start + rows], ys[a:b]
 
 
 @dataclass

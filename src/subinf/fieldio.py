@@ -17,6 +17,7 @@ import numpy as np
 from . import groups
 from .errors import ConfigError
 from .grids import (
+    CLASS_CODES,
     EXTERIOR,
     GridDomain,
     ScalarField,
@@ -26,6 +27,8 @@ from .grids import (
 
 FORMAT_TAG = "subinf-field"
 FORMAT_VERSION = 1
+# node lines parsed at once; 1024 raised a 4 913-node solve's peak RSS by 0.5 MB
+_READ_LINES = 256
 
 
 def _fmt(x: float) -> str:
@@ -85,6 +88,54 @@ def _header_value(rd: _LineReader, key: str) -> list[str]:
     return parts[1:]
 
 
+def _node_table(rd: _LineReader, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classification codes and values of the node table that starts at ``rd.pos``.
+
+    Blocks of ``_READ_LINES`` lines are joined with a ``|`` token between
+    lines and split once.  No index, classification or value parses as
+    ``|``, so a block whose every fourth token is ``|`` has three tokens on
+    every line.  A block is taken when that holds, its indices count up
+    from its first line's and every classification and value parses.
+    Anything else sends the whole table through the line-by-line loop,
+    which names the first offending line.
+    """
+    start = rd.pos
+    lines = rd.lines[start : start + n_nodes]
+    classification = np.empty(n_nodes, dtype=np.int8)
+    values = np.zeros(n_nodes)
+    try:
+        if len(lines) < n_nodes:
+            raise ValueError
+        for lo in range(0, n_nodes, _READ_LINES):
+            block = lines[lo : lo + _READ_LINES]
+            n = len(block)
+            tokens = " | ".join(block).split()
+            if len(tokens) != 4 * n - 1 or tokens[3::4] != ["|"] * (n - 1) \
+                    or list(map(int, tokens[0::4])) != list(range(lo, lo + n)):
+                raise ValueError
+            classification[lo : lo + n] = list(map(CLASS_CODES.__getitem__, tokens[1::4]))
+            values[lo : lo + n] = np.fromiter(map(float, tokens[2::4]), float, n)
+        rd.pos = start + n_nodes
+        return classification, values
+    except (ValueError, KeyError):
+        pass
+    for expect in range(n_nodes):
+        parts = rd.next().split()
+        if len(parts) != 3:
+            raise rd.error("node line must be: index classification value")
+        try:
+            flat = int(parts[0])
+            code = classification_code(parts[1])
+            val = float(parts[2])
+        except Exception as exc:
+            raise rd.error(str(exc)) from None
+        if flat != expect:
+            raise rd.error(f"node index {flat} out of order (expected {expect})")
+        classification[flat] = code
+        values[flat] = val
+    return classification, values
+
+
 def field_from_text(text: str, source: str = "<field>") -> ScalarField:
     rd = _LineReader(text, source)
     tag = rd.next().split()
@@ -114,22 +165,7 @@ def field_from_text(text: str, source: str = "<field>") -> ScalarField:
     if n_nodes != int(np.prod(dims)):
         raise rd.error(f"node count {n_nodes} does not match dims {dims}")
 
-    classification = np.empty(n_nodes, dtype=np.int8)
-    values = np.zeros(n_nodes)
-    for expect in range(n_nodes):
-        parts = rd.next().split()
-        if len(parts) != 3:
-            raise rd.error("node line must be: index classification value")
-        try:
-            flat = int(parts[0])
-            code = classification_code(parts[1])
-            val = float(parts[2])
-        except Exception as exc:
-            raise rd.error(str(exc)) from None
-        if flat != expect:
-            raise rd.error(f"node index {flat} out of order (expected {expect})")
-        classification[flat] = code
-        values[flat] = val
+    classification, values = _node_table(rd, n_nodes)
     if rd.pos != len(rd.lines) and any(s.strip() for s in rd.lines[rd.pos:]):
         raise ConfigError(f"{source}, line {rd.pos + 1}: trailing content after node table")
 

@@ -28,7 +28,7 @@ BOUNDARY = 1
 EXTERIOR = 2
 
 _CLASS_NAMES = {INTERIOR: "interior", BOUNDARY: "boundary", EXTERIOR: "exterior"}
-_CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
+CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
 
 
 def classification_name(code: int) -> str:
@@ -37,7 +37,7 @@ def classification_name(code: int) -> str:
 
 def classification_code(name: str) -> int:
     try:
-        return _CLASS_CODES[name]
+        return CLASS_CODES[name]
     except KeyError:
         raise ParameterError(f"unknown node classification {name!r}") from None
 

@@ -104,6 +104,11 @@ class HorizontalGraph:
 def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph:
     """Build the horizontal move graph over all non-exterior nodes.
 
+    Each move template flows every node at once and snaps the endpoints
+    one coordinate column at a time.  A directed edge is the key
+    source * N + target (N lattice nodes) until the parallel edges are
+    merged; the reversed copies are then added and averaged.
+
     Parameters
     ----------
     domain : GridDomain
@@ -121,11 +126,10 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
         raise ParameterError(f"graph depth must be >= 1, got {depth}")
     spec = domain.spec
     h = domain.h
+    n = domain.n_nodes
     nodes = domain.nonexterior_flat
     coords = domain.coords[nodes]
-    dims_arr = np.asarray(domain.dims)
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
+    keys: list[np.ndarray] = []
     costs: list[np.ndarray] = []
     kinds_used: set[str] = set()
 
@@ -133,47 +137,47 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
         ends = coords
         for c in controls:
             ends = _flow(spec, ends, c, h)
-        steps = (ends - domain.lower[None, :]) / h
-        idx = np.ceil(steps - 0.5).astype(np.int64)
-        inside = np.all((idx >= 0) & (idx < dims_arr[None, :]), axis=1)
-        idx = np.clip(idx, 0, dims_arr[None, :] - 1)
-        flat = (idx * domain.strides[None, :]).sum(axis=1)
+        inside = np.ones(nodes.size, dtype=bool)
+        flat = np.zeros(nodes.size, dtype=np.int64)
+        for a, size in enumerate(domain.dims):
+            col = np.ceil((ends[:, a] - domain.lower[a]) / h - 0.5).astype(np.int64)
+            inside &= (col >= 0) & (col < size)
+            flat += np.minimum(np.maximum(col, 0), size - 1) * domain.strides[a]
         valid = inside & domain.nonexterior_mask[flat] & (flat != nodes)
-        if not np.any(valid):
+        key = nodes[valid] * n + flat[valid]
+        if key.size == 0:
             continue
         kinds_used.add(kind)
-        srcs.append(nodes[valid])
-        dsts.append(flat[valid])
-        costs.append(np.full(int(valid.sum()), cost_units * h))
+        keys.append(key)
+        costs.append(np.full(key.size, cost_units * h))
 
-    if not srcs:
+    if not keys:
         raise ConnectivityError(
             f"no usable moves at depth {depth} on {spec.id}; every endpoint snapped back"
         )
-    s = np.concatenate(srcs)
-    d = np.concatenate(dsts)
+    key = np.concatenate(keys)
     c = np.concatenate(costs)
 
-    # Cheapest cost among parallel directed edges.
-    key = s * domain.n_nodes + d
+    # Cheapest cost among parallel directed edges (key = source * n + target).
     order = np.lexsort((c, key))
-    key, s, d, c = key[order], s[order], d[order], c[order]
+    key, c = key[order], c[order]
     first = np.ones(key.size, dtype=bool)
     first[1:] = key[1:] != key[:-1]
-    s, d, c = s[first], d[first], c[first]
+    key, c = key[first], c[first]
+    s, d = key // n, key % n
 
     # Orientation averaging: add the reversed copy and merge by mean.
     s2 = np.concatenate([s, d])
     d2 = np.concatenate([d, s])
     c2 = np.concatenate([c, c])
-    key = s2 * domain.n_nodes + d2
+    key = s2 * n + d2
     uniq, inv = np.unique(key, return_inverse=True)
     sums = np.bincount(inv, weights=c2)
     counts = np.bincount(inv)
     w = sums / counts
-    us = (uniq // domain.n_nodes).astype(np.int64)
-    ud = (uniq % domain.n_nodes).astype(np.int64)
-    matrix = sp.coo_matrix((w, (us, ud)), shape=(domain.n_nodes, domain.n_nodes)).tocsr()
+    us = (uniq // n).astype(np.int64)
+    ud = (uniq % n).astype(np.int64)
+    matrix = sp.coo_matrix((w, (us, ud)), shape=(n, n)).tocsr()
 
     graph = HorizontalGraph(domain, depth, matrix, tuple(sorted(kinds_used)))
     _check_connected(graph)

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,7 @@ def heisenberg_with_holes():
 
 
 DYADIC = {
+    "line": lambda: GridDomain.box(groups.euclidean(1), [-1], [1], 0.125),
     "plane": lambda: GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.125),
     "space": lambda: GridDomain.box(groups.euclidean(3), [0, -0.5, 0], [1, 1, 1.25], 0.25),
     "heis": lambda: GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.25),
@@ -263,8 +266,14 @@ def _cases(dom):
 
 
 @pytest.mark.parametrize("kernel", ["right", "left"])
-@pytest.mark.parametrize("name", sorted(DYADIC) + sorted(NON_DYADIC))
-def test_convolutions_equal_dense_sweep_bit_for_bit(name, kernel):
+@pytest.mark.parametrize("name, block", [
+    *(pytest.param(name, None, id=name) for name in sorted(DYADIC) + sorted(NON_DYADIC)),
+    # a 7-pair block splits the tile groups and the rows of every tile
+    *(pytest.param(name, 7, id=name + "-block7") for name in sorted(DYADIC) + sorted(NON_DYADIC)),
+])
+def test_convolutions_equal_dense_sweep_bit_for_bit(name, block, kernel, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(convolution, "_BLOCK", block)
     dom = {**DYADIC, **NON_DYADIC}[name]()
     for u, eps in _cases(dom):
         field, arg, shrunk = dense_sup(u, eps, kernel)
@@ -277,6 +286,98 @@ def test_convolutions_equal_dense_sweep_bit_for_bit(name, kernel):
         assert inf_rep.field.values.tobytes() == (-field).tobytes()
         assert np.array_equal(inf_rep.attainment, arg)
         assert np.array_equal(inf_rep.shrunken, shrunk)
+
+
+# -- per-tile reference: each tile's window computed on its own --
+
+
+def tile_window(dom, lo, hi, bound, kernel):
+    """Flat indices, ascending, of every y with K(x, y) <= bound for some x in a tile."""
+    spec, h = dom.spec, dom.h
+    dims = np.asarray(dom.dims)
+    last = spec.dim - 1
+    reach = int(min(bound ** (1.0 / spec.gauge_exponent) / h + 1e-9, dims.max()))
+    ticks = [np.arange(max(lo[a] - reach, 0), min(hi[a] + reach, dims[a] - 1) + 1)
+             for a in range(last)]
+    g = reduce(np.add.outer, [(np.maximum(np.maximum(lo[a] - j, j - hi[a]), 0) * h) ** 2
+                              for a, j in enumerate(ticks)], np.zeros(())).reshape(-1)
+    x_lo = dom.lower[last] + lo[last] * h
+    x_hi = dom.lower[last] + hi[last] * h
+    with np.errstate(invalid="ignore"):
+        if spec.name == "euclidean":
+            half = np.sqrt(bound - g)
+            y_lo, y_hi = x_lo - half, x_hi + half
+        else:
+            half = np.sqrt(bound - g * g)
+            y0, y1 = (dom.lower[a] + j * h for a, j in enumerate(ticks))
+            x0, x1 = (dom.lower[a] + np.array([lo[a], hi[a]]) * h for a in range(2))
+            w = 2.0 * (np.multiply.outer(x0, y1)[:, None, None, :]
+                       - np.multiply.outer(x1, y0)[None, :, :, None])
+            w = w.reshape(4, -1)
+            if kernel == "right":
+                y_lo, y_hi = x_lo + w.min(axis=0) - half, x_hi + w.max(axis=0) + half
+            else:
+                y_lo, y_hi = x_lo - w.max(axis=0) - half, x_hi - w.min(axis=0) + half
+        first = np.ceil((y_lo - dom.lower[last]) / h - 1e-9)
+        stop = np.floor((y_hi - dom.lower[last]) / h + 1e-9) + 1
+    first = np.fmin(np.fmax(first, 0), dims[last]).astype(np.int64)
+    stop = np.fmin(np.fmax(stop, first), dims[last]).astype(np.int64)
+    starts = first + reduce(np.add.outer, [j * dom.strides[a] for a, j in enumerate(ticks)],
+                            np.zeros((), dtype=np.int64)).reshape(-1)
+    counts = stop - first
+    run_start = np.cumsum(counts) - counts
+    return np.repeat(starts - run_start, counts) + np.arange(int(counts.sum()))
+
+
+def tile_blocks(dom, x_flat, y_mask, bound, kernel):
+    """The (xs, ys) blocks of ``_windowed_blocks``, one tile window at a time."""
+    scale = 1.0 + float(np.max(np.abs([dom.lower, dom.upper])))
+    slop = 1e-12 * scale ** dom.spec.gauge_exponent
+    width = max(1, round(convolution._TILE_NODES ** (1.0 / len(dom.dims))))
+    mi = dom.multi_indices[x_flat]
+    key = np.ravel_multi_index(tuple((mi // width).T), tuple(-(-d // width) for d in dom.dims))
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    heads = np.concatenate(([0], cuts))
+    tile_bound = np.maximum.reduceat(np.broadcast_to(bound, x_flat.shape)[order], heads)
+    tile_lo = np.minimum.reduceat(mi[order], heads)
+    tile_hi = np.maximum.reduceat(mi[order], heads)
+    for xs, b, lo, hi in zip(np.split(x_flat[order], cuts), tile_bound, tile_lo, tile_hi):
+        ys = tile_window(dom, lo, hi, b * (1.0 + 1e-9) + slop, kernel)
+        ys = ys[y_mask[ys]]
+        if ys.size == 0:
+            continue
+        rows = max(1, convolution._BLOCK // ys.size)
+        for start in range(0, xs.size, rows):
+            yield xs[start : start + rows], ys
+
+
+@pytest.mark.parametrize("kernel", ["right", "left"])
+@pytest.mark.parametrize("name", sorted(DYADIC) + sorted(NON_DYADIC))
+def test_windowed_blocks_equal_the_per_tile_windows(name, kernel, monkeypatch):
+    dom = {**DYADIC, **NON_DYADIC}[name]()
+    calls = []
+    blocks = convolution._windowed_blocks
+
+    def recorded(*args):
+        calls.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(convolution, "_windowed_blocks", recorded)
+    for u, eps in _cases(dom):
+        calls.clear()
+        convolution.sup_convolution(u, eps, kernel)
+        # the sup sweep (a bound per non-exterior node) and the shrink
+        # sweep (one threshold against the boundary band)
+        sweeps = [args[2] is dom.nonexterior_mask for args in calls]
+        assert sweeps == [True, False]
+        for args in calls:
+            got = list(blocks(*args))
+            want = list(tile_blocks(*args))
+            assert len(got) == len(want)
+            for (gx, gy), (wx, wy) in zip(got, want):
+                assert np.array_equal(gx, wx) and gx.dtype == wx.dtype
+                assert np.array_equal(gy, wy) and gy.dtype == wy.dtype
 
 
 def test_convolution_evaluates_fewer_pairs_than_the_dense_sweep(monkeypatch):

@@ -121,3 +121,52 @@ def test_write_table(tmp_path):
         fieldio.write_table(p, [[1.0], [2.0]], ["only"])
     with pytest.raises(ConfigError):
         fieldio.write_table(p, [[1.0], [2.0, 3.0]], ["a", "b"])
+
+
+def multi_block_text():
+    """A 2 500-node plane field: node 1500 is in neither its first nor its last read block."""
+    dom = GridDomain.box(groups.euclidean(2), [0, 0], [4.9, 4.9], 0.1)
+    assert fieldio._READ_LINES <= 1500 < dom.n_nodes - fieldio._READ_LINES
+    vals = np.random.default_rng(3).normal(size=dom.n_nodes)
+    return fieldio.field_to_text(ScalarField(dom, vals))
+
+
+def _with_line(text, node, line):
+    lines = text.splitlines()
+    lines[6 + node] = line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1500 interior 0.2.5", "could not convert string to float: '0.2.5'"),
+    ("1500 inner 0.25", "unknown node classification 'inner'"),
+    ("1501 interior 0.25", "node index 1501 out of order (expected 1500)"),
+    ("1500 interior", "node line must be: index classification value"),
+    ("1500 interior 0.25 7", "node line must be: index classification value"),
+])
+def test_reader_names_the_bad_line_in_a_middle_block(line, message):
+    text = _with_line(multi_block_text(), 1500, line)
+    with pytest.raises(ConfigError) as err:
+        fieldio.field_from_text(text, source="mid.field")
+    assert str(err.value) == f"mid.field, line 1507: {message}"
+
+
+def test_reader_rejects_a_short_line_before_a_long_one_at_the_short_one():
+    # together the two lines hold six tokens, as two good lines would
+    text = _with_line(multi_block_text(), 1500, "1500 interior")
+    text = _with_line(text, 1501, "0.25 1501 interior 0.5")
+    with pytest.raises(ConfigError, match="line 1507: node line must be"):
+        fieldio.field_from_text(text)
+
+
+def test_reader_accepts_tabs_and_repeated_spaces(monkeypatch):
+    text = multi_block_text()
+    # the line-by-line loop is for bad tables only; a good one never reaches it
+    monkeypatch.setattr(fieldio, "classification_code", None)
+    head, table = text.split("nodes 2500\n")
+    spaced = head + "nodes 2500\n" + table.replace(" ", "\t  ")
+    u = fieldio.field_from_text(text)
+    v = fieldio.field_from_text(spaced)
+    assert fieldio.field_to_text(v) == text
+    assert v.values.tobytes() == u.values.tobytes()
+    assert np.array_equal(v.domain.classification, u.domain.classification)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from subinf import groups, metric
 from subinf.errors import ConnectivityError, ParameterError
 from subinf.grids import GridDomain
+
+from test_convolution import heisenberg_with_holes
 
 
 def test_euclidean_depth1_axis_moves():
@@ -105,3 +108,106 @@ def test_disconnected_lattice_is_reported():
     dom = GridDomain(spec, np.array([0.0]), 0.125, (7,), classification)
     with pytest.raises(ConnectivityError):
         metric.build_graph(dom, depth=1)
+
+
+# -- reference: the graph built from whole (node, axis) arrays per move --
+
+
+def reference_graph(domain, depth=None):
+    if depth is None:
+        depth = domain.spec.step
+    spec = domain.spec
+    h = domain.h
+    nodes = domain.nonexterior_flat
+    coords = domain.coords[nodes]
+    dims_arr = np.asarray(domain.dims)
+    srcs, dsts, costs = [], [], []
+    kinds_used = set()
+    for kind, controls, cost_units in metric._move_controls(spec.horizontal_dim, depth):
+        ends = coords
+        for c in controls:
+            ends = metric._flow(spec, ends, c, h)
+        steps = (ends - domain.lower[None, :]) / h
+        idx = np.ceil(steps - 0.5).astype(np.int64)
+        inside = np.all((idx >= 0) & (idx < dims_arr[None, :]), axis=1)
+        idx = np.clip(idx, 0, dims_arr[None, :] - 1)
+        flat = (idx * domain.strides[None, :]).sum(axis=1)
+        valid = inside & domain.nonexterior_mask[flat] & (flat != nodes)
+        if not np.any(valid):
+            continue
+        kinds_used.add(kind)
+        srcs.append(nodes[valid])
+        dsts.append(flat[valid])
+        costs.append(np.full(int(valid.sum()), cost_units * h))
+    if not srcs:
+        raise ConnectivityError(
+            f"no usable moves at depth {depth} on {spec.id}; every endpoint snapped back"
+        )
+    s = np.concatenate(srcs)
+    d = np.concatenate(dsts)
+    c = np.concatenate(costs)
+    key = s * domain.n_nodes + d
+    order = np.lexsort((c, key))
+    key, s, d, c = key[order], s[order], d[order], c[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    s, d, c = s[first], d[first], c[first]
+    s2 = np.concatenate([s, d])
+    d2 = np.concatenate([d, s])
+    c2 = np.concatenate([c, c])
+    key = s2 * domain.n_nodes + d2
+    uniq, inv = np.unique(key, return_inverse=True)
+    w = np.bincount(inv, weights=c2) / np.bincount(inv)
+    us = (uniq // domain.n_nodes).astype(np.int64)
+    ud = (uniq % domain.n_nodes).astype(np.int64)
+    matrix = sp.coo_matrix((w, (us, ud)), shape=(domain.n_nodes, domain.n_nodes)).tocsr()
+    graph = metric.HorizontalGraph(domain, depth, matrix, tuple(sorted(kinds_used)))
+    metric._check_connected(graph)
+    return graph
+
+
+GRAPH_DOMAINS = {
+    "euclidean1": lambda: GridDomain.box(groups.euclidean(1), [-1.0], [0.7], 0.1),
+    "euclidean2": lambda: GridDomain.box(groups.euclidean(2), [0, -0.5], [1, 0.75], 0.125),
+    "euclidean3": lambda: GridDomain.box(groups.euclidean(3), [0, 0, 0], [1, 0.5, 0.75], 0.25),
+    "heisenberg1": lambda: GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.25),
+    "heisenberg1_h0.1": lambda: GridDomain.box(groups.heisenberg1(), [0.2, -0.3, -0.4],
+                                               [0.8, 0.5, 0.4], 0.1),
+    "heisenberg_with_holes": heisenberg_with_holes,
+    "grushin": lambda: GridDomain.box(groups.grushin(), [-1, -1], [1, 1], 0.125),
+}
+
+
+def _graph_or_error(build, dom, depth):
+    try:
+        return build(dom, depth)
+    except ConnectivityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, None])
+@pytest.mark.parametrize("name", sorted(GRAPH_DOMAINS))
+def test_graph_equals_the_reference_array_for_array(name, depth):
+    dom = GRAPH_DOMAINS[name]()
+    got = _graph_or_error(metric.build_graph, dom, depth)
+    want = _graph_or_error(reference_graph, dom, depth)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got.matrix, part), getattr(want.matrix, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.move_kinds == want.move_kinds
+    assert got.depth == want.depth
+
+
+@pytest.mark.parametrize("classification, message", [
+    ([1, 0, 1, 2, 1, 0, 1], "node (4,) is unreachable in the depth-1 graph on euclidean:1"),
+    ([1, 2, 1, 2, 0, 2, 1], "no usable moves at depth 1 on euclidean:1"),
+])
+def test_connectivity_errors_match_the_reference(classification, message):
+    dom = GridDomain(groups.euclidean(1), np.array([0.0]), 0.125, (7,),
+                     np.array(classification, dtype=np.int8))
+    got = _graph_or_error(metric.build_graph, dom, 1)
+    assert got == _graph_or_error(reference_graph, dom, 1)
+    assert got.startswith(message)
