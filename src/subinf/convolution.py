@@ -33,12 +33,15 @@ whose twisted vertical term +-(x_t - y_t) + 2 (x_0 y_1 - x_1 y_0) can stay
 within the square root of what the horizontal gaps leave of the bound, so
 a tile meets only the t levels that can hold its maximisers.  The window
 lists y in ascending flat order, so ``argmax`` picks the same node as
-over all of them.  ``shrink_domain`` cuts its boundary band to the windows
-of its own threshold.  The windows are array passes over a table with one
-row per (tile, line), for groups of consecutive tiles: a group's table and
-its concatenated windows each stay within ``_BLOCK`` entries unless one
-tile's window alone is larger, so memory does not grow with the lattice or
-with eps, up to eps = inf.
+over all of them.  ``shrink_domain`` first drops every x that has a band
+node y with K(x, y) below its threshold among the nearest band nodes along
+x's axis lines (one forward and one backward accumulate per axis), then
+cuts the boundary band to the windows of its threshold for the x that are
+left.  The windows are array passes over a table with one row per (tile,
+line), for groups of consecutive tiles: a group's table and its
+concatenated windows each stay within ``_BLOCK`` entries unless one tile's
+window alone is larger, so memory does not grow with the lattice or with
+eps, up to eps = inf.
 
 *Extreme points.*  Along each axis a, the centred second difference
 D_a(x, y) = (K(x + h e_a, y) - 2 K(x, y) + K(x - h e_a, y)) / h^2 is
@@ -60,7 +63,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedGeometryError
 from .grids import GridDomain, ScalarField
-from .groups import pair_kernel
+from .groups import gauge_kernel, inverse, multiply, pair_kernel
 
 _TILE_NODES = 64  # about this many x nodes in one tile
 _BLOCK = 65_536  # most (x, y) pairs evaluated at once: 512 kB per array, in cache
@@ -221,25 +224,63 @@ class ConvolutionReport:
     shrunken: np.ndarray  # nodes of shrink_domain(domain, (1 + 4 r0) eps)
 
 
+def _axis_band_nodes(dom: GridDomain, x_flat: np.ndarray) -> np.ndarray:
+    """(2 n, len(x_flat)) nearest band nodes of each x along its axis lines.
+
+    Rows 2a and 2a + 1 hold the flat index of the last band node before x
+    and of the first one after it on x's line along axis a, -1 where there
+    is none; exterior nodes between them do not matter.
+    """
+    band = dom.boundary_mask.reshape(dom.dims)
+    idx = np.arange(dom.n_nodes).reshape(dom.dims)
+    rows = []
+    for axis in range(band.ndim):
+        before = np.where(band, idx, -1)
+        np.maximum.accumulate(before, axis=axis, out=before)
+        after = np.flip(np.where(band, idx, dom.n_nodes), axis)
+        np.minimum.accumulate(after, axis=axis, out=after)
+        rows += [before.reshape(-1)[x_flat], np.flip(after, axis).reshape(-1)[x_flat]]
+    out = np.stack(rows)
+    out[out == dom.n_nodes] = -1
+    return out
+
+
 def shrink_domain(dom: GridDomain, eps: float, kernel: str = "right") -> np.ndarray:
     """Interior nodes at kernel distance >= eps from the boundary band.
 
     Returns the flat indices of {x interior : min_y in band K(x, y) >= eps}.
-    eps = 0 keeps every interior node.  Band nodes outside an x tile's
-    window for threshold eps have K > eps and cannot remove x, so only the
-    band nodes inside it are evaluated.
+    eps = 0 keeps every interior node.  Any one band node y with
+    K(x, y) < eps removes x, so the nearest band nodes along x's axis lines
+    are tried first, elementwise (``gauge_kernel(multiply(...))``, bit for
+    bit the K of ``pair_kernel``).  The x they do not remove meet the band
+    nodes of their tile's window for threshold eps; the band nodes outside
+    it have K > eps and cannot remove x.
     """
     _require_group(dom)
     if not eps >= 0:
         raise ParameterError(f"shrink threshold must be nonnegative, got {eps}")
+    if kernel not in ("right", "left"):
+        raise ParameterError(f"kernel must be 'right' or 'left', got {kernel!r}")
     interior = dom.interior_flat
     if eps == 0.0 or dom.boundary_flat.size == 0:
         return interior.copy()
+    spec = dom.spec
+    ys = _axis_band_nodes(dom, interior)
+    pair = ys >= 0
+    x, y = dom.coords[np.broadcast_to(interior, ys.shape)[pair]], dom.coords[ys[pair]]
+    if kernel == "right":
+        K = gauge_kernel(spec, multiply(spec, x, inverse(spec, y)))
+    else:
+        K = gauge_kernel(spec, multiply(spec, inverse(spec, x), y))
+    near = np.zeros(ys.shape, dtype=bool)
+    near[pair] = K < eps
+    rest = interior[~near.any(axis=0)]
     keep = np.ones(dom.n_nodes, dtype=bool)
-    for xs, ys in _windowed_blocks(dom, interior, dom.boundary_mask, np.float64(eps), kernel):
-        K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel)
-        keep[xs] = K.min(axis=1) >= eps
-    return interior[keep[interior]]
+    if rest.size:
+        for xs, ys in _windowed_blocks(dom, rest, dom.boundary_mask, np.float64(eps), kernel):
+            K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel)
+            keep[xs] = K.min(axis=1) >= eps
+    return rest[keep[rest]]
 
 
 def sup_convolution(u: ScalarField, eps: float, kernel: str = "right") -> ConvolutionReport:

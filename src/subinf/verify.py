@@ -4,6 +4,11 @@ Four audits: degenerate subellipticity of the shipped operators,
 viscosity sub/supersolution tests via discretely certified touching
 quadratics, the comparison-principle margin, and the absolutely
 minimizing property on random sub-boxes.
+
+The touching test is small matrix products over every (candidate, node)
+pair at once: the unit ring of offsets first, for every pair, then the
+rest of the radius-2 stencil for the few pairs the ring leaves open (see
+``viscosity_check``).  It is bound by arithmetic, not by Python calls.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .integrands import Integrand
 from .solver import BoundaryData, SolverConfig, infinity_solve
 
 _KINDS = ("infinity_laplacian", "aronsson", "aux_lower", "aux_upper", "custom")
-_CHUNK = 32_768  # (offset, node) entries per ring plane in one chunk: 256 kB, in cache
+_CHUNK = 32_768  # gaps (candidate, node) or (offset, pair) in one product: 256 kB, in cache
 _JETS = 16_384  # certified jets whose operator values are evaluated at once
 
 
@@ -193,34 +198,106 @@ def _second_difference_matrices(nb, center: np.ndarray, n: int, h: float):
     return D2
 
 
-def _gap_planes(delta: np.ndarray, du: np.ndarray, fwd: np.ndarray,
-                bwd: np.ndarray, D2: np.ndarray) -> list[np.ndarray]:
-    """(offset, node) planes [base, J_0, ..., J_{n-1}, Q] of the candidate gaps.
+@dataclass(frozen=True)
+class _Jets:
+    """Candidate quadratics (lam, zeta, g, H), C of them, and the node data they mix.
+
+    fwd, bwd (node, n) are the one-sided axis slopes and D2 (node, n, n)
+    the second differences of u at the interior nodes.
+    """
+
+    lam: np.ndarray
+    zeta: np.ndarray
+    g: np.ndarray
+    H: np.ndarray
+    fwd: np.ndarray
+    bwd: np.ndarray
+    D2: np.ndarray
+
+    def at(self, c: np.ndarray, k: np.ndarray):
+        """Gradient xi and symmetric matrix S of candidates c at interior nodes k."""
+        # take(axis=0) gathers short rows about 10x faster than a[k]
+        lam = np.take(self.lam, c, axis=0)
+        xi = lam * np.take(self.fwd, k, axis=0) + (1.0 - lam) * np.take(self.bwd, k, axis=0) \
+            + np.take(self.g, c, axis=0)
+        S = self.zeta[c][:, None, None] * np.take(self.D2, k, axis=0) + np.take(self.H, c, axis=0)
+        return xi, S
+
+
+def _ring_planes(delta: np.ndarray, du: np.ndarray, fwd: np.ndarray,
+                 bwd: np.ndarray, D2: np.ndarray) -> np.ndarray:
+    """(offset, n + 3, node) planes [base, J_0, ..., J_{n-1}, Q, 1] of the candidate gaps.
 
     See viscosity_check.  du holds u(x + delta) - u(x), NaN where the
     neighbor is missing; the NaN carries into base.
     """
     n = delta.shape[1]
+    planes = np.empty((delta.shape[0], n + 3, du.shape[1]))
     base = np.multiply.outer(delta[:, 0], bwd[:, 0])
     for a in range(1, n):
         base += np.multiply.outer(delta[:, a], bwd[:, a])
-    base -= du
-    J = [np.multiply.outer(delta[:, a], fwd[:, a] - bwd[:, a]) for a in range(n)]
-    Q = np.zeros_like(base)
+    np.subtract(base, du, out=planes[:, 0])
+    for a in range(n):
+        np.multiply.outer(delta[:, a], fwd[:, a] - bwd[:, a], out=planes[:, 1 + a])
+    Q = planes[:, n + 1]
+    Q[...] = 0.0
     for a in range(n):
         for b in range(n):
             Q += np.multiply.outer(delta[:, a] * delta[:, b], D2[:, a, b])
     Q *= 0.5
-    return [base, *J, Q]
+    planes[:, n + 2] = 1.0
+    return planes
 
 
-def _gap(planes: list[np.ndarray], lam: np.ndarray, zeta: float) -> np.ndarray:
-    """base + sum_a lam_a J_a + zeta Q, summed in that order."""
-    gap = planes[0] + lam[0] * planes[1]
-    for a in range(1, lam.size):
-        gap += lam[a] * planes[1 + a]
-    gap += zeta * planes[-1]
-    return gap
+def _touching(delta: np.ndarray, nbv: np.ndarray, center: np.ndarray,
+              jets: _Jets, slack: float):
+    """(above, below): the (candidate, node) pairs whose quadratic touches u.
+
+    A pair is above when its gap is >= -slack at every offset of the
+    stencil, and below when it is <= slack; see viscosity_check for the
+    two stages.  nbv holds u(x + delta), offset-major, NaN where the
+    neighbor is missing.
+    """
+    n = delta.shape[1]
+    n_c, n_int = jets.zeta.size, center.size
+    ring = 3**n
+    # stage 1: one row [1, lam, zeta, c] per candidate and ring offset
+    near = delta[:ring]
+    coef = np.empty((ring, n_c, n + 3))
+    coef[:, :, 0] = 1.0
+    coef[:, :, 1 : n + 1] = jets.lam
+    coef[:, :, n + 1] = jets.zeta
+    coef[:, :, n + 2] = (np.einsum("ia,oa->io", jets.g, near)
+                         + 0.5 * np.einsum("oa,iab,ob->io", near, jets.H, near)).T
+    lowest = np.zeros((n_c, n_int))  # the centre gap, exactly 0
+    highest = np.zeros((n_c, n_int))
+    width = max(1, _CHUNK // n_c)
+    for start in range(0, n_int, width):
+        cols = slice(start, start + width)
+        planes = _ring_planes(near, nbv[:ring, cols] - center[cols],
+                              jets.fwd[cols], jets.bwd[cols], jets.D2[cols])
+        lo, hi = lowest[:, cols], highest[:, cols]
+        for r in range(ring):
+            if r != ring // 2:
+                gap = coef[r] @ planes[r]
+                np.fmin(lo, gap, out=lo)
+                np.fmax(hi, gap, out=hi)
+    # stage 2: the other offsets, at the pairs the ring leaves open
+    far = delta[ring:]
+    phi = np.concatenate([far, 0.5 * np.einsum("oa,ob->oab", far, far).reshape(-1, n * n)],
+                         axis=1)
+    lowest, highest = lowest.reshape(-1), highest.reshape(-1)
+    pairs = np.flatnonzero((lowest >= -slack) | (highest <= slack))  # c n_int + k
+    step = max(1, _CHUNK // far.shape[0])
+    for start in range(0, pairs.size, step):
+        flat = pairs[start : start + step]
+        c, k = np.divmod(flat, n_int)
+        xi, S = jets.at(c, k)
+        gap = phi @ np.concatenate([xi, S.reshape(-1, n * n)], axis=1).T
+        gap -= np.take(nbv[ring:], k, axis=1) - center[k]
+        lowest[flat] = np.fmin(lowest[flat], np.fmin.reduce(gap, axis=0))
+        highest[flat] = np.fmax(highest[flat], np.fmax.reduce(gap, axis=0))
+    return (lowest >= -slack).reshape(n_c, n_int), (highest <= slack).reshape(n_c, n_int)
 
 
 def viscosity_check(u: ScalarField, op: OperatorSpec,
@@ -242,15 +319,21 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
 
     with base = bwd . delta - (u(x + delta) - u(x)),
     J_a = (fwd_a - bwd_a) delta_a, Q = delta^T D2 delta / 2 and the
-    per-offset constant c = g . delta + delta^T H delta / 2.  base, J
-    and Q are offset-major planes, (offset, node), so that the min and
-    max over the stencil reduce whole rows, and a sign pair shares
-    everything but +-c.  They are built for the unit ring {-1, 0, 1}^n
-    first, a chunk of nodes at a time; the other offsets are summed only
-    at the nodes where the ring leaves a candidate's test open.  The jet
-    (p, M) and A are evaluated only for the certified (candidate, node)
-    pairs.  Running the check on -u negates every plane and swaps each
-    pair, so it swaps the two violation columns exactly.
+    per-offset constant c = g . delta + delta^T H delta / 2.  Every
+    (candidate, node) pair is tested at once, in two stages.  The gap at
+    the centre is exactly 0, so the running min and max over the stencil
+    start there.  Stage 1 takes the rest of the unit ring {-1, 0, 1}^n,
+    an offset and a chunk of nodes at a time: the gaps of all candidates
+    are one matrix product of their rows [1, lam, zeta, c] with the
+    offset's planes [base; J; Q; 1].  Stage 2 takes only the pairs the
+    ring leaves open (about 10% on the plane A5 fixture and 2% on the
+    Heisenberg one).  It builds each pair's jet xi = lam fwd + (1 - lam)
+    bwd + g and S = zeta D2 + H, and gets the gaps at the other offsets
+    as [delta, vec(delta delta^T) / 2] . [xi, vec S] - (u(x + delta) -
+    u(x)), one product per block of pairs.  The jet (p, M) and A are
+    evaluated only for the certified pairs.  Running the check on -u
+    negates every plane and jet and swaps each sign pair, so it swaps
+    the two violation columns.
     """
     if jet_samples < 0:
         raise ParameterError(f"jet_samples must be nonnegative, got {jet_samples}")
@@ -287,7 +370,6 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
     zero_g, zero_h = np.zeros(n), np.zeros((n, n))
     cands = [(np.full(n, lam), zeta, zero_g, zero_h)
              for lam in (0.0, 0.25, 0.5, 0.75, 1.0) for zeta in (0.0, h, 1.0)]
-    fixed = len(cands)
     rng = np.random.default_rng(seed)
     for _ in range((int(jet_samples) + 1) // 2):
         lam = rng.uniform(0.0, 1.0, n)
@@ -297,64 +379,24 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
         hshift = 0.5 * (B + B.T)
         cands.append((lam, zeta, gshift, hshift))
         cands.append((lam, zeta, -gshift, -hshift))
-    # per-offset constants c: zero for the fixed candidates, +-c for a pair
-    consts = [np.zeros((delta.shape[0], 1))] * fixed
-    for _, _, g, H in cands[fixed::2]:
-        c = (delta @ g + 0.5 * np.einsum("oa,ab,ob->o", delta, H, delta))[:, None]
-        consts += [c, -c]
-
-    # which candidates touch u at which nodes.  The unit ring, the first
-    # 3^n offsets, rules out most nodes; the other offsets are summed only
-    # at the nodes it leaves open, a chunk of nodes at a time so that the
-    # ring planes stay in cache
-    ring = 3**n
-    lowest = np.empty((len(cands), n_int))
-    highest = np.empty_like(lowest)
-    width = max(1, _CHUNK // ring)
-    for start in range(0, n_int, width):
-        cols = slice(start, start + width)
-        du = nbv[:, cols] - center[cols]
-        near = _gap_planes(delta[:ring], du[:ring], fwd[cols], bwd[cols], D2[cols])
-        for first in [*range(fixed), *range(fixed, len(cands), 2)]:
-            group = range(first, first + 1 if first < fixed else first + 2)
-            lam, zeta = cands[first][:2]
-            gap = _gap(near, lam, zeta)
-            for i in group:
-                diff = gap + consts[i][:ring]
-                lowest[i, cols] = np.fmin.reduce(diff, axis=0)
-                highest[i, cols] = np.fmax.reduce(diff, axis=0)
-            rows = slice(group.start, group.stop)
-            open_ = np.flatnonzero(np.any((lowest[rows, cols] >= -slack)
-                                          | (highest[rows, cols] <= slack), axis=0))
-            if open_.size:
-                k = start + open_
-                gap = _gap(_gap_planes(delta[ring:], du[ring:, open_], fwd[k], bwd[k], D2[k]),
-                           lam, zeta)
-                for i in group:
-                    diff = gap + consts[i][ring:]
-                    lowest[i, k] = np.fmin(lowest[i, k], np.fmin.reduce(diff, axis=0))
-                    highest[i, k] = np.fmax(highest[i, k], np.fmax.reduce(diff, axis=0))
-    above = lowest >= -slack
-    below = highest <= slack
+    jets = _Jets(*(np.array(col) for col in zip(*cands)), fwd, bwd, D2)
+    above, below = _touching(delta, nbv, center, jets, slack)
 
     # the certified jets, (candidate, node) in C order, a block at a time
-    lams, zetas, gshifts, hshifts = (np.array(col) for col in zip(*cands))
     sub_viol = np.zeros(n_int)
     sup_viol = np.zeros(n_int)
     cand, node = np.nonzero(above | below)
     for start in range(0, cand.size, _JETS):
         c, k = cand[start : start + _JETS], node[start : start + _JETS]
-        lam = lams[c]
-        xi = lam * fwd[k] + (1.0 - lam) * bwd[k] + gshifts[c]
-        S = zetas[c][:, None, None] * D2[k] + hshifts[c]
-        ak = a[k]
+        xi, S = jets.at(c, k)
+        ak = np.take(a, k, axis=0)
         p = np.einsum("kia,ka->ki", ak, xi)
         # optimize=True contracts pairwise, ~10x faster than the single
         # nested loop; it may round differently in the last bit
         M = np.einsum("kia,kjb,kab->kij", ak, ak, S, optimize=True) \
-            + np.einsum("kia,kajb,kb->kij", ak, da[k], xi, optimize=True)
+            + np.einsum("kia,kajb,kb->kij", ak, np.take(da, k, axis=0), xi, optimize=True)
         M = 0.5 * (M + np.swapaxes(M, 1, 2))
-        A = op.evaluate(coords[k], p, M)
+        A = op.evaluate(np.take(coords, k, axis=0), p, M)
         for viol, hit, val in ((sub_viol, above[c, k], A), (sup_viol, below[c, k], -A)):
             np.maximum.at(viol, k[hit], np.maximum(val[hit], 0.0))
     return ViscosityReport(

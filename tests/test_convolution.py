@@ -366,11 +366,13 @@ def test_windowed_blocks_equal_the_per_tile_windows(name, kernel, monkeypatch):
     monkeypatch.setattr(convolution, "_windowed_blocks", recorded)
     for u, eps in _cases(dom):
         calls.clear()
-        convolution.sup_convolution(u, eps, kernel)
+        rep = convolution.sup_convolution(u, eps, kernel)
         # the sup sweep (a bound per non-exterior node) and the shrink
-        # sweep (one threshold against the boundary band)
+        # sweep (one threshold against the boundary band); the shrink
+        # sweep is skipped when the nearest band nodes along the axes
+        # have already removed every interior node
         sweeps = [args[2] is dom.nonexterior_mask for args in calls]
-        assert sweeps == [True, False]
+        assert sweeps == [True, False] or (sweeps == [True] and rep.shrunken.size == 0)
         for args in calls:
             got = list(blocks(*args))
             want = list(tile_blocks(*args))
@@ -378,6 +380,47 @@ def test_windowed_blocks_equal_the_per_tile_windows(name, kernel, monkeypatch):
             for (gx, gy), (wx, wy) in zip(got, want):
                 assert np.array_equal(gx, wx) and gx.dtype == wx.dtype
                 assert np.array_equal(gy, wy) and gy.dtype == wy.dtype
+
+
+def plane_with_slot():
+    """[-1,1]^2 at h = 1/8 with an exterior slot around one band node.
+
+    Interior nodes touch the slot directly, so their axis lines reach the
+    band node at its centre, and the outer band, across exterior nodes."""
+    box = GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.125)
+    c = box.coords
+    cls = box.classification.copy()
+    cls[(np.abs(c[:, 0]) <= 0.25) & (np.abs(c[:, 1]) <= 0.5)] = EXTERIOR
+    cls[np.all(c == 0.0, axis=1)] = BOUNDARY
+    return GridDomain(box.spec, box.lower, box.h, box.dims, cls)
+
+
+SHRINK_LATTICES = {
+    "plane": DYADIC["plane"],
+    "heis_offset": NON_DYADIC["heis_h0.1"],
+    "plane_slot": plane_with_slot,
+    "heis_holes": heisenberg_with_holes,
+}
+
+
+@pytest.mark.parametrize("kernel", ["right", "left"])
+@pytest.mark.parametrize("name", sorted(SHRINK_LATTICES))
+def test_shrink_domain_equals_the_minimum_over_every_band_node(name, kernel):
+    """Brute force: min over every band node y of K(x, y) >= eps.
+
+    The middle threshold is the middle of the distinct minima, so the
+    nodes that attain it tie with it and stay."""
+    dom = SHRINK_LATTICES[name]()
+    interior = dom.interior_flat
+    nearest = groups.pair_kernel(dom.spec, dom.coords[interior],
+                                 dom.coords[dom.boundary_flat], kernel).min(axis=1)
+    levels = np.unique(nearest)
+    middle = float(levels[levels.size // 2])
+    for eps in (0.0, middle, np.inf):
+        got = convolution.shrink_domain(dom, eps, kernel)
+        assert np.array_equal(got, interior[nearest >= eps])
+        assert got.dtype == interior.dtype
+    assert 0 < np.count_nonzero(nearest >= middle) < interior.size
 
 
 def test_convolution_evaluates_fewer_pairs_than_the_dense_sweep(monkeypatch):

@@ -321,6 +321,84 @@ def test_viscosity_check_matches_the_reference(name):
     np.testing.assert_allclose(got.supersolution_violations, sup, rtol=1e-13, atol=0)
 
 
+# -- staging: the touching test against every offset at every pair --
+
+
+def unstaged_touching(delta, nbv, center, jets, slack, ring_open=None):
+    """verify._touching without its stages: every (candidate, node) pair at every offset.
+
+    The ring offsets take the stage-1 products over all nodes at once, the
+    other offsets the stage-2 products over all pairs at once.  ring_open,
+    a list, receives the number of pairs the ring alone leaves open.
+    """
+    n = delta.shape[1]
+    ring = 3**n
+    near, far = delta[:ring], delta[ring:]
+    coef = np.empty((ring, jets.zeta.size, n + 3))
+    coef[:, :, 0] = 1.0
+    coef[:, :, 1 : n + 1] = jets.lam
+    coef[:, :, n + 1] = jets.zeta
+    coef[:, :, n + 2] = (np.einsum("ia,oa->io", jets.g, near)
+                         + 0.5 * np.einsum("oa,iab,ob->io", near, jets.H, near)).T
+    planes = verify._ring_planes(near, nbv[:ring] - center, jets.fwd, jets.bwd, jets.D2)
+    gaps = np.matmul(coef, planes)
+    gaps[ring // 2] = 0.0
+    lowest = np.fmin.reduce(gaps, axis=0)
+    highest = np.fmax.reduce(gaps, axis=0)
+    if ring_open is not None:
+        ring_open.append(int(np.count_nonzero((lowest >= -slack) | (highest <= slack))))
+    cand, node = np.indices(lowest.shape).reshape(2, -1)
+    xi, S = jets.at(cand, node)
+    phi = np.concatenate([far, 0.5 * np.einsum("oa,ob->oab", far, far).reshape(-1, n * n)],
+                         axis=1)
+    gap = phi @ np.concatenate([xi, S.reshape(-1, n * n)], axis=1).T \
+        - (nbv[ring:, node] - center[node])
+    lowest = np.fmin(lowest, np.fmin.reduce(gap, axis=0).reshape(lowest.shape))
+    highest = np.fmax(highest, np.fmax.reduce(gap, axis=0).reshape(highest.shape))
+    return lowest >= -slack, highest <= slack
+
+
+def saddle_field():
+    """A steep saddle with a cubic tilt: every candidate fails on the unit ring.
+
+    Off the ring's axes the saddle gives both signs to every candidate but
+    lam = 1/2, zeta = 1, which fits u on the axes exactly; the cubic then
+    gives it both signs on the diagonal."""
+    dom = GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 1 / 8)
+    x, y = dom.coords[:, 0], dom.coords[:, 1]
+    return ScalarField(dom, 1e4 * (x * x - y * y) + (x + y) ** 3)
+
+
+def assert_staging_is_exact(u, jet_samples, monkeypatch):
+    op = OperatorSpec.infinity_laplacian()
+    got = verify.viscosity_check(u, op, jet_samples=jet_samples, seed=4)
+    ring_open = []
+    monkeypatch.setattr(verify, "_touching",
+                        lambda *args: unstaged_touching(*args, ring_open=ring_open))
+    ref = verify.viscosity_check(u, op, jet_samples=jet_samples, seed=4)
+    monkeypatch.undo()
+    assert (got.jets_above, got.jets_below, got.candidates) == \
+        (ref.jets_above, ref.jets_below, ref.candidates)
+    assert got.subsolution_violations.tobytes() == ref.subsolution_violations.tobytes()
+    assert got.supersolution_violations.tobytes() == ref.supersolution_violations.tobytes()
+    return ref, ring_open[0]
+
+
+@pytest.mark.parametrize("jet_samples", [0, 7, 32])
+@pytest.mark.parametrize("name", sorted(VISCOSITY_CASES))
+def test_staged_touching_equals_every_offset_at_every_pair(name, jet_samples, monkeypatch):
+    """The ring rules pairs out for good: stage 2 changes no verdict it skips."""
+    ref, ring_open = assert_staging_is_exact(VISCOSITY_CASES[name](), jet_samples, monkeypatch)
+    assert ring_open > 0 and ref.jets_above + ref.jets_below > 0
+
+
+def test_staged_touching_when_no_pair_reaches_stage_two(monkeypatch):
+    ref, ring_open = assert_staging_is_exact(saddle_field(), 32, monkeypatch)
+    assert ring_open == 0
+    assert ref.jets_above == ref.jets_below == 0
+    assert ref.worst_subsolution_violation == ref.worst_supersolution_violation == 0.0
+
+
 # -- comparison and minimality ----------------------------------------------
 
 
