@@ -72,30 +72,20 @@ def infinity_laplacian(u: ScalarField) -> ScalarField:
     return _interior_result(dom, vals)
 
 
-def aronsson_residual(
-    u: ScalarField,
-    f: Integrand,
-    return_flags: bool = False,
-):
+def aronsson_residual(u: ScalarField, f: Integrand) -> ScalarField:
     """Residual -sum_ij f_pi(Xu) f_pj(Xu) (X X u)*_ij of the Aronsson operator.
 
     Where the integrand gradient is singular (``power`` with alpha < 2 at
-    Xu = 0) the residual is reported as 0; pass ``return_flags=True`` to also
-    get the mask of such interior nodes.
+    Xu = 0) the residual is reported as 0.
     """
     dom = u.domain
     grad = horizontal_gradient(u).values
     hess = horizontal_hessian(u)
     fp = f.grad(grad)
     vals = -np.einsum("ki,kij,kj->k", fp, hess, fp)
-    singular = np.zeros(grad.shape[0], dtype=bool)
     if f.singular_at_zero:
-        singular = np.all(grad == 0.0, axis=1)
-        vals = np.where(singular, 0.0, vals)
-    field = _interior_result(dom, vals)
-    if return_flags:
-        return field, singular
-    return field
+        vals = np.where(np.all(grad == 0.0, axis=1), 0.0, vals)
+    return _interior_result(dom, vals)
 
 
 def adjoint_divergence(F: HorizontalField) -> ScalarField:

@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("config", help="problem config file")
         p.add_argument("-o", "--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the config seed")
 
     p = sub.add_parser("solve", help="run the k-doubling solve, write field + manifest")
@@ -132,9 +132,8 @@ def _base_manifest(cfg, command: str) -> dict:
 def _report_entries(report) -> dict:
     entries = {
         "result.converged": report.converged,
-        "result.iterations": report.iterations,
-        "result.residual": report.residual,
-        "result.k_schedule": list(report.k_schedule),
+        "result.iterations": sum(lv.iterations for lv in report.levels),
+        "result.residual": report.levels[-1].residual,
         "result.message": report.message or "ok",
         "result.start.cg_iterations": report.start_cg_iterations,
     }
@@ -167,8 +166,9 @@ def _cmd_solve(args) -> int:
     entries = _base_manifest(cfg, "solve")
     entries.update(_report_entries(report))
     fieldio.write_manifest(os.path.join(out, "manifest.txt"), entries)
-    print(f"solve: residual {report.residual:.3e} after {report.iterations} "
-          f"iterations over k = {list(report.k_schedule)}; "
+    print(f"solve: residual {report.levels[-1].residual:.3e} after "
+          f"{entries['result.iterations']} iterations over "
+          f"k = {[lv.k for lv in report.levels]}; "
           f"{'converged' if report.converged else 'NOT converged'}")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 

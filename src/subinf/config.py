@@ -227,6 +227,8 @@ def parse_config(text: str, source: str = "<config>", base_dir: str = ".") -> Pr
         raise ConfigError(f"{at['eps']}: field 'eps' must be nonnegative and finite, got {eps}")
     if side not in ("lower", "upper"):
         raise ConfigError(f"{at['side']}: field 'side' must be lower or upper, got {side!r}")
+    if seed < 0:
+        raise ConfigError(f"{at['seed']}: field 'seed' must be nonnegative, got {seed}")
     try:
         integrands.from_id(integrand)
     except Exception as exc:

@@ -33,9 +33,6 @@ class GroupSpec:
         Number m of horizontal vector fields (first-layer dimension).
     step : int
         Step r used in the gauge exponent and metric bounds.
-    layer_dims : tuple[int, ...]
-        Layer dimensions for group geometries; carries no stratification
-        meaning for grushin, which is not a group.
     is_group : bool
         Whether multiply/inverse/gauge operations are defined.
     """
@@ -44,7 +41,6 @@ class GroupSpec:
     dim: int
     horizontal_dim: int
     step: int
-    layer_dims: tuple[int, ...]
     is_group: bool
 
     @property
@@ -65,17 +61,17 @@ class GroupSpec:
 def euclidean(n: int) -> GroupSpec:
     if n < 1:
         raise ParameterError(f"euclidean dimension must be >= 1, got {n}")
-    return GroupSpec("euclidean", n, n, 1, (n,), True)
+    return GroupSpec("euclidean", n, n, 1, True)
 
 
 def heisenberg1() -> GroupSpec:
-    return GroupSpec("heisenberg1", 3, 2, 2, (2, 1), True)
+    return GroupSpec("heisenberg1", 3, 2, 2, True)
 
 
 def grushin() -> GroupSpec:
     # Step 2 describes the metric scaling near the degenerate line; there is
-    # no group law and no stratification, so layer_dims is bookkeeping only.
-    return GroupSpec("grushin", 2, 2, 2, (2,), False)
+    # no group law.
+    return GroupSpec("grushin", 2, 2, 2, False)
 
 
 def from_id(geometry_id: str) -> GroupSpec:

@@ -13,7 +13,7 @@ orientations are averaged so the graph is symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,14 +45,14 @@ def _flow(spec, coords: np.ndarray, control: np.ndarray, tau: float) -> np.ndarr
     return x
 
 
-def _move_controls(m: int, depth: int) -> list[tuple[str, tuple, float]]:
-    """(kind, control data, cost-in-units-of-h) for each move template."""
-    moves: list[tuple[str, tuple, float]] = []
+def _move_controls(m: int, depth: int) -> list[tuple[tuple, float]]:
+    """(control data, cost-in-units-of-h) for each move template."""
+    moves: list[tuple[tuple, float]] = []
     for i in range(m):
         for s in (1.0, -1.0):
             c = np.zeros(m)
             c[i] = s
-            moves.append(("single", (c,), 1.0))
+            moves.append(((c,), 1.0))
     if depth >= 2:
         for i in range(m):
             for j in range(i + 1, m):
@@ -60,7 +60,7 @@ def _move_controls(m: int, depth: int) -> list[tuple[str, tuple, float]]:
                     for sj in (1.0, -1.0):
                         c = np.zeros(m)
                         c[i], c[j] = si, sj
-                        moves.append(("diagonal", (c,), np.sqrt(2.0)))
+                        moves.append(((c,), np.sqrt(2.0)))
         for i in range(m):
             for j in range(m):
                 if i == j:
@@ -70,7 +70,7 @@ def _move_controls(m: int, depth: int) -> list[tuple[str, tuple, float]]:
                         ci = np.zeros(m)
                         cj = np.zeros(m)
                         ci[i], cj[j] = si, sj
-                        moves.append(("two_leg", (ci, cj), 2.0))
+                        moves.append(((ci, cj), 2.0))
     return moves
 
 
@@ -81,21 +81,19 @@ class HorizontalGraph:
     domain: GridDomain
     depth: int
     matrix: sp.csr_matrix
-    move_kinds: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def n_edges(self) -> int:
         return self.matrix.nnz // 2
 
     def node_index(self, node) -> int:
-        if isinstance(node, (int, np.integer)):
-            flat = int(node)
-            if not 0 <= flat < self.domain.n_nodes:
-                raise ParameterError(f"node {flat} outside the lattice")
-        elif isinstance(node, (tuple, list)) and len(node) == self.domain.spec.dim:
-            flat = self.domain.flat_of_multi(node)
-        else:
-            flat = self.domain.nearest_node(np.asarray(node, dtype=float))
+        """The flat lattice index node, checked to be a non-exterior node."""
+        if not isinstance(node, (int, np.integer)):
+            raise ParameterError(
+                f"a graph node is a flat lattice index, got {type(node).__name__}")
+        flat = int(node)
+        if not 0 <= flat < self.domain.n_nodes:
+            raise ParameterError(f"node {flat} outside the lattice")
         if not self.domain.nonexterior_mask[flat]:
             raise ParameterError(f"node {self.domain.multi_of_flat(flat)} is exterior")
         return flat
@@ -131,9 +129,8 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
     coords = domain.coords[nodes]
     keys: list[np.ndarray] = []
     costs: list[np.ndarray] = []
-    kinds_used: set[str] = set()
 
-    for kind, controls, cost_units in _move_controls(spec.horizontal_dim, depth):
+    for controls, cost_units in _move_controls(spec.horizontal_dim, depth):
         ends = coords
         for c in controls:
             ends = _flow(spec, ends, c, h)
@@ -147,7 +144,6 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
         key = nodes[valid] * n + flat[valid]
         if key.size == 0:
             continue
-        kinds_used.add(kind)
         keys.append(key)
         costs.append(np.full(key.size, cost_units * h))
 
@@ -179,7 +175,7 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
     ud = (uniq % n).astype(np.int64)
     matrix = sp.coo_matrix((w, (us, ud)), shape=(n, n)).tocsr()
 
-    graph = HorizontalGraph(domain, depth, matrix, tuple(sorted(kinds_used)))
+    graph = HorizontalGraph(domain, depth, matrix)
     _check_connected(graph)
     return graph
 
@@ -200,29 +196,21 @@ def _check_connected(graph: HorizontalGraph) -> None:
         )
 
 
-def cc_distance(graph: HorizontalGraph, a, b, return_path: bool = False):
+def cc_distance(graph: HorizontalGraph, a: int, b: int) -> float:
     """Shortest horizontal path cost between two lattice nodes."""
     from scipy.sparse import csgraph
 
     ia, ib = graph.node_index(a), graph.node_index(b)
-    dist, pred = csgraph.dijkstra(
-        graph.matrix, directed=False, indices=ia, return_predecessors=True
-    )
-    d = float(dist[ib])
+    d = float(csgraph.dijkstra(graph.matrix, directed=False, indices=ia)[ib])
     if not np.isfinite(d):
         raise ConnectivityError(
             f"node {graph.domain.multi_of_flat(ib)} unreachable from "
             f"{graph.domain.multi_of_flat(ia)}"
         )
-    if not return_path:
-        return d
-    path = [ib]
-    while path[-1] != ia:
-        path.append(int(pred[path[-1]]))
-    return d, path[::-1]
+    return d
 
 
-def cc_distances_from(graph: HorizontalGraph, a) -> np.ndarray:
+def cc_distances_from(graph: HorizontalGraph, a: int) -> np.ndarray:
     """All-node distance vector from one source (inf where unreachable)."""
     from scipy.sparse import csgraph
 

@@ -102,9 +102,6 @@ class BoundaryData:
     def from_field(cls, u: ScalarField) -> "BoundaryData":
         return cls(u.domain, u.values[u.domain.boundary_flat])
 
-    def shift(self, c: float) -> "BoundaryData":
-        return BoundaryData(self.domain, self.values + float(c))
-
     def base_values(self) -> np.ndarray:
         """Full-lattice array: boundary values in place, zero elsewhere."""
         full = np.zeros(self.domain.n_nodes)
@@ -294,21 +291,17 @@ class SolveReport:
     """Outcome of a solve: the field plus convergence bookkeeping.
 
     energy_trace maps each k level to its per-iteration objective values
-    (cell quadrature, original units).  residual is the last level's
-    final Euler-Lagrange sup-norm, in that level's units: its fields
-    divided by LevelReport.scale (see _Objective).  levels holds one
-    LevelReport per descent run, warm-up levels included; converged
-    requires the last one to have met gradient_tolerance.
+    (cell quadrature, original units).  levels holds one LevelReport per
+    descent run, warm-up levels included, and is the one record of the
+    schedule: its ks, iteration counts and final residuals.  converged
+    requires the last level to have met gradient_tolerance.
     start_cg_iterations is the CG work of the harmonic start (0 for
     initialization zero), which no level counts; with the levels'
     cg_iterations it accounts for every CG iteration of the solve.
     """
 
     solution: ScalarField
-    k_schedule: tuple
     energy_trace: dict
-    residual: float
-    iterations: int
     converged: bool
     message: str = ""
     levels: list = dc_field(default_factory=list)
@@ -997,10 +990,7 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
         message += "; k schedule exhausted before cross-level tolerance"
     return SolveReport(
         solution=ScalarField(dom, prev_vals),
-        k_schedule=tuple(trace.keys()),
         energy_trace=trace,
-        residual=residual,
-        iterations=sum(lv.iterations for lv in levels),
         converged=levels[-1].converged and settled,
         message=message,
         levels=levels,

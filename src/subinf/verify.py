@@ -14,7 +14,7 @@ rest of the radius-2 stencil for the few pairs the ring leaves open (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .groups import horizontal_frame
 from .integrands import Integrand
 from .solver import BoundaryData, SolverConfig, infinity_solve
 
-_KINDS = ("infinity_laplacian", "aronsson", "aux_lower", "aux_upper", "custom")
+_KINDS = ("infinity_laplacian", "aronsson", "aux_lower", "aux_upper")
 _CHUNK = 32_768  # gaps (candidate, node) or (offset, pair) in one product: 256 kB, in cache
 _JETS = 16_384  # certified jets whose operator values are evaluated at once
 
@@ -35,21 +35,18 @@ class OperatorSpec:
     """A degenerate operator A(x, p, M) acting on second-order jets.
 
     p is an m-vector (horizontal gradient), M an m-by-m symmetric
-    matrix (symmetrized horizontal Hessian).  The shipped kinds ignore
-    x; kind='custom' wraps an arbitrary evaluator, which the test suite
-    uses for deliberately broken controls.
+    matrix (symmetrized horizontal Hessian).  Every kind ignores x.
+    The checks below call only ``evaluate``, so any object with that
+    method can stand in for an operator.
     """
 
     kind: str
     f: Optional[Integrand] = None
     eps: float = 0.0
-    evaluator: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError("unknown operator kind %r" % (self.kind,))
-        if self.kind == "custom" and self.evaluator is None:
-            raise ParameterError("custom operators need an evaluator")
         if self.kind in ("aronsson", "aux_lower", "aux_upper") and self.f is None:
             raise ParameterError("%s needs an integrand" % (self.kind,))
         if self.kind in ("aux_lower", "aux_upper") and self.eps <= 0:
@@ -71,16 +68,10 @@ class OperatorSpec:
     def aux_upper(cls, f: Integrand, eps: float) -> "OperatorSpec":
         return cls(kind="aux_upper", f=f, eps=eps)
 
-    @classmethod
-    def custom(cls, evaluator: Callable) -> "OperatorSpec":
-        return cls(kind="custom", evaluator=evaluator)
-
     def evaluate(self, x, p, M) -> np.ndarray:
         """A(x, p, M), vectorized over leading axes of p and M."""
         p = np.asarray(p, dtype=float)
         M = np.asarray(M, dtype=float)
-        if self.kind == "custom":
-            return np.asarray(self.evaluator(x, p, M), dtype=float)
         if self.kind == "infinity_laplacian":
             w = p
         else:

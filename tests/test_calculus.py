@@ -85,17 +85,22 @@ def test_aronsson_residual_squared_norm_is_four_times_infinity_laplacian():
 
 
 def test_aronsson_residual_singular_integrand_flags_zero_gradient():
+    """power(1.5) has a singular gradient at p = 0: the residual is 0 at
+    interior nodes where Xu = 0, even where the Hessian is not."""
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
-    u = ScalarField(dom, np.full(dom.n_nodes, 3.0))
-    res, flags = calculus.aronsson_residual(u, integrands.power(1.5),
-                                            return_flags=True)
-    assert np.all(flags)
-    assert np.all(res.values[dom.interior_flat] == 0.0)
-    # smooth integrand on the same field: no flags either way
-    res2, flags2 = calculus.aronsson_residual(u, integrands.power(4.0),
-                                              return_flags=True)
-    assert not np.any(flags2)
-    assert np.all(res2.values[dom.interior_flat] == 0.0)
+    u = ScalarField(dom, np.maximum(dom.coords[:, 0] - 0.5, 0.0))
+    flat = np.all(calculus.horizontal_gradient(u).values == 0.0, axis=1)
+    assert np.any(flat) and not np.all(flat)
+    assert np.all(calculus.horizontal_hessian(u)[flat, 0, 0] != 0.0)
+    res = calculus.aronsson_residual(u, integrands.power(1.5))
+    inner = res.values[dom.interior_flat]
+    assert np.all(inner[flat] == 0.0)
+    assert np.all(np.isfinite(inner)) and np.all(inner[~flat] != 0.0)
+    # a constant field: no gradient and no curvature anywhere
+    c = ScalarField(dom, np.full(dom.n_nodes, 3.0))
+    for alpha in (1.5, 4.0):
+        res = calculus.aronsson_residual(c, integrands.power(alpha))
+        assert np.all(res.values[dom.interior_flat] == 0.0)
 
 
 @pytest.mark.parametrize("gid", ["euclidean:2", "heisenberg1", "grushin"])

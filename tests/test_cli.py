@@ -102,6 +102,24 @@ def test_solve_manifest_records_resolved_config(tmp_path):
     assert "result.level.4.unseen = 0" in text
 
 
+def test_manifest_totals_are_the_level_lines(tmp_path, capsys):
+    """result.iterations and result.residual, which the benchmark reads,
+    are the sum of the level iterations and the last level's residual."""
+    cfg = write_cfg(tmp_path, PLANE_CFG.replace("linear:1,-0.5", "aronsson43"))
+    out = tmp_path / "out"
+    cli.main(["solve", cfg, "-o", str(out)])
+    lines = (out / "manifest.txt").read_text().splitlines()
+    man = dict(line.split(" = ", 1) for line in lines)
+    ks = sorted(int(key.split(".")[2]) for key in man
+                if key.startswith("result.level.") and key.endswith(".stop"))
+    assert len(ks) >= 2
+    total = sum(int(man[f"result.level.{k}.iterations"]) for k in ks)
+    assert total > 0 and man["result.iterations"] == str(total)
+    assert man["result.residual"] == man[f"result.level.{ks[-1]}.residual"]
+    assert not any(key.startswith("result.k_schedule") for key in man)
+    assert f"after {total} iterations over k = {ks}" in capsys.readouterr().out
+
+
 def test_solve_reports_nonconvergence_with_exit_3(tmp_path, capsys):
     text = PLANE_CFG.replace("boundary = linear:1,-0.5", "boundary = aronsson43")
     text = text.replace("k_max = 8", "k_max = 8\nmax_iterations = 1")
@@ -220,6 +238,19 @@ def test_verify_negative_jets_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", cfg, "-o", out, "--check", "viscosity",
                      "--jets", "-1"]) == 2
     assert "argument --jets: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["viscosity", "amle"])
+def test_negative_seed_exits_2_before_the_solve(tmp_path, capsys, monkeypatch, check):
+    """numpy's generators take no negative seed, from the config or --seed."""
+    monkeypatch.setattr(cli, "_solve_problem", _no_solve)
+    out = str(tmp_path / "v")
+    cfg = write_cfg(tmp_path, LINE_CFG.replace("linear:1\n", "linear:1\nseed = -3\n"))
+    assert cli.main(["verify", cfg, "-o", out, "--check", check]) == 2
+    assert "line 7: field 'seed' must be nonnegative, got -3" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, LINE_CFG)
+    assert cli.main(["verify", cfg, "-o", out, "--check", check, "--seed", "-2"]) == 2
+    assert "argument --seed: must be at least 0, got -2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("check", ["viscosity", "subelliptic"])

@@ -69,6 +69,9 @@ def test_defaults_show_up_in_resolved_items():
     (lambda t: t.replace("k_max = 32", "max_iterations = 0"),
      r"line 13: \[solver\] max_iterations"),
     (lambda t: t.replace("seed = 7", "wheel = 7"), "unknown field 'wheel'"),
+    # numpy's generators take no negative seed
+    (lambda t: t.replace("seed = 7", "seed = -3"),
+     "line 10: field 'seed' must be nonnegative, got -3"),
     # non-finite numbers
     (lambda t: t.replace("lower = 0", "lower = nan"),
      "line 4: field 'lower' must be finite"),

@@ -12,7 +12,6 @@ from test_convolution import heisenberg_with_holes
 def test_euclidean_depth1_axis_moves():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = metric.build_graph(dom, depth=1)
-    assert g.move_kinds == ("single",)
     center = dom.flat_of_multi((2, 2))
     row = g.matrix.getrow(center)
     assert row.nnz == 4
@@ -26,7 +25,7 @@ def test_euclidean_depth2_diagonals():
     b = dom.flat_of_multi((2, 2))
     # the simultaneous diagonal reaches (h, h) but keeps cost sqrt(2) h
     assert metric.cc_distance(g, a, b) <= np.sqrt(2.0) * dom.h + 1e-12
-    d = metric.cc_distance(g, (0, 0), (4, 4))
+    d = metric.cc_distance(g, dom.flat_of_multi((0, 0)), dom.flat_of_multi((4, 4)))
     assert np.isclose(d, np.sqrt(2.0), atol=0.05)
 
 
@@ -35,7 +34,8 @@ def test_heisenberg_unit_horizontal_distance():
                          [1.25, 1.25, 1.25], 0.25)
     g = metric.build_graph(dom)
     assert g.depth == 2
-    d = metric.cc_distance(g, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    d = metric.cc_distance(g, dom.nearest_node(np.zeros(3)),
+                           dom.nearest_node([1.0, 0.0, 0.0]))
     assert np.isclose(d, 1.0, atol=1e-12)
 
 
@@ -46,17 +46,17 @@ def test_heisenberg_vertical_moves_exist_but_cost_more():
     dom = GridDomain.box(groups.heisenberg1(), [-1.0, -1.0, -1.0],
                          [1.0, 1.0, 1.0], 0.25)
     g = metric.build_graph(dom)
-    d_vert = metric.cc_distance(g, np.zeros(3), np.array([0.0, 0.0, 0.5]))
-    d_horiz = metric.cc_distance(g, np.zeros(3), np.array([0.5, 0.0, 0.0]))
+    origin = dom.nearest_node(np.zeros(3))
+    d_vert = metric.cc_distance(g, origin, dom.nearest_node([0.0, 0.0, 0.5]))
+    d_horiz = metric.cc_distance(g, origin, dom.nearest_node([0.5, 0.0, 0.0]))
     assert d_vert > d_horiz
-    assert "two_leg" in g.move_kinds
 
 
 def test_heisenberg_ball_is_anisotropic():
     dom = GridDomain.box(groups.heisenberg1(), [-1.0, -1.0, -1.0],
                          [1.0, 1.0, 1.0], 0.125)
     g = metric.build_graph(dom)
-    dist = metric.cc_distances_from(g, np.zeros(3))
+    dist = metric.cc_distances_from(g, dom.nearest_node(np.zeros(3)))
     rho = 0.4
     inside = dist <= rho
     coords = dom.coords
@@ -71,29 +71,48 @@ def test_grushin_crossing_the_singular_line():
     # On x = 0 only X1 moves, so going from (-1, 0) to (1, 0) costs about 2.
     dom = GridDomain.box(groups.grushin(), [-1.25, -1.25], [1.25, 1.25], 0.25)
     g = metric.build_graph(dom)
-    d = metric.cc_distance(g, np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+    d = metric.cc_distance(g, dom.nearest_node([-1.0, 0.0]),
+                           dom.nearest_node([1.0, 0.0]))
     assert np.isclose(d, 2.0, atol=1e-12)
 
 
-def test_cc_distance_path_endpoints():
+def test_cc_distance_between_flat_nodes():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = metric.build_graph(dom, depth=1)
-    d, path = metric.cc_distance(g, (0, 0), (0, 4), return_path=True)
-    assert path[0] == dom.flat_of_multi((0, 0))
-    assert path[-1] == dom.flat_of_multi((0, 4))
-    assert len(path) == 5
-    assert np.isclose(d, 1.0)
+    a, b = dom.flat_of_multi((0, 0)), dom.flat_of_multi((0, 4))
+    # four axis moves of cost h along one edge of the square
+    assert metric.cc_distance(g, a, b) == 1.0
+    assert metric.cc_distance(g, np.int64(b), np.int64(a)) == 1.0
+    assert metric.cc_distance(g, a, a) == 0.0
+    # three moves along each axis, snapped to the lattice: the L1 length
+    c = dom.flat_of_multi((3, 3))
+    assert np.isclose(metric.cc_distance(g, a, c), 1.5)
+    assert metric.cc_distances_from(g, a)[c] == metric.cc_distance(g, a, c)
 
 
-def test_node_index_accepts_flat_multi_and_point():
+def test_node_index_takes_only_flat_nodes():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = metric.build_graph(dom, depth=1)
     assert g.node_index(7) == 7
-    assert g.node_index((1, 2)) == dom.flat_of_multi((1, 2))
-    # an ndarray is a coordinate point, snapped to the nearest node
-    assert g.node_index(np.array([0.26, 0.49])) == dom.flat_of_multi((1, 2))
-    with pytest.raises(ParameterError):
+    assert g.node_index(np.int64(12)) == 12
+    # neither a multi-index nor a coordinate point is taken as a node: a
+    # float tuple used to be truncated to the multi-index (0, 0)
+    for node in ((1, 2), [1, 2], (0.5, 0.5), np.array([0.5, 0.5]), 12.0):
+        with pytest.raises(ParameterError, match="flat lattice index"):
+            g.node_index(node)
+    with pytest.raises(ParameterError, match="flat lattice index"):
+        metric.cc_distance(g, (0.5, 0.5), (1.0, 1.0))
+    with pytest.raises(ParameterError, match="flat lattice index"):
+        metric.cc_distance(g, np.array([0.5, 0.5]), 24)
+    with pytest.raises(ParameterError, match="outside the lattice"):
         g.node_index(dom.n_nodes + 3)
+    with pytest.raises(ParameterError, match="outside the lattice"):
+        g.node_index(-1)
+    # an exterior slot past the band of a line
+    line = GridDomain(groups.euclidean(1), np.array([0.0]), 0.25, (6,),
+                      np.array([1, 0, 0, 0, 1, 2], dtype=np.int8))
+    with pytest.raises(ParameterError, match="exterior"):
+        metric.build_graph(line, depth=1).node_index(5)
 
 
 def test_depth_validation():
@@ -122,8 +141,7 @@ def reference_graph(domain, depth=None):
     coords = domain.coords[nodes]
     dims_arr = np.asarray(domain.dims)
     srcs, dsts, costs = [], [], []
-    kinds_used = set()
-    for kind, controls, cost_units in metric._move_controls(spec.horizontal_dim, depth):
+    for controls, cost_units in metric._move_controls(spec.horizontal_dim, depth):
         ends = coords
         for c in controls:
             ends = metric._flow(spec, ends, c, h)
@@ -135,7 +153,6 @@ def reference_graph(domain, depth=None):
         valid = inside & domain.nonexterior_mask[flat] & (flat != nodes)
         if not np.any(valid):
             continue
-        kinds_used.add(kind)
         srcs.append(nodes[valid])
         dsts.append(flat[valid])
         costs.append(np.full(int(valid.sum()), cost_units * h))
@@ -161,7 +178,7 @@ def reference_graph(domain, depth=None):
     us = (uniq // domain.n_nodes).astype(np.int64)
     ud = (uniq % domain.n_nodes).astype(np.int64)
     matrix = sp.coo_matrix((w, (us, ud)), shape=(domain.n_nodes, domain.n_nodes)).tocsr()
-    graph = metric.HorizontalGraph(domain, depth, matrix, tuple(sorted(kinds_used)))
+    graph = metric.HorizontalGraph(domain, depth, matrix)
     metric._check_connected(graph)
     return graph
 
@@ -197,7 +214,6 @@ def test_graph_equals_the_reference_array_for_array(name, depth):
     for part in ("data", "indices", "indptr"):
         a, b = getattr(got.matrix, part), getattr(want.matrix, part)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert got.move_kinds == want.move_kinds
     assert got.depth == want.depth
 
 

@@ -108,7 +108,7 @@ def test_reported_energy_is_the_public_energy(eps, side):
     cfg = SolverConfig(k_max=8)
     rep = (solver.aux_solve(g, SQ, eps, side, cfg) if eps > 0
            else solver.infinity_solve(g, SQ, cfg))
-    k = rep.k_schedule[-1]
+    k = rep.levels[-1].k
     assert np.isclose(solver.energy(rep.solution, SQ, k, eps, side),
                       rep.energy_trace[k][-1], rtol=1e-10, atol=0.0)
 
@@ -197,7 +197,7 @@ def test_graph_lipschitz_linear():
     assert np.isclose(line_boundary(dom, slope=3.0).graph_lipschitz(), 3.0)
     # shifting changes nothing: only differences enter
     g = line_boundary(dom, slope=3.0)
-    assert np.isclose(g.shift(10.0).graph_lipschitz(), 3.0)
+    assert np.isclose(BoundaryData(dom, g.values + 10.0).graph_lipschitz(), 3.0)
 
 
 # -- config ---------------------------------------------------------------
@@ -862,7 +862,8 @@ def test_minimize_k_translation_equivariance():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = BoundaryData.from_function(dom, lambda c: np.abs(c[:, 0] - 0.4))
     a = solver.minimize_k(g, SQ, 2, 0.0, "lower").solution.values
-    b = solver.minimize_k(g.shift(7.0), SQ, 2, 0.0, "lower").solution.values
+    b = solver.minimize_k(BoundaryData(dom, g.values + 7.0), SQ, 2, 0.0,
+                          "lower").solution.values
     assert np.max(np.abs((b - a) - 7.0)) <= 1e-6
 
 

@@ -27,7 +27,7 @@ def test_evaluate_hand_values():
 def test_operator_spec_validation():
     with pytest.raises(ParameterError):
         OperatorSpec(kind="laplace")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown operator kind"):
         OperatorSpec(kind="custom")
     with pytest.raises(ParameterError):
         OperatorSpec(kind="aronsson")
@@ -47,9 +47,15 @@ def test_shipped_operators_are_degenerate_elliptic(op):
     assert worst <= 1e-9
 
 
+class _AntiElliptic:
+    """+<p, M p>: increasing in M, the wrong sign for degenerate ellipticity."""
+
+    def evaluate(self, x, p, M):
+        return np.einsum("...i,...ij,...j->...", p, M, p)
+
+
 def test_broken_operator_fails_the_ellipticity_audit():
-    bad = OperatorSpec.custom(lambda x, p, M:
-                              np.einsum("...i,...ij,...j->...", p, M, p))
+    bad = _AntiElliptic()
     passed, worst = verify.subelliptic_check(bad, samples=400, seed=5)
     assert not passed
     assert worst > 1.0
