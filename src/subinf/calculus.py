@@ -75,16 +75,14 @@ def infinity_laplacian(u: ScalarField) -> ScalarField:
 def aronsson_residual(u: ScalarField, f: Integrand) -> ScalarField:
     """Residual -sum_ij f_pi(Xu) f_pj(Xu) (X X u)*_ij of the Aronsson operator.
 
-    Where the integrand gradient is singular (``power`` with alpha < 2 at
-    Xu = 0) the residual is reported as 0.
+    ``Integrand.grad`` is 0 at Xu = 0, also where it is singular (``power``
+    with alpha < 2), so the residual is 0 there.
     """
     dom = u.domain
     grad = horizontal_gradient(u).values
     hess = horizontal_hessian(u)
     fp = f.grad(grad)
     vals = -np.einsum("ki,kij,kj->k", fp, hess, fp)
-    if f.singular_at_zero:
-        vals = np.where(np.all(grad == 0.0, axis=1), 0.0, vals)
     return _interior_result(dom, vals)
 
 

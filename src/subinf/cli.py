@@ -173,9 +173,11 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def _parse_point(text: str, dim: int, what: str):
+def _parse_point(text: str, dom, what: str):
+    """The coordinates of a lattice point; more than h/2 outside the box is an error."""
     from .errors import ConfigError
 
+    dim = dom.spec.dim
     toks = [t for t in text.replace(",", " ").split() if t]
     try:
         vals = [float(t) for t in toks]
@@ -183,6 +185,10 @@ def _parse_point(text: str, dim: int, what: str):
         raise ConfigError(f"{what} must be {dim} comma-separated numbers, got {text!r}")
     if len(vals) != dim:
         raise ConfigError(f"{what} must have {dim} coordinates, got {len(vals)}")
+    half = 0.5 * dom.h
+    if not all(lo - half <= v <= hi + half for v, lo, hi in zip(vals, dom.lower, dom.upper)):
+        box = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(dom.lower, dom.upper))
+        raise ConfigError(f"{what} {text} lies outside the box {box}")
     return vals
 
 
@@ -198,14 +204,14 @@ def _cmd_distance(args) -> int:
     if args.source is None:
         center = [(l + u) / 2.0 for l, u in zip(cfg.lower, cfg.upper)]
     else:
-        center = _parse_point(args.source, dom.spec.dim, "--source")
+        center = _parse_point(args.source, dom, "--source")
     src = dom.nearest_node(center)
     entries = _base_manifest(cfg, "distance")
     entries["distance.source_node"] = src
     entries["distance.depth"] = graph.depth
     entries["distance.edges"] = graph.n_edges
     if args.target is not None:
-        tgt = dom.nearest_node(_parse_point(args.target, dom.spec.dim, "--target"))
+        tgt = dom.nearest_node(_parse_point(args.target, dom, "--target"))
         d = metric.cc_distance(graph, src, tgt)
         entries["distance.target_node"] = tgt
         entries["distance.value"] = float(d)

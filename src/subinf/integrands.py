@@ -15,7 +15,7 @@ class Integrand:
 
     alpha = 2 is the squared norm (id ``squared_norm``, strictly convex
     with D^2 f = 2 I).  The gradient is singular at p = 0 when alpha < 2;
-    callers that care check :attr:`singular_at_zero`.
+    ``grad`` returns 0 there.
     """
 
     alpha: float
@@ -27,10 +27,6 @@ class Integrand:
     @property
     def id(self) -> str:
         return "squared_norm" if self.alpha == 2.0 else f"power:{self.alpha:g}"
-
-    @property
-    def singular_at_zero(self) -> bool:
-        return self.alpha < 2.0
 
     def value(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)

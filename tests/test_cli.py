@@ -178,6 +178,20 @@ def test_distance_bad_point_exits_2(tmp_path, capsys):
     assert "--source" in capsys.readouterr().err
 
 
+def test_distance_point_outside_the_box_exits_2(tmp_path, capsys):
+    """On [0,1]^2 at h = 1/4 a point may lie up to h/2 outside the box."""
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    out = str(tmp_path / "d")
+    assert cli.main(["distance", cfg, "-o", out, "--source", "0,0", "--target", "7,7"]) == 2
+    err = capsys.readouterr().err
+    assert "--target 7,7" in err and "outside the box" in err
+    assert cli.main(["distance", cfg, "-o", out, "--source=-0.13,0.5"]) == 2
+    assert "--source -0.13,0.5" in capsys.readouterr().err
+    assert cli.main(["distance", cfg, "-o", out, "--source=-0.12,0.5",
+                     "--target", "1.12,1"]) == 0
+    assert "between nodes 2 and 24" in capsys.readouterr().out
+
+
 def test_convolve_writes_field_and_gap(tmp_path, capsys):
     cfg = write_cfg(tmp_path, PLANE_CFG)
     out = str(tmp_path / "c")

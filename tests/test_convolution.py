@@ -1,4 +1,5 @@
-from functools import reduce
+import collections
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -265,18 +266,60 @@ def _cases(dom):
         yield ScalarField(dom, wall), 8.0 * dom.h**2
 
 
-@pytest.mark.parametrize("kernel", ["right", "left"])
-@pytest.mark.parametrize("name, block", [
-    *(pytest.param(name, None, id=name) for name in sorted(DYADIC) + sorted(NON_DYADIC)),
-    # a 7-pair block splits the tile groups and the rows of every tile
-    *(pytest.param(name, 7, id=name + "-block7") for name in sorted(DYADIC) + sorted(NON_DYADIC)),
-])
-def test_convolutions_equal_dense_sweep_bit_for_bit(name, block, kernel, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(convolution, "_BLOCK", block)
+@lru_cache(maxsize=None)
+def dense_cases(name, kernel):
+    """(u, eps, dense_sup) for every case of a lattice, computed once per kernel."""
     dom = {**DYADIC, **NON_DYADIC}[name]()
-    for u, eps in _cases(dom):
-        field, arg, shrunk = dense_sup(u, eps, kernel)
+    return [(u, eps, dense_sup(u, eps, kernel)) for u, eps in _cases(dom)]
+
+
+# per lattice, a block small enough to split its tile groups (below the
+# lines of all its tiles' windows at eps = inf), its window groups and the
+# rows of its tiles; the line has one tile, so only its rows split
+SMALL_BLOCKS = {"line": 8, "plane": 128, "space": 256, "heis": 2048,
+                "plane_h0.1": 48, "heis_h0.1": 1024, "heis_holes": 1024}
+
+
+def count_splits(monkeypatch):
+    """Count the splits of every ``_windowed_blocks`` sweep from here on.
+
+    The first ``_runs`` of a sweep groups its tiles and each later one the
+    windows of a tile group; two blocks in a row whose ys share memory are
+    rows of one tile."""
+    counts = collections.Counter()
+    runs, blocks = convolution._runs, convolution._windowed_blocks
+    sweep = {}
+
+    def counted_runs(sizes, limit):
+        out = list(runs(sizes, limit))
+        counts[sweep.pop("first", "windows")] += len(out) > 1
+        return out
+
+    def counted_blocks(*args):
+        sweep["first"] = "tiles"
+        prev = None
+        for xs, ys in blocks(*args):
+            counts["rows"] += prev is not None and np.shares_memory(prev, ys)
+            prev = ys
+            yield xs, ys
+
+    monkeypatch.setattr(convolution, "_runs", counted_runs)
+    monkeypatch.setattr(convolution, "_windowed_blocks", counted_blocks)
+    return counts
+
+
+@pytest.mark.parametrize("kernel", ["right", "left"])
+@pytest.mark.parametrize("name, small", [
+    *(pytest.param(name, False, id=name) for name in sorted(DYADIC) + sorted(NON_DYADIC)),
+    # the SMALL_BLOCKS cases
+    *(pytest.param(name, True, id=name + "-block7") for name in sorted(DYADIC) + sorted(NON_DYADIC)),
+])
+def test_convolutions_equal_dense_sweep_bit_for_bit(name, small, kernel, monkeypatch):
+    if small:
+        monkeypatch.setattr(convolution, "_BLOCK", SMALL_BLOCKS[name])
+        splits = count_splits(monkeypatch)
+    dom = {**DYADIC, **NON_DYADIC}[name]()
+    for u, eps, (field, arg, shrunk) in dense_cases(name, kernel):
         rep = convolution.sup_convolution(u, eps, kernel)
         assert rep.field.values.tobytes() == field.tobytes()
         assert np.array_equal(rep.attainment, arg)
@@ -286,6 +329,9 @@ def test_convolutions_equal_dense_sweep_bit_for_bit(name, block, kernel, monkeyp
         assert inf_rep.field.values.tobytes() == (-field).tobytes()
         assert np.array_equal(inf_rep.attainment, arg)
         assert np.array_equal(inf_rep.shrunken, shrunk)
+    if small:
+        split = {kind for kind, count in splits.items() if count}
+        assert split == ({"rows"} if name == "line" else {"tiles", "windows", "rows"})
 
 
 # -- per-tile reference: each tile's window computed on its own --

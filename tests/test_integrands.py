@@ -51,13 +51,10 @@ def test_grad_matches_finite_difference(alpha):
         assert np.isclose(f.grad(p)[i], fd, rtol=1e-5, atol=1e-7)
 
 
-def test_singular_power_is_flagged_and_finite_at_zero():
+def test_singular_power_is_finite_at_zero():
     f = integrands.power(1.5)
-    assert f.singular_at_zero
-    assert not integrands.power(2.0).singular_at_zero
-    assert not integrands.squared_norm().singular_at_zero
     z = np.zeros(2)
-    assert np.all(np.isfinite(f.grad(z)))
+    assert np.array_equal(f.grad(z), z)
 
 
 def test_from_id_round_trip():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,21 @@ def lattice_edge_field():
     return ScalarField(dom, x * x - 0.5 * y * y + 0.3 * x * y + x)
 
 
+def slot_field():
+    """Cones on [-1,1]^2 at h = 1/8 with an exterior slot inside the interior.
+
+    Interior nodes border the slot, so their stencils reach exterior
+    nodes, which hold junk here and must read as missing."""
+    box = GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 1 / 8)
+    c = box.coords
+    cls = box.classification.copy()
+    cls[(np.abs(c[:, 0]) <= 0.25) & (np.abs(c[:, 1]) <= 0.5)] = EXTERIOR
+    dom = GridDomain(box.spec, box.lower, box.h, box.dims, cls)
+    vals = cone_field(dom, [-1, -1], [1, 1]).values
+    vals[cls == EXTERIOR] = 1e3
+    return ScalarField(dom, vals)
+
+
 def box_cones(geometry, lower, upper, h):
     return lambda: cone_field(GridDomain.box(groups.from_id(geometry), lower, upper, h),
                               lower, upper)
@@ -307,7 +324,24 @@ VISCOSITY_CASES = {
     "grushin_cones": box_cones("grushin", [-1, -1], [1, 1], 1 / 8),
     "line_cones": box_cones("euclidean:1", [0], [1], 1 / 32),
     "lattice_edge": lattice_edge_field,
+    "plane_slot": slot_field,
 }
+
+
+@pytest.mark.parametrize("name", ["lattice_edge", "plane_slot"])
+def test_stencil_values_read_missing_neighbors_as_nan(name):
+    """The padded gather equals the neighbor table of the reference.
+
+    Off the lattice (lattice_edge) and on exterior nodes (plane_slot) it
+    reads NaN, never the exterior junk."""
+    u = VISCOSITY_CASES[name]()
+    offs, nbv = verify._stencil_values(u)
+    ref_offs, nb_flat, valid = reference_stencil_table(u.domain)
+    column = {tuple(o): c for c, o in enumerate(ref_offs.tolist())}
+    cols = [column[tuple(o)] for o in offs.tolist()]
+    want = np.where(valid, u.values[nb_flat], np.nan)[:, cols].T
+    assert np.any(~valid)
+    assert nbv.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(VISCOSITY_CASES))
@@ -330,6 +364,20 @@ def test_viscosity_check_matches_the_reference(name):
 # -- staging: the touching test against every offset at every pair --
 
 
+def ring_gaps(near, nbv, center, jets):
+    """(offset, candidate, node) gaps at the ring offsets near, by the stage-1 products."""
+    n = near.shape[1]
+    coef = np.empty((near.shape[0], jets.zeta.size, n + 3))
+    coef[:, :, 0] = 1.0
+    coef[:, :, 1 : n + 1] = jets.lam
+    coef[:, :, n + 1] = jets.zeta
+    coef[:, :, n + 2] = (np.einsum("ia,oa->io", jets.g, near)
+                         + 0.5 * np.einsum("oa,iab,ob->io", near, jets.H, near)).T
+    planes = verify._ring_planes(near, nbv[: near.shape[0]] - center,
+                                 jets.fwd, jets.bwd, jets.D2)
+    return np.matmul(coef, planes)
+
+
 def unstaged_touching(delta, nbv, center, jets, slack, ring_open=None):
     """verify._touching without its stages: every (candidate, node) pair at every offset.
 
@@ -340,14 +388,7 @@ def unstaged_touching(delta, nbv, center, jets, slack, ring_open=None):
     n = delta.shape[1]
     ring = 3**n
     near, far = delta[:ring], delta[ring:]
-    coef = np.empty((ring, jets.zeta.size, n + 3))
-    coef[:, :, 0] = 1.0
-    coef[:, :, 1 : n + 1] = jets.lam
-    coef[:, :, n + 1] = jets.zeta
-    coef[:, :, n + 2] = (np.einsum("ia,oa->io", jets.g, near)
-                         + 0.5 * np.einsum("oa,iab,ob->io", near, jets.H, near)).T
-    planes = verify._ring_planes(near, nbv[:ring] - center, jets.fwd, jets.bwd, jets.D2)
-    gaps = np.matmul(coef, planes)
+    gaps = ring_gaps(near, nbv, center, jets)
     gaps[ring // 2] = 0.0
     lowest = np.fmin.reduce(gaps, axis=0)
     highest = np.fmax.reduce(gaps, axis=0)
@@ -403,6 +444,44 @@ def test_staged_touching_when_no_pair_reaches_stage_two(monkeypatch):
     assert ring_open == 0
     assert ref.jets_above == ref.jets_below == 0
     assert ref.worst_subsolution_violation == ref.worst_supersolution_violation == 0.0
+
+
+def test_axis_cut_keeps_other_rows_in_each_chunk(monkeypatch):
+    """Stage 1 with chunks of 8 nodes, some of which keep no candidate row.
+
+    The fixed candidates include lam = 1/2, zeta = 1, which fits u on the
+    axes and so is open at every node after them; the random candidates of
+    the plane cones alone are shut in most chunks.  The premise is
+    recomputed from _ring_planes: chunks keep different rows, some keep
+    none and some keep a few.  The verdicts equal the unstaged ones."""
+    touching = verify._touching
+    args = []
+    monkeypatch.setattr(verify, "_touching", lambda *a: args.append(a) or touching(*a))
+    verify.viscosity_check(VISCOSITY_CASES["plane_cones"](), OperatorSpec.infinity_laplacian(),
+                           jet_samples=16, seed=4)
+    monkeypatch.undo()
+    delta, nbv, center, jets, slack = args[0]
+    rand = slice(15, None)
+    jets = dataclasses.replace(jets, lam=jets.lam[rand], zeta=jets.zeta[rand],
+                               g=jets.g[rand], H=jets.H[rand])
+    near = delta[: 3 ** delta.shape[1]]
+    axes = np.count_nonzero(near, axis=1) == 1
+    gaps = ring_gaps(near[axes], nbv[:near.shape[0]][axes], center, jets)
+    lo = np.fmin(np.fmin.reduce(gaps, axis=0), 0.0)
+    hi = np.fmax(np.fmax.reduce(gaps, axis=0), 0.0)
+    open_pairs = (lo >= -slack) | (hi <= slack)
+    width = 8
+    kept = [np.flatnonzero(open_pairs[:, s : s + width].any(axis=1))
+            for s in range(0, center.size, width)]
+    sizes = [rows.size for rows in kept]
+    assert 0 in sizes and any(0 < k < jets.zeta.size for k in sizes)
+    assert len({tuple(rows) for rows in kept if rows.size}) > 1
+    monkeypatch.setattr(verify, "_CHUNK", width * jets.zeta.size)
+    got = verify._touching(delta, nbv, center, jets, slack)
+    want = unstaged_touching(delta, nbv, center, jets, slack)
+    assert np.any(want[0] | want[1])
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 # -- comparison and minimality ----------------------------------------------
