@@ -9,7 +9,7 @@ The usual entry points:
     calculus.horizontal_gradient / infinity_laplacian / aronsson_residual
     metric.build_graph / cc_distance
     convolution.sup_convolution / inf_convolution
-    solver.infinity_solve / aux_solve / minimize_k / strictify
+    solver.solve / minimize_k / strictify
     verify.viscosity_check / comparison_check / amle_check
 """
 

@@ -51,16 +51,6 @@ def _cfg(config_dir: str, name: str) -> cfgmod.ProblemConfig:
     return cfgmod.load_config(os.path.join(config_dir, name))
 
 
-def _solve(cfg, eps=None, side=None, sv=None):
-    g = cfg.boundary_data()
-    f = cfg.integrand_obj()
-    sv = sv or cfg.solver
-    eps = cfg.eps if eps is None else eps
-    if eps > 0:
-        return solver.aux_solve(g, f, eps, side or cfg.side, sv)
-    return solver.infinity_solve(g, f, sv)
-
-
 # -- criteria ----------------------------------------------------------------
 
 
@@ -68,7 +58,8 @@ def _a1(config_dir: str):
     """1D extension of g(0)=0, g(1)=1 is the linear interpolant."""
     cfg = _cfg(config_dir, "a1_line.cfg")
     t0 = time.perf_counter()
-    rep = _solve(cfg)
+    rep = solver.solve(cfg.boundary_data(), cfg.integrand_obj(), cfg.eps, cfg.side,
+                       config=cfg.solver)
     dt = time.perf_counter() - t0
     dom = rep.solution.domain
     nodes = dom.nonexterior_flat
@@ -110,8 +101,9 @@ def _a3(config_dir: str):
 def _a4(config_dir: str):
     """Comparison margin of the lower branch against the strictified upper branch."""
     cfg = _cfg(config_dir, "a4_line.cfg")
-    u = _solve(cfg, side="lower").solution
-    up = _solve(cfg, side="upper").solution
+    g, f = cfg.boundary_data(), cfg.integrand_obj()
+    u = solver.solve(g, f, cfg.eps, "lower", config=cfg.solver).solution
+    up = solver.solve(g, f, cfg.eps, "upper", config=cfg.solver).solution
     w, _ = solver.strictify(up, delta=0.05, eps=cfg.eps, alpha=2.0)
     margin = verify.comparison_check(u, w)
     shifted = ScalarField(u.domain, u.values + 0.1)
@@ -192,16 +184,16 @@ def _a6(config_dir: str):
         gaps = []
         prev = math.inf
         for eps in _A6_EPS:
-            lo = solver.aux_solve(g, f, eps, "lower", sv_gap).solution
-            hi = solver.aux_solve(g, f, eps, "upper", sv_gap).solution
+            lo = solver.solve(g, f, eps, "lower", config=sv_gap).solution
+            hi = solver.solve(g, f, eps, "upper", config=sv_gap).solution
             gap = solver.uniqueness_gap(lo, hi)
             if not gap < prev:
                 ok = False
             gaps.append(gap)
             prev = gap
-        a = solver.infinity_solve(g, f, cfg.solver).solution
-        b = solver.infinity_solve(
-            g, f, dataclasses.replace(cfg.solver, initialization="zero")).solution
+        a = solver.solve(g, f, config=cfg.solver).solution
+        b = solver.solve(
+            g, f, config=dataclasses.replace(cfg.solver, initialization="zero")).solution
         agree = float(np.max(np.abs(a.values[a.domain.nonexterior_flat]
                                     - b.values[a.domain.nonexterior_flat])))
         if agree > 1e-4:
@@ -333,7 +325,7 @@ def _a10(config_dir: str):
     """Strictified upper branch keeps a quantified operator margin."""
     cfg = _cfg(config_dir, "a10_line.cfg")
     f = cfg.integrand_obj()
-    up = _solve(cfg, side="upper").solution
+    up = solver.solve(cfg.boundary_data(), f, cfg.eps, "upper", config=cfg.solver).solution
     w, mu = solver.strictify(up, delta=0.1, eps=cfg.eps, alpha=2.0)
     grad = calculus.horizontal_gradient(w)
     res = calculus.aronsson_residual(w, f)

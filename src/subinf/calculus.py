@@ -23,22 +23,15 @@ def _padded_values(u: ScalarField) -> np.ndarray:
     return vals
 
 
+def _gradient_columns(u: ScalarField) -> np.ndarray:
+    """X_i u on every non-exterior node (one-sided rows on the band), (N, m)."""
+    vals = _padded_values(u)
+    return np.stack([op @ vals for op in u.domain.gradient_operators()], axis=1)
+
+
 def horizontal_gradient(u: ScalarField) -> HorizontalField:
     """Horizontal gradient Xu = (X_1 u, ..., X_m u) at interior nodes."""
-    dom = u.domain
-    vals = _padded_values(u)
-    ops = dom.gradient_operators("interior")
-    cols = [op @ vals for op in ops]
-    grads = np.stack([c[dom.interior_flat] for c in cols], axis=1)
-    return HorizontalField(dom, grads)
-
-
-def _extended_gradient_columns(u: ScalarField) -> np.ndarray:
-    """X_i u on all non-exterior nodes (one-sided rows on the band)."""
-    dom = u.domain
-    vals = _padded_values(u)
-    ops = dom.gradient_operators("nonexterior")
-    return np.stack([op @ vals for op in ops], axis=1)  # (N, m)
+    return HorizontalField(u.domain, _gradient_columns(u)[u.domain.interior_flat])
 
 
 def horizontal_hessian(u: ScalarField) -> np.ndarray:
@@ -49,13 +42,12 @@ def horizontal_hessian(u: ScalarField) -> np.ndarray:
     """
     dom = u.domain
     m = dom.spec.horizontal_dim
-    first = _extended_gradient_columns(u)  # (N, m)
-    ops = dom.gradient_operators("interior")
+    first = _gradient_columns(u)  # (N, m)
     idx = dom.interior_flat
     second = np.empty((idx.size, m, m))
-    for i in range(m):
-        col = ops[i] @ first  # d/dX_i of each X_j u, all columns at once
-        second[:, i, :] = col[idx]
+    for i, op in enumerate(dom.gradient_operators()):
+        # d/dX_i of each X_j u, all columns at once
+        second[:, i, :] = (op @ first)[idx]
     return 0.5 * (second + np.swapaxes(second, 1, 2))
 
 
@@ -95,12 +87,9 @@ def adjoint_divergence(F: HorizontalField) -> ScalarField:
     the interior part).
     """
     dom = F.domain
-    ops = dom.gradient_operators("interior")
     full = np.zeros(dom.n_nodes)
-    for i, op in enumerate(ops):
-        comp = np.zeros(dom.n_nodes)
-        comp[dom.interior_flat] = F.values[:, i]
-        full += op.T @ comp
+    for i, op in enumerate(dom.gradient_operators()):
+        full += op[dom.interior_flat].T @ F.values[:, i]
     ext = ~dom.nonexterior_mask
     if np.any(ext):
         full[ext] = np.nan

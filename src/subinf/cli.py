@@ -113,11 +113,8 @@ def _load(args):
 def _solve_problem(cfg):
     from . import solver
 
-    g = cfg.boundary_data()
-    f = cfg.integrand_obj()
-    if cfg.eps > 0:
-        return solver.aux_solve(g, f, cfg.eps, cfg.side, cfg.solver)
-    return solver.infinity_solve(g, f, cfg.solver)
+    return solver.solve(cfg.boundary_data(), cfg.integrand_obj(), cfg.eps, cfg.side,
+                        config=cfg.solver)
 
 
 def _base_manifest(cfg, command: str) -> dict:
@@ -356,25 +353,26 @@ def _cmd_table(args) -> int:
     from . import fieldio
 
     cfg = _load(args)
+    dim = cfg.spec().dim
+    axis = args.axis
+    if dim > 2 and not 0 <= axis < dim:
+        from .errors import ConfigError
+
+        raise ConfigError(f"--axis must be in [0, {dim - 1}], got {axis}")
     out = _ensure_outdir(args.out)
     report = _solve_problem(cfg)
     u = report.solution
     dom = u.domain
     nodes = dom.nonexterior_flat
-    if dom.spec.dim <= 2:
-        cols = [dom.coords[nodes][:, j] for j in range(dom.spec.dim)]
+    if dim <= 2:
+        cols = [dom.coords[nodes][:, j] for j in range(dim)]
         cols.append(u.values[nodes])
-        names = [f"x{j}" for j in range(dom.spec.dim)] + ["u"]
+        names = [f"x{j}" for j in range(dim)] + ["u"]
     else:
-        axis = args.axis
-        if not (0 <= axis < dom.spec.dim):
-            from .errors import ConfigError
-
-            raise ConfigError(f"--axis must be in [0, {dom.spec.dim - 1}], got {axis}")
         mid = [d // 2 for d in dom.dims]
         multi = dom.multi_indices[nodes]
         on_line = np.ones(nodes.size, dtype=bool)
-        for j in range(dom.spec.dim):
+        for j in range(dim):
             if j != axis:
                 on_line &= multi[:, j] == mid[j]
         sel = nodes[on_line]

@@ -5,12 +5,14 @@ spacing ``h`` for all axes.  Every node is classified interior, boundary or
 exterior; boundary nodes form a closed band (width >= 1 cell) around the
 interior, so centred stencils at interior nodes never leave the lattice.
 
-First-derivative stencils are assembled once per domain as sparse matrices:
-centred second-order rows wherever both axis neighbours are usable, one-sided
-second-order rows on the boundary band (falling back to two-point rows when a
-band is only one node deep on some axis).  The horizontal operators in
-:mod:`subinf.calculus` are products of these matrices with the frame
-coefficients, which makes their adjoints exact transposes.
+First-derivative stencils are assembled once per domain as sparse matrices
+with one row per non-exterior node: centred second-order rows wherever both
+axis neighbours are usable, one-sided second-order rows on the boundary band
+(falling back to two-point rows when a band is only one node deep on some
+axis).  The horizontal operators in :mod:`subinf.calculus` are products of
+these matrices with the frame coefficients, which makes their adjoints exact
+transposes; they read the rows they need, the interior ones for the gradient
+and its adjoint.
 """
 
 from __future__ import annotations
@@ -205,18 +207,16 @@ class GridDomain:
 
     # -- stencil operators --------------------------------------------------
 
-    def axis_difference(self, axis: int, rows: str = "nonexterior") -> sp.csr_matrix:
+    def axis_difference(self, axis: int) -> sp.csr_matrix:
         """Sparse first-derivative matrix along one axis.
 
-        Rows are nonzero only on the requested node set (``interior`` or
-        ``nonexterior``).  Centred stencils are used where both axis
-        neighbours are non-exterior, one-sided second-order stencils
-        otherwise.
+        One row per non-exterior node; exterior rows are empty.  Centred
+        stencils are used where both axis neighbours are non-exterior,
+        one-sided second-order stencils otherwise.
         """
-        key = ("D", axis, rows)
+        key = ("D", axis)
         if key in self._op_cache:
             return self._op_cache[key]
-        mask = self._row_mask(rows)
         n = self.n_nodes
         stride = int(self.strides[axis])
         size = self.dims[axis]
@@ -228,7 +228,7 @@ class GridDomain:
             res = np.zeros(n, dtype=bool)
             idx = np.flatnonzero(inside)
             res[idx] = ok[idx + shift * stride]
-            return res & mask
+            return res & ok
 
         has_m1, has_p1 = usable(-1), usable(1)
         has_m2, has_p2 = usable(-2), usable(2)
@@ -254,19 +254,17 @@ class GridDomain:
         bwd1 = ~centred & ~fwd2 & ~bwd2 & ~fwd1 & has_m1
         add(bwd1, [0, -1], [1.0, -1.0])
 
-        if rows_l:
-            mat = sp.coo_matrix(
-                (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
-                shape=(n, n),
-            ).tocsr()
-        else:
-            mat = sp.csr_matrix((n, n))
+        mat = sp.coo_matrix(
+            (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
+            shape=(n, n),
+        ).tocsr()
         self._op_cache[key] = mat
         return mat
 
-    def gradient_operators(self, rows: str = "interior") -> list[sp.csr_matrix]:
-        """Sparse matrices of the horizontal fields X_1..X_m on a row set."""
-        key = ("X", rows)
+    def gradient_operators(self) -> list[sp.csr_matrix]:
+        """Sparse matrices of the horizontal fields X_1..X_m, one row per
+        non-exterior node (the frame times axis_difference)."""
+        key = ("X",)
         if key in self._op_cache:
             return self._op_cache[key]
         a = self.frame_coefficients  # (N, m, n)
@@ -277,20 +275,13 @@ class GridDomain:
                 coef = a[:, i, j]
                 if not np.any(coef):
                     continue
-                term = sp.diags(coef) @ self.axis_difference(j, rows)
+                term = sp.diags(coef) @ self.axis_difference(j)
                 acc = term if acc is None else acc + term
             if acc is None:
                 acc = sp.csr_matrix((self.n_nodes, self.n_nodes))
             ops.append(acc.tocsr())
         self._op_cache[key] = ops
         return ops
-
-    def _row_mask(self, rows: str) -> np.ndarray:
-        if rows == "interior":
-            return self.interior_mask
-        if rows == "nonexterior":
-            return self.nonexterior_mask
-        raise ParameterError(f"unknown stencil row set {rows!r}")
 
 
 class ScalarField:

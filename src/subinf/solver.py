@@ -2,8 +2,9 @@
 
 The continuous problem is to minimize the L^k norm of f(Xu) over fields
 with prescribed boundary values, then let k grow along a doubling
-schedule.  The limits approximate infinity-harmonic fields (eps = 0) and
-the auxiliary sub/supersolution pair (eps > 0, side lower/upper).
+schedule.  solve runs that schedule: its limit approximates the
+infinity-harmonic field at eps = 0, and the auxiliary sub/supersolution
+pair at eps > 0 (side lower/upper).  minimize_k solves one k.
 
 Discretization note: the k-energy is assembled from forward (cell)
 differences, one gradient sample per lattice cell, rather than the
@@ -210,8 +211,8 @@ def _nearest_tiles(dom: GridDomain, bc: np.ndarray):
 class SolverConfig:
     """Knobs for the descent and the k-doubling schedule.
 
-    The levels are the powers of two from 2 up to k_max, then k_max
-    itself (see schedule); minimize_k ends at a k of its own instead.
+    The levels are the powers of two from 2 up to the integer k_max, then
+    k_max itself (see schedule); minimize_k ends at a k of its own instead.
     cross_tolerance is the sup-norm change between consecutive k levels
     at which the schedule stops early.  initialization picks the first
     level's start: boundary, the harmonic extension of the boundary data
@@ -225,8 +226,9 @@ class SolverConfig:
     initialization: str = "boundary"
 
     def __post_init__(self):
-        if int(self.k_max) < 4:
-            raise ParameterError("k_max must be at least 4, got %s" % (self.k_max,))
+        if not (self.k_max >= 4 and float(self.k_max).is_integer()):
+            raise ParameterError("k_max must be an integer of at least 4, got %s"
+                                 % (self.k_max,))
         for name in ("gradient_tolerance", "cross_tolerance"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -241,14 +243,28 @@ class SolverConfig:
             )
 
     def schedule(self) -> tuple:
-        ks = []
-        k = 2
-        while k <= self.k_max:
-            ks.append(k)
-            k *= 2
-        if ks[-1] != self.k_max:
-            ks.append(int(self.k_max))
-        return tuple(ks)
+        return _doubling(self.k_max)
+
+
+def _doubling(k) -> tuple:
+    """The powers of two from 2 up to k, then k itself if it is not one."""
+    ks = []
+    level = 2
+    while level < k:
+        ks.append(level)
+        level *= 2
+    return (*ks, int(k))
+
+
+def _check_level(k, eps, side) -> None:
+    """Reject a k that is not an integer >= 1, an eps that is not >= 0
+    (NaN included) and a side other than lower or upper."""
+    if not (k >= 1 and float(k).is_integer()):
+        raise ParameterError("k must be an integer of at least 1, got %s" % (k,))
+    if not eps >= 0:
+        raise ParameterError("eps must be nonnegative, got %s" % (eps,))
+    if side not in _SIDES:
+        raise ParameterError("side must be 'lower' or 'upper', got %r" % (side,))
 
 
 @dataclass(frozen=True)
@@ -308,19 +324,6 @@ class SolveReport:
     start_cg_iterations: int = 0
 
 
-@dataclass
-class StrictifyResult:
-    field: ScalarField
-    mu: float
-    c0: float
-    deviation: float
-    degenerate: bool = False
-
-    def __iter__(self):
-        # unpacking sugar: w, mu = strictify(...)
-        return iter((self.field, self.mu))
-
-
 def _power_law(q: np.ndarray, kappa: float):
     """The k-energy's power law per cell: F = q^kappa and its derivatives
     F' = kappa q^(kappa-1) and F'' = kappa (kappa-1) q^(kappa-2).
@@ -355,15 +358,10 @@ def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
     range the source is +-inf, and so is the energy, unless the cell sum
     is +inf too: then the larger of the two in log space decides.
     """
-    if k < 1:
-        raise ParameterError("k must be at least 1, got %s" % (k,))
-    if side not in _SIDES:
-        raise ParameterError("side must be 'lower' or 'upper', got %r" % (side,))
-    if not eps >= 0:
-        raise ParameterError("eps must be nonnegative")
+    _check_level(k, eps, side)
     dom = u.domain
     cell = float(dom.h) ** dom.spec.dim
-    q, kappa = _cell_q(dom, u.values), 0.5 * f.alpha * int(k)
+    q, kappa = _cell_q(dom, u.values), 0.5 * f.alpha * k
     with np.errstate(over="ignore"):
         total = float(np.sum(_power_law(q, kappa)[0])) * cell
     s = float(np.sum(u.values[dom.interior_flat])) if eps > 0 else 0.0
@@ -1004,44 +1002,27 @@ def minimize_k(g: BoundaryData, f: Integrand, k: int, eps: float, side: str,
 
     Strictly convex integrands (squared_norm) give a unique minimizer;
     other integrands are handled best-effort.  Above k = 4 the level is
-    the end of the dyadic warm-up chain 2, 4, ..., k, run without the
-    cross-level stop; high powers flatten the landscape too much for a
-    cold start to be reliable.
+    the end of the warm-up chain 2, 4, ..., k, the levels that
+    SolverConfig(k_max=k).schedule() lists, run without the cross-level
+    stop; high powers flatten the landscape too much for a cold start to
+    be reliable.
+    """
+    _check_level(k, eps, side)
+    chain = _doubling(k) if k > 4 else (int(k),)
+    return _run_schedule(g, f, eps, side, config or SolverConfig(), chain)
+
+
+def solve(g: BoundaryData, f: Integrand, eps: float = 0.0, side: str = "lower",
+          config: SolverConfig | None = None) -> SolveReport:
+    """The k-doubling limit along config.schedule().
+
+    With eps = 0 it approximates the infinity-harmonic field, and side
+    does not enter.  With eps > 0 the eps source gives the auxiliary
+    branches: side='lower' the subsolution u_eps, side='upper' the
+    supersolution v_eps.
     """
     config = config or SolverConfig()
-    if k < 1:
-        raise ParameterError("k must be at least 1, got %s" % (k,))
-    if side not in _SIDES:
-        raise ParameterError("side must be 'lower' or 'upper', got %r" % (side,))
-    if not eps >= 0:
-        raise ParameterError("eps must be nonnegative")
-    chain = []
-    kk = 2
-    while kk < k and k > 4:
-        chain.append(kk)
-        kk *= 2
-    return _run_schedule(g, f, eps, side, config, (*chain, int(k)))
-
-
-def infinity_solve(g: BoundaryData, f: Integrand,
-                   config: SolverConfig | None = None) -> SolveReport:
-    """k-doubling limit with eps = 0: the infinity-harmonic field."""
-    config = config or SolverConfig()
-    return _run_schedule(g, f, 0.0, "lower", config)
-
-
-def aux_solve(g: BoundaryData, f: Integrand, eps: float, side: str,
-              config: SolverConfig | None = None) -> SolveReport:
-    """k-doubling limit with the eps source: auxiliary equation solves.
-
-    side='lower' produces the subsolution branch u_eps, side='upper'
-    the supersolution branch v_eps.
-    """
-    config = config or SolverConfig()
-    if not eps > 0:
-        raise ParameterError("aux_solve requires eps > 0, got %s" % (eps,))
-    if side not in _SIDES:
-        raise ParameterError("side must be 'lower' or 'upper', got %r" % (side,))
+    _check_level(config.k_max, eps, side)
     return _run_schedule(g, f, float(eps), side, config)
 
 
@@ -1053,13 +1034,15 @@ def uniqueness_gap(u_eps: ScalarField, v_eps: ScalarField) -> float:
 
 
 def strictify(v: ScalarField, delta: float, eps: float,
-              alpha: float = 2.0) -> StrictifyResult:
+              alpha: float = 2.0) -> tuple[ScalarField, float]:
     """Concave reparametrization g_delta(v) with a quantified margin mu.
 
-    g_delta(t) = (1 + delta) t - delta t^2 / (4 C0) with C0 = 4 sup|v|.
-    mu = min(delta eps / 2, delta alpha^2 eps^2 / (2 C0)).  The
-    perturbation sup|g_delta(v) - v| is recorded post hoc; it stays
-    within about 1.0625 * delta * sup|v|.
+    Returns (g_delta(v), mu), with g_delta(t) = (1 + delta) t
+    - delta t^2 / (4 C0), C0 = 4 sup|v| (1e-12 for a zero field, which
+    g_delta leaves as it is), and mu = min(delta eps / 2,
+    delta alpha^2 eps^2 / (2 C0)).  On [-C0, C0] g_delta is increasing,
+    so it keeps the order of fields, and sup|g_delta(v) - v| is at most
+    1.0625 delta sup|v|.
     """
     if not delta > 0:
         raise ParameterError("delta must be positive, got %s" % (delta,))
@@ -1067,18 +1050,10 @@ def strictify(v: ScalarField, delta: float, eps: float,
         raise ParameterError("eps must be positive, got %s" % (eps,))
     if not alpha >= 1:
         raise ParameterError("alpha must be at least 1, got %s" % (alpha,))
-    sup = v.sup_norm()
-    degenerate = sup == 0.0
-    c0 = max(4.0 * sup, 1e-12)
+    c0 = max(4.0 * v.sup_norm(), 1e-12)
     mu = min(delta * eps / 2.0, delta * alpha * alpha * eps * eps / (2.0 * c0))
-    if degenerate:
-        return StrictifyResult(field=v.copy(), mu=mu, c0=c0,
-                               deviation=0.0, degenerate=True)
     vals = v.values.copy()
     mask = v.domain.classification != EXTERIOR
     t = vals[mask]
     vals[mask] = (1.0 + delta) * t - delta * t * t / (4.0 * c0)
-    out = ScalarField(v.domain, vals)
-    deviation = float(np.max(np.abs(vals[mask] - v.values[mask])))
-    return StrictifyResult(field=out, mu=mu, c0=c0,
-                           deviation=deviation, degenerate=False)
+    return ScalarField(v.domain, vals), mu

@@ -24,7 +24,7 @@ from .errors import ParameterError
 from .grids import EXTERIOR, GridDomain, ScalarField, require_same_lattice
 from .groups import horizontal_frame
 from .integrands import Integrand
-from .solver import BoundaryData, SolverConfig, infinity_solve
+from .solver import BoundaryData, SolverConfig, solve
 
 _KINDS = ("infinity_laplacian", "aronsson", "aux_lower", "aux_upper")
 _CHUNK = 32_768  # gaps (candidate, node) or (offset, pair) in one product: 256 kB, in cache
@@ -461,7 +461,7 @@ def amle_check(u: ScalarField, f: Integrand, trials: int,
         sub_vals = u.values[parent_flat].copy()
         sub_u = ScalarField(sub, sub_vals)
         g = BoundaryData.from_field(sub_u)
-        w = infinity_solve(g, f, config).solution
+        w = solve(g, f, config=config).solution
         num = float(np.max(f.value(horizontal_gradient(sub_u).values)))
         den = float(np.max(f.value(horizontal_gradient(w).values)))
         worst = max(worst, num / max(den, 1e-12))

@@ -309,6 +309,15 @@ def test_table_full_dump_and_axis_line(tmp_path):
     assert cli.main(["table", cfg3, "-o", out3, "--axis", "7"]) == 2
 
 
+@pytest.mark.parametrize("axis", ["3", "-1"])
+def test_table_axis_out_of_range_exits_2_before_the_solve(tmp_path, capsys,
+                                                          monkeypatch, axis):
+    monkeypatch.setattr(cli, "_solve_problem", _no_solve)
+    cfg3 = write_cfg(tmp_path, H1_CFG, name="h1.cfg")
+    assert cli.main(["table", cfg3, "-o", str(tmp_path / "t"), "--axis", axis]) == 2
+    assert f"--axis must be in [0, 2], got {axis}" in capsys.readouterr().err
+
+
 def test_acceptance_only_subset(tmp_path, capsys):
     out = str(tmp_path / "acc")
     assert cli.main(["acceptance", "-o", out, "--only", "A1"]) == 0

@@ -89,14 +89,10 @@ def test_axis_difference_exact_on_quadratics():
     assert np.allclose(d, 2 * x, atol=1e-12)
 
 
-def test_axis_difference_row_sets():
+def test_axis_difference_has_band_rows():
+    """Band nodes get rows too: node 0 its one-sided three-point stencil."""
     dom = box1d(8)
-    interior_rows = dom.axis_difference(0, rows="interior")
-    full_rows = dom.axis_difference(0, rows="nonexterior")
-    assert interior_rows[0].count_nonzero() == 0
-    assert full_rows[0].count_nonzero() == 3
-    with pytest.raises(ParameterError):
-        dom.axis_difference(0, rows="everything")
+    assert dom.axis_difference(0)[0].count_nonzero() == 3
 
 
 def test_gradient_operator_matches_frame():

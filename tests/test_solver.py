@@ -106,8 +106,7 @@ def test_reported_energy_is_the_public_energy(eps, side):
     g = BoundaryData.from_function(
         dom, lambda c: np.abs(c[:, 0]) ** (4 / 3) - np.abs(c[:, 1]) ** (4 / 3))
     cfg = SolverConfig(k_max=8)
-    rep = (solver.aux_solve(g, SQ, eps, side, cfg) if eps > 0
-           else solver.infinity_solve(g, SQ, cfg))
+    rep = solver.solve(g, SQ, eps, side, config=cfg)
     k = rep.levels[-1].k
     assert np.isclose(solver.energy(rep.solution, SQ, k, eps, side),
                       rep.energy_trace[k][-1], rtol=1e-10, atol=0.0)
@@ -212,6 +211,8 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         SolverConfig(k_max=2)
     with pytest.raises(ParameterError):
+        SolverConfig(k_max=math.nan)
+    with pytest.raises(ParameterError):
         SolverConfig(initialization="random")
     for name in ("gradient_tolerance", "cross_tolerance"):
         for bad in (0.0, math.inf, math.nan):
@@ -219,7 +220,35 @@ def test_config_validation():
                 SolverConfig(**{name: bad})
 
 
+def test_non_integer_k_max_is_rejected():
+    """At k_max = 4.5 the schedule read (2, 4, 4): level 4 ran twice."""
+    with pytest.raises(ParameterError, match="k_max must be an integer"):
+        SolverConfig(k_max=4.5)
+    assert SolverConfig(k_max=8.0).schedule() == (2, 4, 8)
+
+
+def test_non_integer_k_is_rejected():
+    """energy(u, f, 2.5) summed the cells at k = 2 but the source at
+    eps^1.5; every entry point with a k now refuses it."""
+    dom = line_domain(4)
+    u = ScalarField.from_function(dom, lambda c: c[:, 0] ** 2)
+    for k in (2.5, 0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            solver.energy(u, SQ, k, eps=0.5)
+    with pytest.raises(ParameterError, match="k must be an integer"):
+        solver.minimize_k(line_boundary(dom), SQ, 4.5, 0.0, "lower")
+    assert solver.energy(u, SQ, 2.0, eps=0.5) == solver.energy(u, SQ, 2, eps=0.5)
+
+
 # -- single-level minimization --------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8])
+def test_minimize_k_runs_the_schedule_up_to_k(k):
+    dom = line_domain(8)
+    rep = solver.minimize_k(line_boundary(dom), SQ, k, 0.0, "lower")
+    ks = [lv.k for lv in rep.levels]
+    assert ks == ([k] if k <= 4 else list(SolverConfig(k_max=k).schedule()))
 
 
 @pytest.mark.parametrize("k", [2, 4, 16, 64])
@@ -689,9 +718,9 @@ def test_forcing_terms_reach_the_fixed_tolerance_solution(monkeypatch, case):
     dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
     g = BoundaryData.from_function(dom, fn)
     config = SolverConfig(k_max=k_max, gradient_tolerance=1e-10)
-    got = solver.infinity_solve(g, SQ, config)
+    got = solver.solve(g, SQ, config=config)
     monkeypatch.setattr(solver, "_forcing", lambda residual, ratio: solver._CG_RTOL)
-    ref = solver.infinity_solve(g, SQ, config)
+    ref = solver.solve(g, SQ, config=config)
     for rep in (got, ref):
         assert [lv.stop for lv in rep.levels] == ["gradient_tolerance"] * len(rep.levels)
     assert [lv.k for lv in got.levels] == [lv.k for lv in ref.levels]
@@ -810,13 +839,13 @@ def test_flat_warm_start_levels_converge_in_few_iterations(name):
     g = cfg.boundary_data()
     f = cfg.integrand_obj()
     if cfg.eps > 0:  # A10: the upper branch it strictifies
-        reports = [solver.aux_solve(g, f, cfg.eps, cfg.side, cfg.solver)]
+        reports = [solver.solve(g, f, cfg.eps, cfg.side, config=cfg.solver)]
     else:  # A6: both branches at its smallest eps, and both initializations
         sv = dataclasses.replace(cfg.solver, k_max=4)
-        reports = [solver.aux_solve(g, f, 0.05, side, sv)
+        reports = [solver.solve(g, f, 0.05, side, config=sv)
                    for side in ("lower", "upper")]
-        reports += [solver.infinity_solve(
-            g, f, dataclasses.replace(cfg.solver, initialization=init))
+        reports += [solver.solve(
+            g, f, config=dataclasses.replace(cfg.solver, initialization=init))
             for init in ("boundary", "zero")]
     for rep in reports:
         for lv in rep.levels:
@@ -843,7 +872,7 @@ def test_minimize_k_validation():
 def test_infinity_solve_linear_and_boundary_round_trip():
     dom = line_domain(8)
     g = line_boundary(dom, slope=1.5)
-    rep = solver.infinity_solve(g, SQ, SolverConfig(k_max=32))
+    rep = solver.solve(g, SQ, config=SolverConfig(k_max=32))
     assert rep.converged
     exact = 1.5 * dom.coords[:, 0]
     assert np.max(np.abs(rep.solution.values - exact)) <= 1e-5
@@ -870,7 +899,7 @@ def test_minimize_k_translation_equivariance():
 def test_energy_trace_is_monotone_per_level():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, 1])
-    rep = solver.infinity_solve(g, SQ, SolverConfig(k_max=8))
+    rep = solver.solve(g, SQ, config=SolverConfig(k_max=8))
     for k, trace in rep.energy_trace.items():
         diffs = np.diff(np.array(trace))
         assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
@@ -879,7 +908,7 @@ def test_energy_trace_is_monotone_per_level():
 def test_level_reports_carry_energies_changes_and_cg_work():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, 1] ** 2)
-    rep = solver.infinity_solve(g, SQ, SolverConfig(k_max=8))
+    rep = solver.solve(g, SQ, config=SolverConfig(k_max=8))
     assert [lv.k for lv in rep.levels] == [2, 4, 8]
     for lv in rep.levels:
         assert lv.energy_start == rep.energy_trace[lv.k][0]
@@ -905,10 +934,10 @@ def test_no_solve_calls_graph_lipschitz(monkeypatch):
     dom = GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.5)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, 1] + c[:, 2])
     config = SolverConfig(k_max=4)
-    for rep in (solver.infinity_solve(g, SQ, config),
+    for rep in (solver.solve(g, SQ, config=config),
                 solver.minimize_k(g, SQ, 8, 0.0, "lower", config),
-                solver.aux_solve(g, SQ, 0.3, "upper", config),
-                solver.infinity_solve(g, SQ, dataclasses.replace(
+                solver.solve(g, SQ, 0.3, "upper", config=config),
+                solver.solve(g, SQ, config=dataclasses.replace(
                     config, initialization="zero"))):
         assert all(lv.stop == "gradient_tolerance" for lv in rep.levels)
 
@@ -935,7 +964,7 @@ def test_each_level_is_scaled_by_its_start_on_the_gauge_box(monkeypatch):
     monkeypatch.setattr(solver, "_descend", recording)
     dom = GridDomain.box(groups.heisenberg1(), [0.25, -0.5, -0.5], [1.25, 0.5, 0.5], 0.125)
     g = BoundaryData.from_function(dom, heisenberg_gauge)
-    rep = solver.infinity_solve(g, SQ, SolverConfig(k_max=256, cross_tolerance=1e-300))
+    rep = solver.solve(g, SQ, config=SolverConfig(k_max=256, cross_tolerance=1e-300))
     assert [lv.k for lv in rep.levels] == [2, 4, 8, 16, 32, 64, 128, 256]
     for lv, (scale, slope) in zip(rep.levels, starts):
         assert lv.scale == scale
@@ -981,9 +1010,9 @@ def test_unseen_counts_the_free_nodes_that_every_cell_weighs_below_1e_6():
 def test_zero_initialization_reaches_the_same_solution():
     dom = line_domain(8)
     g = line_boundary(dom, slope=1.0)
-    a = solver.infinity_solve(g, SQ, SolverConfig(k_max=8)).solution.values
-    b = solver.infinity_solve(
-        g, SQ, SolverConfig(k_max=8, initialization="zero")).solution.values
+    a = solver.solve(g, SQ, config=SolverConfig(k_max=8)).solution.values
+    b = solver.solve(
+        g, SQ, config=SolverConfig(k_max=8, initialization="zero")).solution.values
     assert np.max(np.abs(a - b)) <= 1e-6
 
 
@@ -1038,7 +1067,7 @@ def test_harmonic_start_of_linear_line_data_is_the_a1_minimizer():
     dom = g.domain
     start, _ = solver._harmonic_start(g)
     assert np.max(np.abs(start - dom.coords[:, 0])) <= 1e-12
-    rep = solver.infinity_solve(g, cfg.integrand_obj(), cfg.solver)
+    rep = solver.solve(g, cfg.integrand_obj(), config=cfg.solver)
     assert rep.levels[0].k == 2
     assert (rep.levels[0].stop, rep.levels[0].iterations) == ("gradient_tolerance", 0)
 
@@ -1056,10 +1085,10 @@ def test_the_start_and_the_levels_account_for_every_cg_iteration(monkeypatch):
     dom = GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.125)
     g = BoundaryData.from_function(
         dom, lambda c: np.abs(c[:, 0]) ** (4 / 3) - np.abs(c[:, 1]) ** (4 / 3))
-    rep = solver.infinity_solve(g, SQ, SolverConfig(k_max=8))
+    rep = solver.solve(g, SQ, config=SolverConfig(k_max=8))
     assert rep.start_cg_iterations == its[0] > 0
     assert sum(its) == rep.start_cg_iterations + sum(lv.cg_iterations for lv in rep.levels)
-    zero = solver.infinity_solve(g, SQ, SolverConfig(k_max=8, initialization="zero"))
+    zero = solver.solve(g, SQ, config=SolverConfig(k_max=8, initialization="zero"))
     assert zero.start_cg_iterations == 0
 
 
@@ -1078,26 +1107,52 @@ def test_harmonic_start_stays_in_the_data_range_around_an_exterior_cavity():
     assert np.all(np.isnan(start[dom.classification == EXTERIOR]))
     assert g.values.min() <= start[inside].min()
     assert start[inside].max() <= g.values.max()
-    rep = solver.infinity_solve(g, SQ, SolverConfig(k_max=4))
+    rep = solver.solve(g, SQ, config=SolverConfig(k_max=4))
     assert np.all(np.isfinite(rep.solution.values[inside]))
 
 
-def test_aux_solve_sides_and_validation():
+def test_solve_sides_and_validation():
     dom = line_domain(8)
     g = line_boundary(dom)
     with pytest.raises(ParameterError):
-        solver.aux_solve(g, SQ, 0.0, "lower")
+        solver.solve(g, SQ, -0.1, "lower")
     with pytest.raises(ParameterError):
-        solver.aux_solve(g, SQ, math.nan, "lower")
+        solver.solve(g, SQ, math.nan, "lower")
     with pytest.raises(ParameterError):
-        solver.aux_solve(g, SQ, 0.1, "middle")
+        solver.solve(g, SQ, 0.1, "middle")
+    with pytest.raises(ParameterError):
+        solver.solve(g, SQ, 0.0, "middle")
+    # a config passed where eps goes is refused, not read as eps
+    with pytest.raises(TypeError):
+        solver.solve(g, SQ, SolverConfig(k_max=8))
     cfg = SolverConfig(k_max=8)
-    lo = solver.aux_solve(g, SQ, 0.05, "lower", cfg).solution
-    hi = solver.aux_solve(g, SQ, 0.05, "upper", cfg).solution
+    lo = solver.solve(g, SQ, 0.05, "lower", config=cfg).solution
+    hi = solver.solve(g, SQ, 0.05, "upper", config=cfg).solution
+    # eps = 0 is the infinity branch, here the linear interpolant
+    mid = solver.solve(g, SQ, 0.0, "lower", config=cfg).solution
     idx = dom.interior_flat
+    assert np.max(np.abs(mid.values - dom.coords[:, 0])) <= 1e-6
     # the lower branch maximizes the source credit, the upper pays it
-    assert np.all(lo.values[idx] >= hi.values[idx] - 1e-8)
+    assert np.all(lo.values[idx] >= mid.values[idx] - 1e-8)
+    assert np.all(mid.values[idx] >= hi.values[idx] - 1e-8)
     assert solver.uniqueness_gap(lo, hi) < 0.05
+
+
+def test_solve_at_eps_zero_ignores_the_side():
+    """eps = 0 is the infinity-harmonic branch: the upper side does the
+    same arithmetic as the lower one, bit for bit."""
+    dom = GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.25)
+    g = BoundaryData.from_function(
+        dom, lambda c: np.abs(c[:, 0]) ** (4 / 3) - np.abs(c[:, 1]) ** (4 / 3))
+    cfg = SolverConfig(k_max=8)
+    lo = solver.solve(g, SQ, 0.0, "lower", config=cfg)
+    hi = solver.solve(g, SQ, 0.0, "upper", config=cfg)
+    assert lo.solution.values.tobytes() == hi.solution.values.tobytes()
+    assert lo.energy_trace == hi.energy_trace
+    assert [dataclasses.replace(lv, seconds=0.0) for lv in lo.levels] == \
+        [dataclasses.replace(lv, seconds=0.0) for lv in hi.levels]
+    default = solver.solve(g, SQ, config=cfg)
+    assert default.solution.values.tobytes() == lo.solution.values.tobytes()
 
 
 def test_uniqueness_gap_checks_lattice():
@@ -1115,24 +1170,21 @@ def test_uniqueness_gap_checks_lattice():
 def test_strictify_frozen_margin():
     dom = line_domain(8)
     v = ScalarField.from_function(dom, lambda c: c[:, 0])
-    res = solver.strictify(v, delta=0.1, eps=1.0)
-    assert res.c0 == 4.0
-    assert res.mu == 0.05
-    assert np.isclose(res.deviation, 0.09375)
-    assert not res.degenerate
-    # iterating unpacks (field, mu)
-    w, mu = res
+    w, mu = solver.strictify(v, delta=0.1, eps=1.0)
+    # C0 = 4 sup|v| = 4
     assert mu == 0.05
+    assert np.isclose(np.max(np.abs(w.values - v.values)), 0.09375)
     assert np.isclose(w.values[-1], 1.1 - 0.1 / 16.0)
 
 
 def test_strictify_degenerate_and_validation():
     dom = line_domain(4)
     z = ScalarField.zeros(dom)
-    res = solver.strictify(z, delta=0.5, eps=0.2)
-    assert res.degenerate
-    assert res.deviation == 0.0
-    assert np.array_equal(res.field.values, z.values)
+    w, mu = solver.strictify(z, delta=0.5, eps=0.2)
+    # C0 falls back to 1e-12 and the zero field is left as it is
+    assert mu == 0.05
+    assert np.max(np.abs(w.values - z.values)) == 0.0
+    assert w.values.tobytes() == z.values.tobytes()
     with pytest.raises(ParameterError):
         solver.strictify(z, delta=0.0, eps=0.2)
     with pytest.raises(ParameterError):
@@ -1153,6 +1205,6 @@ def test_strictify_preserves_order_of_bounded_fields():
     rng = np.random.default_rng(3)
     a = ScalarField(dom, rng.uniform(-1.0, 1.0, dom.n_nodes))
     b = ScalarField(dom, a.values + rng.uniform(0.0, 0.5, dom.n_nodes))
-    wa = solver.strictify(a, 0.2, 0.3).field
-    wb = solver.strictify(b, 0.2, 0.3).field
+    wa, _ = solver.strictify(a, 0.2, 0.3)
+    wb, _ = solver.strictify(b, 0.2, 0.3)
     assert np.all(wb.values >= wa.values - 1e-12)

@@ -74,7 +74,7 @@ def test_subelliptic_check_needs_samples():
 def test_solved_field_passes_viscosity_check():
     dom = GridDomain.box(groups.euclidean(1), [0.0], [1.0], 1.0 / 16)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0])
-    u = solver.infinity_solve(g, SQ, SolverConfig(k_max=16)).solution
+    u = solver.solve(g, SQ, config=SolverConfig(k_max=16)).solution
     rep = verify.viscosity_check(u, OperatorSpec.infinity_laplacian())
     assert rep.passed
     assert rep.jets_above > 0 and rep.jets_below > 0
