@@ -8,7 +8,9 @@ appear from depth 2 on; two-leg moves are what give the vertical drift on
 heisenberg1.  Endpoints are snapped to the nearest lattice node while the
 cost keeps the continuous control time, an O(h)-per-edge approximation that
 keeps the graph finite.  Parallel edges keep the cheapest cost and opposite
-orientations are averaged so the graph is symmetric.
+orientations are averaged so the graph is symmetric.  build_graph does both
+without a global sort: one stable sort per node over its own moves, and
+two sparse sums.
 """
 
 from __future__ import annotations
@@ -103,9 +105,12 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
     """Build the horizontal move graph over all non-exterior nodes.
 
     Each move template flows every node at once and snaps the endpoints
-    one coordinate column at a time.  A directed edge is the key
-    source * N + target (N lattice nodes) until the parallel edges are
-    merged; the reversed copies are then added and averaged.
+    one coordinate column at a time, into one column of a (node, move)
+    table of targets.  The templates come cheapest first, so a stable
+    sort of each row keeps the cheapest of the parallel edges to a
+    target first, and the rest are dropped.  The rows are the directed
+    csr matrix A of costs; with P its pattern, the symmetric graph is
+    (A + A^T) / (P + P^T), the mean of the two orientations of each edge.
 
     Parameters
     ----------
@@ -127,10 +132,10 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
     n = domain.n_nodes
     nodes = domain.nonexterior_flat
     coords = domain.coords[nodes]
-    keys: list[np.ndarray] = []
-    costs: list[np.ndarray] = []
-
-    for controls, cost_units in _move_controls(spec.horizontal_dim, depth):
+    moves = _move_controls(spec.horizontal_dim, depth)
+    # target of each (node, move), n where the move leaves the graph
+    target = np.empty((nodes.size, len(moves)), dtype=np.int64)
+    for m, (controls, _) in enumerate(moves):
         ends = coords
         for c in controls:
             ends = _flow(spec, ends, c, h)
@@ -141,39 +146,27 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
             inside &= (col >= 0) & (col < size)
             flat += np.minimum(np.maximum(col, 0), size - 1) * domain.strides[a]
         valid = inside & domain.nonexterior_mask[flat] & (flat != nodes)
-        key = nodes[valid] * n + flat[valid]
-        if key.size == 0:
-            continue
-        keys.append(key)
-        costs.append(np.full(key.size, cost_units * h))
+        target[:, m] = np.where(valid, flat, n)
 
-    if not keys:
+    # per row: targets ascending, the cheapest move first among equal ones
+    order = np.argsort(target, axis=1, kind="stable")
+    target = np.take_along_axis(target, order, axis=1)
+    keep = target < n
+    keep[:, 1:] &= target[:, 1:] != target[:, :-1]
+    if not keep.any():
         raise ConnectivityError(
             f"no usable moves at depth {depth} on {spec.id}; every endpoint snapped back"
         )
-    key = np.concatenate(keys)
-    c = np.concatenate(costs)
-
-    # Cheapest cost among parallel directed edges (key = source * n + target).
-    order = np.lexsort((c, key))
-    key, c = key[order], c[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    key, c = key[first], c[first]
-    s, d = key // n, key % n
-
-    # Orientation averaging: add the reversed copy and merge by mean.
-    s2 = np.concatenate([s, d])
-    d2 = np.concatenate([d, s])
-    c2 = np.concatenate([c, c])
-    key = s2 * n + d2
-    uniq, inv = np.unique(key, return_inverse=True)
-    sums = np.bincount(inv, weights=c2)
-    counts = np.bincount(inv)
-    w = sums / counts
-    us = (uniq // n).astype(np.int64)
-    ud = (uniq % n).astype(np.int64)
-    matrix = sp.coo_matrix((w, (us, ud)), shape=(n, n)).tocsr()
+    cost = np.array([units * h for _, units in moves])[order[keep]]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[nodes + 1] = np.count_nonzero(keep, axis=1)
+    np.cumsum(indptr, out=indptr)
+    indices = target[keep]
+    A = sp.csr_matrix((cost, indices, indptr), shape=(n, n))
+    P = sp.csr_matrix((np.ones(cost.size), indices, indptr), shape=(n, n))
+    # costs and counts are positive, so both sums have the pattern of P + P^T
+    matrix = A + A.T
+    matrix.data /= (P + P.T).data
 
     graph = HorizontalGraph(domain, depth, matrix)
     _check_connected(graph)

@@ -37,14 +37,14 @@ stopped (LevelReport); only gradient_tolerance counts as converged.
 Each iterate is evaluated once (value_grad): the gradient, the Hessian
 and the line search share its V = Xu and power law (_Point).
 The Newton systems are solved by Jacobi-preconditioned conjugate
-gradients (_pcg), capped at one iteration per free node, to a relative
+gradients (_pcg), capped at one iteration per box node, to a relative
 residual that _forcing picks per step (Eisenstat-Walker forcing terms):
 loose far from the minimizer, down to 1e-8 near it.  A capped or loose
 iterate is still a descent direction; a step along one that makes no
 progress is solved again to 1e-8 before the level ends as stalled.
-Each step sums the Hessian's per-cell blocks into a csr pattern that is
-laid out once per lattice (_Cells), with one bincount, and damps its
-diagonal in place.
+Each step sums the Hessian's per-cell blocks into its diagonals, laid
+out once per lattice on the bounding box of the free nodes (_Cells), with
+one precomputed csr scatter, and damps its main diagonal in place.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 from . import groups
 from .errors import IncompleteFieldError, ParameterError
@@ -388,28 +388,37 @@ class _Cells:
     of the X_i: _cell_gradient applies it, value_grad its adjoint, and
     hessian its outer products.  gram[c, d, r] = sum_i coeff[i, c, r]
     coeff[i, d, r] is the cell's block of sum_i X_i^T X_i, fixed per
-    lattice.  The free-node Hessian lives on the fixed csr pattern
-    (indptr, indices): pair_of lists, cell by cell, the entries of a
-    flattened (n+1, n+1, rows) local block whose two corners are both
-    free, and pos their slots in the pattern.  diag_pos is the slot of
-    each free node's diagonal, stored even where no cell touches the node.
+    lattice.
+
+    The free-node Hessian is stored by diagonals, in scipy's dia layout,
+    on the box lattice: the bounding box of the free nodes, numbered in
+    lattice order.  box is the position of each free node in it.  Its
+    diagonals are the box-lattice offsets between two corners of a cell,
+    ascending; offsets[centre] = 0 is the main diagonal.  Entry (i, j)
+    lives at data[o, j], j - i = offsets[o], slot o * size + j of the
+    flattened (offsets.size, size) data array.  A box node that is not
+    free has no entry but its main diagonal, which H leaves at zero.
+    scatter is a csr matrix of ones with one row per slot: its columns
+    are the entries of the flattened (n+1, n+1, rows) block array whose
+    two corners are both free and land in that slot, cell by cell, so
+    that a matvec adds them in the order np.bincount would.
     """
 
     corners: np.ndarray
     coeff: np.ndarray
     gram: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    pair_of: np.ndarray
-    pos: np.ndarray
-    diag_pos: np.ndarray
+    box: np.ndarray
+    size: int
+    offsets: np.ndarray
+    centre: int
+    scatter: sp.csr_matrix
 
 
 def _cell_operators(domain: GridDomain) -> _Cells:
     """Corner table of the forward-difference horizontal gradient.
 
     One cell per node whose +1 neighbor along every axis exists and is
-    not exterior.  Also lays out the free-node Hessian pattern (see
+    not exterior.  Also lays out the free-node Hessian by diagonals (see
     _Cells).
     """
     key = ("cell_gradient",)
@@ -437,43 +446,64 @@ def _cell_operators(domain: GridDomain) -> _Cells:
     local[:, 0] = -np.sum(local[:, 1:], axis=1)
     step = np.concatenate([[0], strides])
     corners = rows[:, None] + step[None, :]
-    # free-node index of each corner, -1 where it is pinned
-    free = domain.interior_flat
-    nf = free.size
-    index = np.full(domain.n_nodes, -1)
-    index[free] = np.arange(nf)
-    fc = index[corners]
-    # the (row, c, c') entries with both corners free
-    shape = (nr, n + 1, n + 1)
-    both = (fc[:, :, None] >= 0) & (fc[:, None, :] >= 0)
-    fi = np.broadcast_to(fc[:, :, None], shape)[both]
-    r = np.broadcast_to(np.arange(nr)[:, None, None], shape)[both]
-    pair = np.broadcast_to(np.arange((n + 1) ** 2).reshape(1, n + 1, n + 1), shape)[both]
-    # corner c' of a cell lies offsets[jump[c, c']] flat indices past
-    # corner c, so free node i's csr row holds at most the columns of
-    # i + offsets, which ascend with the offset; slot[i, o] numbers the
-    # present (i, o) in row-major order, diagonals always present
-    offsets, jump = np.unique(step[None, :] - step[:, None], return_inverse=True)
-    at = fi * offsets.size + jump.reshape(-1)[pair]
-    centre = int(np.searchsorted(offsets, 0))
-    present = np.zeros((nf, offsets.size), dtype=bool)
-    present.reshape(-1)[at] = True
-    present[:, centre] = True
-    slot = np.cumsum(present, axis=None).reshape(present.shape) - 1
-    nnz = int(slot[-1, -1]) + 1
-    itype = np.int32 if nnz < 2**31 else np.int64
-    indptr = np.zeros(nf + 1, dtype=itype)
-    indptr[1:] = slot[:, -1] + 1
-    columns = index[(free[:, None] + offsets[None, :])[present]]
+    # the box lattice: the bounding box of the free nodes, in lattice
+    # order; box_nodes are its nodes' flat indices on the lattice
+    free_mask = domain.interior_mask
+    free_mi = mi[domain.interior_flat]
+    lo, hi = free_mi.min(axis=0), free_mi.max(axis=0)
+    box_nodes = np.flatnonzero(np.all((mi >= lo) & (mi <= hi), axis=1))
+    width = box_nodes.size
+    # corner c' of a cell lies box_step[c'] - box_step[c] box nodes past
+    # corner c; in box lattice order these offsets order the columns of
+    # a row as the lattice does
+    box_strides = np.cumprod(np.concatenate([[1], (hi - lo + 1)[:0:-1]]))[::-1]
+    box_step = np.concatenate([[0], box_strides])
+    offsets, jump = np.unique(box_step[None, :] - box_step[:, None],
+                              return_inverse=True)
+    # slot (o, j) gets entry (c, c') of the cell whose corner c' is box
+    # node j, for each pair (c, c') of offset o, where that cell exists
+    # and both corners are free.  Two such entries come from two cells,
+    # added in the order of the cells, so the pairs of an offset go by
+    # descending step[c'].
+    free_j = free_mask[box_nodes]
+    cell_at = np.full(domain.n_nodes, -1)
+    cell_at[rows] = np.arange(nr)
+    cell_of, has_cell = [], []  # per corner c': the cell, and where it exists
+    for d in range(n + 1):
+        x = box_nodes - step[d]
+        r = cell_at[np.maximum(x, 0)]
+        has_cell.append(free_j & (x >= 0) & (r >= 0))
+        cell_of.append(np.maximum(r, 0))
+    corner_free = free_mask[corners.T]
+    pairs_by_offset = [[] for _ in offsets]
+    for pair, o in enumerate(jump.reshape(-1).tolist()):
+        pairs_by_offset[o].append(divmod(pair, n + 1))
+    counts, columns = [], []
+    for group in pairs_by_offset:
+        group.sort(key=lambda cd: -step[cd[1]])
+        live = np.empty((width, len(group)), dtype=bool)
+        entry = np.empty((width, len(group)), dtype=np.int64)
+        for e, (c, d) in enumerate(group):
+            live[:, e] = has_cell[d] & corner_free[c][cell_of[d]]
+            entry[:, e] = (c * (n + 1) + d) * nr + cell_of[d]
+        counts.append(live.sum(axis=1))
+        columns.append(entry[live])
+    nslots = offsets.size * width
+    itype = np.int32 if max(nslots, (n + 1) ** 2 * nr) < 2**31 else np.int64
+    indptr = np.zeros(nslots + 1, dtype=itype)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    indices = np.concatenate(columns).astype(itype)
+    scatter = sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                            shape=(nslots, (n + 1) ** 2 * nr))
     cells = _Cells(
         corners=np.ascontiguousarray(corners.T),
         coeff=local,
         gram=np.einsum("icr,idr->cdr", local, local),
-        indptr=indptr,
-        indices=columns.astype(itype),
-        pair_of=pair * nr + r,
-        pos=slot.reshape(-1)[at],
-        diag_pos=slot[:, centre],
+        box=np.flatnonzero(free_j),
+        size=width,
+        offsets=offsets.astype(itype),
+        centre=int(np.searchsorted(offsets, 0)),
+        scatter=scatter,
     )
     domain._op_cache[key] = cells
     return cells
@@ -523,6 +553,10 @@ class _Objective:
         self.k = int(k)
         self.cells = _cell_operators(domain)
         self.free = domain.interior_flat
+        size = self.cells.size
+        self._hessian = sp.dia_matrix(
+            (np.empty((self.cells.offsets.size, size)), self.cells.offsets),
+            shape=(size, size))
         self.cell = float(domain.h) ** domain.spec.dim
         # f(p)^k = q^kappa with q = |p|^2
         self.kappa = 0.5 * f.alpha * self.k
@@ -576,25 +610,29 @@ class _Objective:
             self.cell * g, _Point(z, V, q, F1, F2)
 
     def hessian(self, point):
-        """Hessian of the scaled energy in the free nodes at point, as csr.
+        """Hessian of the scaled energy in the free nodes at point, as dia.
 
         With V = Xu per row and q = |V|^2, the Hessian of q^kappa in V is
         a I + b V V^T, with a = 2 F' = 2 kappa q^(kappa-1) and
         b = 4 F'' = 4 kappa (kappa-1) q^(kappa-2) from _power_law.  So
         H = cell * sum over cells of a G + b y y^T, with G the cell's
         block of sum_i X_i^T X_i (_Cells.gram) and y its row of
-        Y = sum_i diag(V_i) X_i on its corners.  One bincount adds the
-        blocks' both-free entries into the csr pattern.
+        Y = sum_i diag(V_i) X_i on its corners.  One csr matvec of
+        _Cells.scatter adds the blocks' both-free entries into the
+        diagonals of the box lattice.  Every call fills and returns the
+        objective's one dia matrix, so the next call overwrites it.
         """
         cells = self.cells
         a, b = 2.0 * point.F1, 4.0 * point.F2
         y = np.einsum("ir,icr->cr", point.V, cells.coeff)
         block = cells.gram * a + (y * b)[:, None] * y[None]
-        data = np.bincount(cells.pos, block.reshape(-1)[cells.pair_of],
-                           minlength=cells.indices.size)
-        nf = self.free.size
-        return sp.csr_matrix((self.cell * data, cells.indices, cells.indptr),
-                             shape=(nf, nf))
+        data = self._hessian.data
+        data.fill(0.0)
+        S = cells.scatter
+        csr_matvec(S.shape[0], S.shape[1], S.indptr, S.indices, S.data,
+                   block.reshape(-1), data.reshape(-1))
+        data *= self.cell
+        return self._hessian
 
     def direction_state(self, point, d):
         """Per-row quadratics describing the energy along z + t*d from point.
@@ -729,17 +767,19 @@ def _forcing(residual: float, ratio: float | None) -> float:
 
 
 def _pcg(A, b: np.ndarray, rtol: float):
-    """Jacobi-preconditioned conjugate gradients for A x = b, A SPD csr.
+    """Jacobi-preconditioned conjugate gradients for A x = b, A SPD dia.
 
     Starts from x = 0 and stops once |r|_2 <= rtol |b|_2, or after as
     many iterations as there are unknowns.  Every iterate minimizes
     x.A x / 2 - b.x over a Krylov space that contains b, so b.x > 0
     even for a capped or loose solve.  x, r, z and p are updated in
-    place.  A p is scipy's csr_matvec kernel, the one A @ p runs, called
+    place.  A p is scipy's dia_matvec kernel, the one A @ p runs, called
     directly into one buffer zeroed each iteration: on lattices of about
     a thousand free nodes scipy's per-call dispatch of A @ p costs about
-    half as much as the kernel.  The kernel needs A's indptr and indices
-    of one dtype, as csr_matrix keeps them.  Returns (x, iterations).
+    half as much as the kernel.  The kernel adds each row's terms one
+    diagonal at a time, so with A's offsets ascending, as _Cells lays
+    them out, it adds them in the order of their columns, as csr_matvec
+    adds a sorted csr row.  Returns (x, iterations).
     """
     n = b.size
     scale = np.abs(b).max()
@@ -752,10 +792,11 @@ def _pcg(A, b: np.ndarray, rtol: float):
     p = z.copy()
     rz = r @ z
     stop = rtol * math.sqrt(r @ r)
-    indptr, indices, data = A.indptr, A.indices, A.data
+    offsets, data = A.offsets, A.data
+    n_diags, width = data.shape
     for it in range(1, n + 1):
         ap.fill(0.0)
-        csr_matvec(n, n, indptr, indices, data, p, ap)
+        dia_matvec(n, n, n_diags, width, offsets, data, p, ap)
         alpha = rz / (p @ ap)
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=ap)
@@ -766,6 +807,16 @@ def _pcg(A, b: np.ndarray, rtol: float):
         p *= rz / rz_old
         p += z
     return scale * x, it
+
+
+def _box_pcg(cells: _Cells, A, b: np.ndarray, rtol: float):
+    """_pcg for a right-hand side b on the free nodes, with A on the box
+    lattice of cells: b is padded with zeros where the box has nodes
+    that are not free, and the answer read back at the free nodes."""
+    padded = np.zeros(cells.size)
+    padded[cells.box] = b
+    x, its = _pcg(A, padded, rtol)
+    return x[cells.box], its
 
 
 def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
@@ -779,10 +830,12 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
     raised by 3 otherwise, and the identity term, which shrinks with
     the gradient (Fan and Yuan's Levenberg-Marquardt rule), keeps the
     system regular where flat cells leave rows of H empty.  D is added
-    in place to the diagonal of H's csr, read first, so a step builds
-    one csr.  H + D is SPD, and _pcg solves it by Jacobi-preconditioned
-    CG from d = 0, at most one iteration per free node, to the relative
-    residual that _forcing picks from the residual and the fall of
+    in place to the main diagonal of H's dia data, read first, so a step
+    builds one matrix; a box node that is not free gets the shift alone,
+    and its right-hand side and step stay 0 (_box_pcg).  H + D is SPD,
+    and _pcg solves it by Jacobi-preconditioned CG from d = 0, at most
+    one iteration per box node, to the relative residual that
+    _forcing picks from the residual and the fall of
     |g|_2: loose while the iterate is far from the minimizer, down to
     _CG_RTOL = 1e-8 near it.  Every CG iterate, capped or loose, is a
     descent direction, so it goes to the line search like a converged
@@ -824,16 +877,15 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
         prev = (gmax, gnorm)
         rtol = _forcing(residual, ratio)
         A = obj.hessian(point)
-        diag_pos = obj.cells.diag_pos
-        diag = A.data[diag_pos]
+        diag = A.data[obj.cells.centre]
         top = float(diag.max())
         shift = (min(gmax, _SHIFT_CAP * top) + _SHIFT_FLOOR * top
                  if top > 0.0 else gmax)
         with np.errstate(invalid="ignore", over="ignore"):
-            A.data[diag_pos] += mu * diag + shift
+            diag += mu * diag + shift
         while True:
             with np.errstate(invalid="ignore", over="ignore"):
-                d, its = _pcg(A, -g, rtol)
+                d, its = _box_pcg(obj.cells, A, -g, rtol)
             cg_iterations += its
             if not np.isfinite(d).all():
                 stop = "overflow"
@@ -923,14 +975,36 @@ def _harmonic_start(g: BoundaryData):
     iterations = 0
     if np.any(grad):
         hess = obj.hessian(point)
-        diag_pos = obj.cells.diag_pos
-        hess.data[diag_pos[hess.data[diag_pos] == 0.0]] = 1.0
-        d, iterations = _pcg(hess, -grad, _CG_RTOL)
+        diag = hess.data[obj.cells.centre]
+        diag[diag == 0.0] = 1.0
+        d, iterations = _box_pcg(obj.cells, hess, -grad, _CG_RTOL)
         # a Hessian past the double range leaves the start at m, and the
         # first level's own Hessian then ends it as overflow
         if np.all(np.isfinite(d)):
             z = z + d
     return obj.solution_of(z), iterations
+
+
+def _check_source(eps: float, slope: float, alpha: float, tolerance: float) -> None:
+    """Reject an eps that sets a level's scale while the scaled source is
+    within the tolerance.
+
+    When eps >= slope^alpha, _Objective divides by eps^(1/alpha), and the
+    source coefficient of the scaled level is eps^(1/alpha - 1).  At or
+    below gradient_tolerance, the source alone can no longer move the
+    residual past the tolerance, and the level would end at its start
+    as converged.
+    """
+    if eps <= 0 or eps < slope ** alpha:
+        return
+    coefficient = eps ** (1.0 / alpha - 1.0)
+    if coefficient <= tolerance:
+        limit = ("eps must be below %g" % tolerance ** (alpha / (1.0 - alpha))
+                 if alpha > 1.0 else "gradient_tolerance must be below 1")
+        raise ParameterError(
+            "eps = %g sets the scale of a level, where its scaled source "
+            "eps^(1/alpha - 1) = %g is not above gradient_tolerance = %g; %s"
+            % (eps, coefficient, tolerance, limit))
 
 
 def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
@@ -960,7 +1034,9 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
     stopped = False
     for k in chain or config.schedule():
         start = time.perf_counter()
-        obj = _Objective(dom, base, f, k, eps, side, math.sqrt(float(np.max(q))))
+        slope = math.sqrt(float(np.max(q)))
+        _check_source(eps, slope, f.alpha, config.gradient_tolerance)
+        obj = _Objective(dom, base, f, k, eps, side, slope)
         z, level_trace, residual, iters, stop, cg_iters = _descend(
             obj, obj.z0_of(warm), config)
         trace[k] = [obj.energy_original_units(e) for e in level_trace]

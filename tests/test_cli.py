@@ -134,6 +134,15 @@ def test_solve_reports_nonconvergence_with_exit_3(tmp_path, capsys):
             "k schedule exhausted before cross-level tolerance\n") in text
 
 
+def test_solve_with_an_eps_too_large_for_its_scale_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LINE_CFG.replace("boundary = linear:1",
+                                               "boundary = linear:1\neps = 1e16"))
+    assert cli.main(["solve", cfg, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: eps = 1e+16 sets the scale of a level" in err
+    assert "eps must be below 1e+16" in err
+
+
 @pytest.mark.parametrize("key", ["armijo_c = 1e-4", "armijo_shrink = 0.5",
                                  "deterministic = true", "max_backtracks = 60",
                                  "k_schedule = 3 5 9"])

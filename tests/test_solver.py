@@ -498,18 +498,96 @@ def test_hessian_matches_the_sparse_product_reference(lattice, f, k, start):
     z = (np.zeros(nf) if start == "flat"
          else np.random.default_rng(k).normal(scale=0.3, size=nf))
     hess = obj.hessian(obj.value_grad(z)[2])
+    cells = obj.cells
+    dense = hess.toarray()
+    free = np.ix_(cells.box, cells.box)
     ref = reference_hessian(obj, z).toarray()
     assert np.max(np.abs(ref)) > 0
-    assert np.max(np.abs(hess.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # canonical csr: sorted columns without duplicates, and a stored
-    # diagonal for every free node at the slot the damping writes to
-    assert hess.shape == (nf, nf)
-    row_of = np.repeat(np.arange(nf), np.diff(hess.indptr))
-    same_row = row_of[1:] == row_of[:-1]
-    assert np.all(np.diff(hess.indices)[same_row] > 0)
-    diag_pos = obj.cells.diag_pos
-    assert np.array_equal(row_of[diag_pos], np.arange(nf))
-    assert np.array_equal(hess.indices[diag_pos], np.arange(nf))
+    assert np.max(np.abs(dense[free] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # dia on the box lattice: ascending offsets without duplicates, so
+    # each row's columns come in order, one per stencil offset, and the
+    # main diagonal of every free node in the row the damping writes to
+    assert hess.shape == (cells.size, cells.size)
+    assert nf <= cells.size
+    assert np.all(np.diff(hess.offsets) > 0)
+    assert hess.offsets.size == {1: 3, 2: 7, 3: 13}[dom.spec.dim]
+    assert hess.offsets[cells.centre] == 0
+    assert np.array_equal(hess.data[cells.centre][cells.box], np.diag(dense[free]))
+    # a box node that is not free has no entry in H
+    pad = np.setdiff1d(np.arange(cells.size), cells.box)
+    assert not dense[pad].any() and not dense[:, pad].any()
+
+
+def bincount_csr_hessian(obj, point):
+    """The free-node Hessian as a csr matrix in free-node order, assembled
+    as by the csr layout the dia one replaced: a pattern with a stored
+    diagonal for every free node, and one np.bincount of the blocks'
+    both-free entries into it, cell by cell."""
+    dom, cells = obj.domain, obj.cells
+    n = dom.spec.dim
+    corners = cells.corners.T
+    nr = corners.shape[0]
+    free = dom.interior_flat
+    nf = free.size
+    index = np.full(dom.n_nodes, -1)
+    index[free] = np.arange(nf)
+    fc = index[corners]
+    shape = (nr, n + 1, n + 1)
+    both = (fc[:, :, None] >= 0) & (fc[:, None, :] >= 0)
+    fi = np.broadcast_to(fc[:, :, None], shape)[both]
+    r = np.broadcast_to(np.arange(nr)[:, None, None], shape)[both]
+    pair = np.broadcast_to(np.arange((n + 1) ** 2).reshape(1, n + 1, n + 1), shape)[both]
+    step = np.concatenate([[0], dom.strides])
+    offsets, jump = np.unique(step[None, :] - step[:, None], return_inverse=True)
+    at = fi * offsets.size + jump.reshape(-1)[pair]
+    present = np.zeros((nf, offsets.size), dtype=bool)
+    present.reshape(-1)[at] = True
+    present[:, int(np.searchsorted(offsets, 0))] = True
+    slot = np.cumsum(present, axis=None).reshape(present.shape) - 1
+    indptr = np.zeros(nf + 1, dtype=np.int64)
+    indptr[1:] = slot[:, -1] + 1
+    columns = index[(free[:, None] + offsets[None, :])[present]]
+    a, b = 2.0 * point.F1, 4.0 * point.F2
+    y = np.einsum("ir,icr->cr", point.V, cells.coeff)
+    block = cells.gram * a + (y * b)[:, None] * y[None]
+    data = np.bincount(slot.reshape(-1)[at], block.reshape(-1)[pair * nr + r],
+                       minlength=columns.size)
+    return scipy.sparse.csr_matrix((obj.cell * data, columns, indptr), shape=(nf, nf))
+
+
+LAYOUT_DOMAINS = {name: HESSIAN_DOMAINS[name] for name in ("plane", "heis", "grushin",
+                                                          "heis_holes")}
+LAYOUT_DOMAINS["cavity"] = lambda: box_with_cavity()
+
+
+@pytest.mark.parametrize("lattice", LAYOUT_DOMAINS)
+@pytest.mark.parametrize("f", [SQ, integrands.power(1.5)], ids=["sq", "power1.5"])
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("start", ["random", "flat"])
+def test_dia_hessian_equals_the_bincount_csr_entry_for_entry(lattice, f, k, start):
+    """Every stored csr entry sits in its dia slot, bit for bit, and no
+    other slot holds anything, on box lattices and on free sets with
+    holes, where the box has nodes that are not free."""
+    dom = LAYOUT_DOMAINS[lattice]()
+    g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, -1] ** 2)
+    obj = solver._Objective(dom, g.base_values(), f, k, 0.0, "lower",
+                            g.graph_lipschitz())
+    nf = dom.interior_flat.size
+    z = (np.zeros(nf) if start == "flat"
+         else np.random.default_rng(k).normal(scale=0.3, size=nf))
+    point = obj.value_grad(z)[2]
+    old = bincount_csr_hessian(obj, point)
+    hess = obj.hessian(point)
+    box = obj.cells.box
+    rows = box[np.repeat(np.arange(nf), np.diff(old.indptr))]
+    cols = box[old.indices]
+    o = np.searchsorted(hess.offsets, cols - rows)
+    assert np.array_equal(hess.offsets[o], cols - rows)
+    assert hess.data[o, cols].tobytes() == old.data.tobytes()
+    rest = hess.data.copy()
+    rest[o, cols] = 0.0
+    assert not rest.any()
+    assert (nf < obj.cells.size) == (lattice in ("cavity", "heis_holes"))
 
 
 @pytest.mark.parametrize("lattice", HESSIAN_DOMAINS)
@@ -533,7 +611,9 @@ def test_line_search_sees_the_energy_the_descent_tests(lattice, f, k, start):
     phi, dphi, d2phi = obj.line_eval(obj.direction_state(point, d), 0.0)
     assert phi == e
     assert dphi == pytest.approx(grad @ d, rel=1e-12)
-    assert d2phi == pytest.approx(d @ (obj.hessian(point) @ d), rel=1e-12)
+    box = obj.cells.box
+    hess = obj.hessian(point).toarray()[np.ix_(box, box)]
+    assert d2phi == pytest.approx(d @ (hess @ d), rel=1e-12)
 
 
 def _first_newton_iterate(geometry, lower, upper, h, k, start):
@@ -557,7 +637,8 @@ def _damped_newton_system(geometry, lower, upper, h, k, start):
     top = float(np.max(diag))
     shift = (min(float(np.max(np.abs(grad))), solver._SHIFT_CAP * top)
              + solver._SHIFT_FLOOR * top)
-    return hess + scipy.sparse.diags(solver._MU_START * diag + shift), grad
+    # scipy 1.10 adds dia matrices as csr
+    return (hess + scipy.sparse.diags(solver._MU_START * diag + shift)).todia(), grad
 
 
 def reference_pcg(A, b, rtol):
@@ -621,13 +702,12 @@ def test_pcg_solves_the_damped_newton_system(geometry, lower, upper, h, k,
 @pytest.mark.parametrize("rtol", [solver._CG_RTOL, 1e-3, 0.5])
 def test_pcg_matches_the_reference_loop_bit_for_bit(geometry, lower, upper, h,
                                                     k, start, rtol):
-    """Also on int64 indices: _pcg calls scipy's csr kernel itself, which
-    takes indptr and indices of either index dtype."""
+    """Also on int64 offsets: _pcg calls scipy's dia kernel itself, which
+    takes offsets of either index dtype."""
     A, g = _damped_newton_system(geometry, lower, upper, h, k, start)
     ref, its_ref = reference_pcg(A, g, rtol)
     wide = A.copy()
-    wide.indptr = A.indptr.astype(np.int64)
-    wide.indices = A.indices.astype(np.int64)
+    wide.offsets = A.offsets.astype(np.int64)
     for M in (A, wide):
         x, its = solver._pcg(M, g, rtol)
         assert its == its_ref
@@ -637,11 +717,90 @@ def test_pcg_matches_the_reference_loop_bit_for_bit(geometry, lower, upper, h,
 @DAMPED_SYSTEMS
 @pytest.mark.parametrize("k", [2, 8])
 @pytest.mark.parametrize("start", ["random", "flat"])
+@pytest.mark.parametrize("rtol", [solver._CG_RTOL, 0.5])
+def test_pcg_on_the_dia_matches_the_reference_loop_on_the_bincount_csr(
+        geometry, lower, upper, h, k, start, rtol):
+    """dia_matvec adds each row's terms in the order of the sorted csr
+    row, so on a box lattice the solve is the csr solve bit for bit."""
+    A, g = _damped_newton_system(geometry, lower, upper, h, k, start)
+    obj, z = _first_newton_iterate(geometry, lower, upper, h, k, start)
+    csr = bincount_csr_hessian(obj, obj.value_grad(z)[2])
+    diag = csr.diagonal()
+    top = float(np.max(diag))
+    shift = (min(float(np.max(np.abs(g))), solver._SHIFT_CAP * top)
+             + solver._SHIFT_FLOOR * top)
+    csr = (csr + scipy.sparse.diags(solver._MU_START * diag + shift)).tocsr()
+    ref, its_ref = reference_pcg(csr, g, rtol)
+    x, its = solver._pcg(A, g, rtol)
+    assert its == its_ref
+    assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("lattice", ["cavity", "heis_holes"])
+def test_padded_box_rows_keep_the_newton_step_at_zero(monkeypatch, lattice):
+    """A box node that is not free has a row and a column with nothing
+    but a positive diagonal, in the start's system (where it is 1) and in
+    every damped Newton system, and its right-hand side is 0: CG leaves
+    it at exactly 0."""
+    systems = []
+    pcg = solver._pcg
+
+    def recording(A, b, rtol):
+        x, its = pcg(A, b, rtol)
+        systems.append((A.toarray(), b.copy(), x))
+        return x, its
+
+    monkeypatch.setattr(solver, "_pcg", recording)
+    dom = LAYOUT_DOMAINS[lattice]()
+    g = BoundaryData.from_function(dom, lambda c: 2.0 + c[:, 0] ** 2 - c[:, 1])
+    solver.solve(g, SQ, config=SolverConfig(k_max=4))
+    cells = solver._cell_operators(dom)
+    pad = np.setdiff1d(np.arange(cells.size), cells.box)
+    assert pad.size > 0 and len(systems) > 2
+    for i, (A, b, x) in enumerate(systems):
+        assert A.shape == (cells.size, cells.size)
+        diag = A[pad, pad]
+        assert np.all(diag == 1.0) if i == 0 else np.all(diag > 0.0)
+        A[pad, pad] = 0.0
+        assert not A[pad].any() and not A[:, pad].any()
+        assert not b[pad].any()
+        assert np.all(x[pad] == 0.0)
+
+
+def test_scipy_kernels_keep_the_signatures_the_solver_calls():
+    """_pcg calls scipy's private dia_matvec, and hessian its csr_matvec,
+    with the arguments below; a scipy that moves or changes them must
+    fail here, not solve wrongly."""
+    try:
+        from scipy.sparse._sparsetools import csr_matvec, dia_matvec
+    except ImportError as exc:
+        pytest.fail("scipy.sparse._sparsetools no longer has the kernels: %s" % exc)
+    A = np.array([[4.0, 1.0, 0.0], [2.0, 5.0, 3.0], [0.0, 6.0, 7.0]])
+    x = np.array([1.0, -2.0, 0.5])
+    dia = scipy.sparse.dia_matrix(A)
+    csr = scipy.sparse.csr_matrix(A)
+    for name, kernel, args in (
+        ("dia_matvec(n_row, n_col, n_diags, L, offsets, data, x, y)", dia_matvec,
+         (3, 3, dia.offsets.size, dia.data.shape[1], dia.offsets, dia.data)),
+        ("csr_matvec(n_row, n_col, indptr, indices, data, x, y)", csr_matvec,
+         (3, 3, csr.indptr, csr.indices, csr.data)),
+    ):
+        y = np.zeros(3)
+        try:
+            kernel(*args, x, y)
+        except (TypeError, ValueError) as exc:
+            pytest.fail("scipy's %s changed its signature: %s" % (name, exc))
+        assert np.array_equal(y, A @ x), name
+
+
+@DAMPED_SYSTEMS
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("start", ["random", "flat"])
 def test_descend_damps_the_hessian_in_place(monkeypatch, geometry, lower,
                                             upper, h, k, start):
-    """_descend adds D to the diagonal of the step's own Hessian csr; the
+    """_descend adds D to the diagonal of the step's own Hessian; the
     first system _pcg gets is H + D entry for entry, on the lattice's
-    csr pattern."""
+    diagonals."""
     systems = []
     pcg = solver._pcg
 
@@ -655,8 +814,8 @@ def test_descend_damps_the_hessian_in_place(monkeypatch, geometry, lower,
     A, b = systems[0]
     ref, grad = _damped_newton_system(geometry, lower, upper, h, k, start)
     assert np.array_equal(b, -grad)
-    assert np.array_equal(A.indptr, obj.cells.indptr)
-    assert np.array_equal(A.indices, obj.cells.indices)
+    assert A.shape == (obj.cells.size, obj.cells.size)
+    assert np.array_equal(A.offsets, obj.cells.offsets)
     assert np.array_equal(A.toarray(), ref.toarray())
 
 
@@ -800,9 +959,10 @@ def test_a_hessian_with_inf_entries_ends_the_level_as_overflow(monkeypatch):
     hessian = solver._Objective.hessian
 
     def overflowing(self, z):
-        hess = hessian(self, z).tolil()
-        hess[0, 0] = np.inf
-        return hess.tocsr()
+        hess = hessian(self, z)
+        data = hess.data.copy()
+        data[self.cells.centre, 0] = np.inf  # entry (0, 0)
+        return scipy.sparse.dia_matrix((data, hess.offsets), shape=hess.shape)
 
     monkeypatch.setattr(solver._Objective, "hessian", overflowing)
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
@@ -1136,6 +1296,28 @@ def test_solve_sides_and_validation():
     assert np.all(lo.values[idx] >= mid.values[idx] - 1e-8)
     assert np.all(mid.values[idx] >= hi.values[idx] - 1e-8)
     assert solver.uniqueness_gap(lo, hi) < 0.05
+
+
+def test_an_eps_whose_scaled_source_meets_the_tolerance_is_rejected():
+    """With eps >= L^alpha the level is scaled by eps^(1/alpha), and its
+    source coefficient is eps^(1/alpha - 1): 1e-8 at eps = 1e16 on the
+    squared norm.  The start then passed as converged after 0
+    iterations; at 1e12 the midpoint of the unit line moves to about
+    4.2e4."""
+    dom = line_domain(4)
+    g = line_boundary(dom)
+    cfg = SolverConfig(k_max=4)
+    for eps in (1e16, 1e20):
+        with pytest.raises(ParameterError, match="eps = 1e\\+(16|20) sets the scale.*"
+                           "gradient_tolerance = 1e-08; eps must be below 1e\\+16"):
+            solver.solve(g, SQ, eps, "lower", config=cfg)
+    with pytest.raises(ParameterError, match="eps must be below 1e\\+12"):
+        solver.minimize_k(g, SQ, 2, 1e12, "upper",
+                          SolverConfig(gradient_tolerance=1e-6))
+    rep = solver.solve(g, SQ, 1e12, "lower", config=cfg)
+    assert [lv.stop for lv in rep.levels] == ["gradient_tolerance"] * 2
+    assert rep.levels[-1].iterations > 0
+    assert 4.0e4 < rep.solution.values[2] < 4.4e4
 
 
 def test_solve_at_eps_zero_ignores_the_side():
