@@ -104,7 +104,7 @@ def _a4(config_dir: str):
     g, f = cfg.boundary_data(), cfg.integrand_obj()
     u = solver.solve(g, f, cfg.eps, "lower", config=cfg.solver).solution
     up = solver.solve(g, f, cfg.eps, "upper", config=cfg.solver).solution
-    w, _ = solver.strictify(up, delta=0.05, eps=cfg.eps, alpha=2.0)
+    w, _ = solver.strictify(up, delta=0.05, eps=cfg.eps, alpha=f.alpha)
     margin = verify.comparison_check(u, w)
     shifted = ScalarField(u.domain, u.values + 0.1)
     tmargin = verify.comparison_check(u, shifted)
@@ -326,7 +326,7 @@ def _a10(config_dir: str):
     cfg = _cfg(config_dir, "a10_line.cfg")
     f = cfg.integrand_obj()
     up = solver.solve(cfg.boundary_data(), f, cfg.eps, "upper", config=cfg.solver).solution
-    w, mu = solver.strictify(up, delta=0.1, eps=cfg.eps, alpha=2.0)
+    w, mu = solver.strictify(up, delta=0.1, eps=cfg.eps, alpha=f.alpha)
     grad = calculus.horizontal_gradient(w)
     res = calculus.aronsson_residual(w, f)
     interior = w.domain.interior_flat

@@ -15,6 +15,7 @@ the import with an error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -104,8 +105,6 @@ def _load(args):
 
     cfg = cfgmod.load_config(args.config)
     if args.seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=int(args.seed))
     return cfg
 
@@ -127,6 +126,11 @@ def _base_manifest(cfg, command: str) -> dict:
 
 
 def _report_entries(report) -> dict:
+    """The result lines of a solve manifest: one per LevelReport field and
+    level, except k (in the key) and seconds (equal runs write equal
+    manifests)."""
+    from .solver import LevelReport
+
     entries = {
         "result.converged": report.converged,
         "result.iterations": sum(lv.iterations for lv in report.levels),
@@ -134,17 +138,12 @@ def _report_entries(report) -> dict:
         "result.message": report.message or "ok",
         "result.start.cg_iterations": report.start_cg_iterations,
     }
+    names = [f.name for f in dataclasses.fields(LevelReport)
+             if f.name not in ("k", "seconds")]
     for lv in report.levels:
-        entries[f"result.level.{lv.k}.stop"] = lv.stop
-        entries[f"result.level.{lv.k}.iterations"] = lv.iterations
-        entries[f"result.level.{lv.k}.residual"] = lv.residual
-        entries[f"result.level.{lv.k}.cg_iterations"] = lv.cg_iterations
-        entries[f"result.level.{lv.k}.energy_start"] = lv.energy_start
-        entries[f"result.level.{lv.k}.energy_end"] = lv.energy_end
-        entries[f"result.level.{lv.k}.change"] = \
-            "none" if lv.change is None else lv.change
-        entries[f"result.level.{lv.k}.scale"] = lv.scale
-        entries[f"result.level.{lv.k}.unseen"] = lv.unseen
+        for name in names:
+            value = getattr(lv, name)
+            entries[f"result.level.{lv.k}.{name}"] = "none" if value is None else value
     return entries
 
 

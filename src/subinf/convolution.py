@@ -217,8 +217,6 @@ class ConvolutionReport:
     """Result of a sup or inf convolution."""
 
     field: ScalarField
-    epsilon: float
-    side: str
     attainment: np.ndarray  # flat index of the attaining node, -1 off-lattice
     r0: float
     shrunken: np.ndarray  # nodes of shrink_domain(domain, (1 + 4 r0) eps)
@@ -314,7 +312,7 @@ def sup_convolution(u: ScalarField, eps: float, kernel: str = "right") -> Convol
         arg[xs] = ys[best]
     field = ScalarField(dom, out, validate=False)
     shrunk = shrink_domain(dom, (1.0 + 4.0 * r0) * eps, kernel)
-    return ConvolutionReport(field, eps, "sup", arg, r0, shrunk)
+    return ConvolutionReport(field, arg, r0, shrunk)
 
 
 def inf_convolution(v: ScalarField, eps: float, kernel: str = "right") -> ConvolutionReport:
@@ -322,7 +320,7 @@ def inf_convolution(v: ScalarField, eps: float, kernel: str = "right") -> Convol
     neg = ScalarField(v.domain, -v.values, validate=False)
     rep = sup_convolution(neg, eps, kernel)
     field = ScalarField(v.domain, -rep.field.values, validate=False)
-    return ConvolutionReport(field, eps, "inf", rep.attainment, rep.r0, rep.shrunken)
+    return ConvolutionReport(field, rep.attainment, rep.r0, rep.shrunken)
 
 
 def _centred_rows(dom: GridDomain, axis: int) -> np.ndarray:

@@ -44,7 +44,9 @@ iterate is still a descent direction; a step along one that makes no
 progress is solved again to 1e-8 before the level ends as stalled.
 Each step sums the Hessian's per-cell blocks into its diagonals, laid
 out once per lattice on the bounding box of the free nodes (_Cells), with
-one precomputed csr scatter, and damps its main diagonal in place.
+one precomputed csr scatter, and damps its main diagonal in place.  The
+scatter is built forward from the corner table: each block entry names
+its slot, and one stable sort by slot lines the entries up cell by cell.
 """
 
 from __future__ import annotations
@@ -234,8 +236,9 @@ class SolverConfig:
             if not 0 < value < math.inf:
                 raise ParameterError("%s must be positive and finite, got %s"
                                      % (name, value))
-        if self.max_iterations < 1:
-            raise ParameterError("max_iterations must be at least 1")
+        if not (self.max_iterations >= 1 and float(self.max_iterations).is_integer()):
+            raise ParameterError("max_iterations must be an integer of at least 1, got %s"
+                                 % (self.max_iterations,))
         if self.initialization not in ("boundary", "zero"):
             raise ParameterError(
                 "initialization must be 'boundary' or 'zero', got %r"
@@ -399,9 +402,10 @@ class _Cells:
     flattened (offsets.size, size) data array.  A box node that is not
     free has no entry but its main diagonal, which H leaves at zero.
     scatter is a csr matrix of ones with one row per slot: its columns
-    are the entries of the flattened (n+1, n+1, rows) block array whose
-    two corners are both free and land in that slot, cell by cell, so
-    that a matvec adds them in the order np.bincount would.
+    are the entries (c, c', r) of the flattened (n+1, n+1, rows) block
+    array whose two corners are both free, each in the slot of its
+    diagonal and of corner c', by ascending cell r, so that a matvec
+    adds them in the order np.bincount would.
     """
 
     corners: np.ndarray
@@ -419,7 +423,14 @@ def _cell_operators(domain: GridDomain) -> _Cells:
 
     One cell per node whose +1 neighbor along every axis exists and is
     not exterior.  Also lays out the free-node Hessian by diagonals (see
-    _Cells).
+    _Cells): block entry (c, c', r) goes forward to slot
+    jump[c, c'] * size + j, where jump[c, c'] indexes the offset
+    box_step[c'] - box_step[c] and j is the box position of corner c'.
+    One stable argsort by slot orders the scatter's columns.  The pairs
+    go by offset, then by descending step[c']: a slot's pairs share its
+    offset, so their c' differ, and a larger step[c'] puts corner c' at
+    box node j for a smaller cell r.  Each slot thus receives its
+    entries by ascending cell.
     """
     key = ("cell_gradient",)
     cached = domain._op_cache.get(key)
@@ -447,59 +458,42 @@ def _cell_operators(domain: GridDomain) -> _Cells:
     step = np.concatenate([[0], strides])
     corners = rows[:, None] + step[None, :]
     # the box lattice: the bounding box of the free nodes, in lattice
-    # order; box_nodes are its nodes' flat indices on the lattice
-    free_mask = domain.interior_mask
+    # order; a node in it has box position (mi - lo) . box_strides
     free_mi = mi[domain.interior_flat]
     lo, hi = free_mi.min(axis=0), free_mi.max(axis=0)
-    box_nodes = np.flatnonzero(np.all((mi >= lo) & (mi <= hi), axis=1))
-    width = box_nodes.size
+    box_dims = hi - lo + 1
+    width = int(np.prod(box_dims))
+    box_strides = np.cumprod(np.concatenate([[1], box_dims[:0:-1]]))[::-1]
     # corner c' of a cell lies box_step[c'] - box_step[c] box nodes past
     # corner c; in box lattice order these offsets order the columns of
     # a row as the lattice does
-    box_strides = np.cumprod(np.concatenate([[1], (hi - lo + 1)[:0:-1]]))[::-1]
     box_step = np.concatenate([[0], box_strides])
     offsets, jump = np.unique(box_step[None, :] - box_step[:, None],
                               return_inverse=True)
-    # slot (o, j) gets entry (c, c') of the cell whose corner c' is box
-    # node j, for each pair (c, c') of offset o, where that cell exists
-    # and both corners are free.  Two such entries come from two cells,
-    # added in the order of the cells, so the pairs of an offset go by
-    # descending step[c'].
-    free_j = free_mask[box_nodes]
-    cell_at = np.full(domain.n_nodes, -1)
-    cell_at[rows] = np.arange(nr)
-    cell_of, has_cell = [], []  # per corner c': the cell, and where it exists
-    for d in range(n + 1):
-        x = box_nodes - step[d]
-        r = cell_at[np.maximum(x, 0)]
-        has_cell.append(free_j & (x >= 0) & (r >= 0))
-        cell_of.append(np.maximum(r, 0))
-    corner_free = free_mask[corners.T]
-    pairs_by_offset = [[] for _ in offsets]
-    for pair, o in enumerate(jump.reshape(-1).tolist()):
-        pairs_by_offset[o].append(divmod(pair, n + 1))
-    counts, columns = [], []
-    for group in pairs_by_offset:
-        group.sort(key=lambda cd: -step[cd[1]])
-        live = np.empty((width, len(group)), dtype=bool)
-        entry = np.empty((width, len(group)), dtype=np.int64)
-        for e, (c, d) in enumerate(group):
-            live[:, e] = has_cell[d] & corner_free[c][cell_of[d]]
-            entry[:, e] = (c * (n + 1) + d) * nr + cell_of[d]
-        counts.append(live.sum(axis=1))
-        columns.append(entry[live])
     nslots = offsets.size * width
     itype = np.int32 if max(nslots, (n + 1) ** 2 * nr) < 2**31 else np.int64
+    jump = jump.reshape(-1)  # numpy 1.24 returns the inverse flat, 2.x shaped
+    # pair = c * (n + 1) + c', by offset, then by descending step[c']
+    pair = np.lexsort((-np.tile(step, n + 1), jump))
+    c, d = np.divmod(pair, n + 1)
+    corner_free = domain.interior_mask[corners.T]
+    live = corner_free[c] & corner_free[d]
+    # box position of each cell's x; x + box_step[c'] is exact where
+    # corner c' is free, the only entries kept
+    at = ((mi[rows] - lo) @ box_strides).astype(itype)
+    slot = (jump[pair] * width + box_step[d]).astype(itype)[:, None] + at
+    entry = (pair * nr).astype(itype)[:, None] + np.arange(nr, dtype=itype)
+    slot, entry = slot[live], entry[live]
     indptr = np.zeros(nslots + 1, dtype=itype)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    indices = np.concatenate(columns).astype(itype)
+    np.cumsum(np.bincount(slot, minlength=nslots), out=indptr[1:])
+    indices = entry[np.argsort(slot, kind="stable")]
     scatter = sp.csr_matrix((np.ones(indices.size), indices, indptr),
                             shape=(nslots, (n + 1) ** 2 * nr))
     cells = _Cells(
         corners=np.ascontiguousarray(corners.T),
         coeff=local,
         gram=np.einsum("icr,idr->cdr", local, local),
-        box=np.flatnonzero(free_j),
+        box=(free_mi - lo) @ box_strides,
         size=width,
         offsets=offsets.astype(itype),
         centre=int(np.searchsorted(offsets, 0)),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import horizontal_gradient
 from .errors import ParameterError
-from .grids import EXTERIOR, GridDomain, ScalarField, require_same_lattice
+from .grids import EXTERIOR, ScalarField, require_same_lattice
 from .groups import horizontal_frame
 from .integrands import Integrand
 from .solver import BoundaryData, SolverConfig, solve
@@ -117,7 +117,6 @@ class ViscosityReport:
     passed allows violations up to tol = 10 h^2.
     """
 
-    domain: GridDomain
     subsolution_violations: np.ndarray
     supersolution_violations: np.ndarray
     jets_above: int
@@ -409,7 +408,6 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
         for viol, hit, val in ((sub_viol, above[c, k], A), (sup_viol, below[c, k], -A)):
             np.maximum.at(viol, k[hit], np.maximum(val[hit], 0.0))
     return ViscosityReport(
-        domain=dom,
         subsolution_violations=sub_viol,
         supersolution_violations=sup_viol,
         jets_above=int(np.count_nonzero(above)),

@@ -227,6 +227,17 @@ def test_non_integer_k_max_is_rejected():
     assert SolverConfig(k_max=8.0).schedule() == (2, 4, 8)
 
 
+def test_max_iterations_must_be_a_positive_integer():
+    """max_iterations = NaN passed the old `< 1` test, and then the budget
+    never ended a level; 2.5 and inf passed it too."""
+    for bad in (2.5, math.nan, math.inf, 0):
+        with pytest.raises(ParameterError,
+                           match="max_iterations must be an integer of at least 1"):
+            SolverConfig(max_iterations=bad)
+    for good in (1, 20000):
+        assert SolverConfig(max_iterations=good).max_iterations == good
+
+
 def test_non_integer_k_is_rejected():
     """energy(u, f, 2.5) summed the cells at k = 2 but the source at
     eps^1.5; every entry point with a k now refuses it."""
@@ -555,8 +566,8 @@ def bincount_csr_hessian(obj, point):
     return scipy.sparse.csr_matrix((obj.cell * data, columns, indptr), shape=(nf, nf))
 
 
-LAYOUT_DOMAINS = {name: HESSIAN_DOMAINS[name] for name in ("plane", "heis", "grushin",
-                                                          "heis_holes")}
+LAYOUT_DOMAINS = {name: HESSIAN_DOMAINS[name] for name in ("line", "plane", "space", "heis",
+                                                          "grushin", "heis_holes")}
 LAYOUT_DOMAINS["cavity"] = lambda: box_with_cavity()
 
 
@@ -588,6 +599,46 @@ def test_dia_hessian_equals_the_bincount_csr_entry_for_entry(lattice, f, k, star
     rest[o, cols] = 0.0
     assert not rest.any()
     assert (nf < obj.cells.size) == (lattice in ("cavity", "heis_holes"))
+
+
+# a box whose interior is one node wide along its second axis
+SCATTER_DOMAINS = {**LAYOUT_DOMAINS, "thin": lambda: GridDomain.box(
+    groups.euclidean(2), [0, 0], [1, 0.25], 0.125)}
+
+
+@pytest.mark.parametrize("lattice", SCATTER_DOMAINS)
+def test_scatter_rows_hold_the_both_free_entries_of_their_slot(lattice):
+    """The layout contract of _Cells.scatter, checked without the bincount
+    reference: the column of a block entry (c, c', r) of slot row
+    s = o * size + j has both corners free, corner c' at box node j and
+    its pair offset on diagonal o; the cells of a row strictly ascend, and
+    every entry whose corners are both free has exactly one column."""
+    dom = SCATTER_DOMAINS[lattice]()
+    cells = solver._cell_operators(dom)
+    n, nr = dom.spec.dim, cells.corners.shape[1]
+    free_mi = dom.multi_indices[dom.interior_flat]
+    lo = free_mi.min(axis=0)
+    dims = free_mi.max(axis=0) - lo + 1
+    assert cells.size == np.prod(dims)
+    pos = np.full(dom.n_nodes, -1)
+    pos[dom.interior_flat] = np.ravel_multi_index(tuple((free_mi - lo).T), tuple(dims))
+    assert np.array_equal(cells.box, pos[dom.interior_flat])
+    scatter = cells.scatter
+    assert scatter.shape == (cells.offsets.size * cells.size, (n + 1) ** 2 * nr)
+    assert np.all(scatter.data == 1.0)
+    slot = np.repeat(np.arange(scatter.shape[0]), np.diff(scatter.indptr))
+    o, j = np.divmod(slot, cells.size)
+    pair, r = np.divmod(scatter.indices, nr)
+    c, d = np.divmod(pair, n + 1)
+    at_c, at_d = pos[cells.corners[c, r]], pos[cells.corners[d, r]]
+    assert np.all(at_c >= 0) and np.all(at_d >= 0)
+    assert np.array_equal(at_d, j)
+    assert np.array_equal(at_d - at_c, cells.offsets[o])
+    same = slot[1:] == slot[:-1]
+    assert np.all(r[1:][same] > r[:-1][same])
+    free = dom.interior_mask[cells.corners]
+    both = free[:, None, :] & free[None, :, :]
+    assert np.array_equal(np.sort(scatter.indices), np.flatnonzero(both))
 
 
 @pytest.mark.parametrize("lattice", HESSIAN_DOMAINS)
