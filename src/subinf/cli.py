@@ -40,6 +40,17 @@ def _int_at_least(low: int):
     return convert
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a positive, finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="subinf",
@@ -76,14 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="structural checks on a solve")
     add_common(p)
     p.add_argument("--check", required=True,
-                   choices=("viscosity", "comparison", "amle", "subelliptic"))
-    p.add_argument("--shift", type=float, default=0.1,
-                   help="constant added to the comparison control")
+                   choices=("viscosity", "amle", "subelliptic"))
     p.add_argument("--jets", type=_int_at_least(0), default=64,
                    help="random jets per node (viscosity)")
     p.add_argument("--trials", type=_int_at_least(1), default=None,
                    help="sub-box trials (amle) or samples (subelliptic)")
-    p.add_argument("--ratio-tol", type=float, default=1.1,
+    p.add_argument("--ratio-tol", type=_positive_float, default=1.1,
                    help="amle: largest admissible energy ratio")
 
     p = sub.add_parser("table", help="solve and write plot-ready columns")
@@ -287,20 +296,6 @@ def _cmd_verify(args) -> int:
         print(f"verify: solve did not converge ({report.message})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     u = report.solution
-
-    if args.check == "comparison":
-        from .grids import ScalarField
-
-        v = ScalarField(u.domain, u.values + args.shift)
-        margin = verify.comparison_check(u, v)
-        entries["verify.shift"] = float(args.shift)
-        entries["verify.margin"] = margin
-        ok = margin >= -1e-9
-        entries["verify.passed"] = ok
-        fieldio.write_manifest(os.path.join(out, "manifest.txt"), entries)
-        print(f"comparison: margin {margin:.3e} against the shifted control "
-              f"-> {'ok' if ok else 'FAIL'}")
-        return EXIT_OK if ok else EXIT_VERIFY
 
     if args.check == "viscosity":
         op = _operator_for(cfg, f)

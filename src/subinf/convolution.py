@@ -31,8 +31,8 @@ axis.  On euclidean:n a line keeps the y whose squared distance to the
 tile stays within the bound.  On heisenberg1 the line along t keeps the y
 whose twisted vertical term +-(x_t - y_t) + 2 (x_0 y_1 - x_1 y_0) can stay
 within the square root of what the horizontal gaps leave of the bound, so
-a tile meets only the t levels that can hold its maximisers.  The window
-lists y in ascending flat order, so ``argmax`` picks the same node as
+a tile meets only the t levels that can hold its maximisers.  Every y
+that can attain is in the window, so the maximum over it is the value
 over all of them.  ``shrink_domain`` first drops every x that has a band
 node y with K(x, y) below its threshold among the nearest band nodes along
 x's axis lines (one forward and one backward accumulate per axis), then
@@ -217,7 +217,6 @@ class ConvolutionReport:
     """Result of a sup or inf convolution."""
 
     field: ScalarField
-    attainment: np.ndarray  # flat index of the attaining node, -1 off-lattice
     r0: float
     shrunken: np.ndarray  # nodes of shrink_domain(domain, (1 + 4 r0) eps)
 
@@ -302,17 +301,13 @@ def sup_convolution(u: ScalarField, eps: float, kernel: str = "right") -> Convol
         bound = (np.max(vals[nodes]) - vals[nodes] + pad) * (1.0 + 2.0**-40) \
             / np.float64(inv_two_eps)
     out = np.full(dom.n_nodes, np.nan)
-    arg = np.full(dom.n_nodes, -1, dtype=np.int64)
     for xs, ys in _windowed_blocks(dom, nodes, dom.nonexterior_mask, bound, kernel):
         K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel)
         K *= inv_two_eps
-        vals_xy = np.subtract(vals[ys], K, out=K)
-        best = np.argmax(vals_xy, axis=1)
-        out[xs] = vals_xy[np.arange(xs.size), best]
-        arg[xs] = ys[best]
+        out[xs] = np.subtract(vals[ys], K, out=K).max(axis=1)
     field = ScalarField(dom, out, validate=False)
     shrunk = shrink_domain(dom, (1.0 + 4.0 * r0) * eps, kernel)
-    return ConvolutionReport(field, arg, r0, shrunk)
+    return ConvolutionReport(field, r0, shrunk)
 
 
 def inf_convolution(v: ScalarField, eps: float, kernel: str = "right") -> ConvolutionReport:
@@ -320,7 +315,7 @@ def inf_convolution(v: ScalarField, eps: float, kernel: str = "right") -> Convol
     neg = ScalarField(v.domain, -v.values, validate=False)
     rep = sup_convolution(neg, eps, kernel)
     field = ScalarField(v.domain, -rep.field.values, validate=False)
-    return ConvolutionReport(field, rep.attainment, rep.r0, rep.shrunken)
+    return ConvolutionReport(field, rep.r0, rep.shrunken)
 
 
 def _centred_rows(dom: GridDomain, axis: int) -> np.ndarray:

@@ -77,7 +77,8 @@ class BoundaryData:
     (_harmonic_start) and scales each level by its start (_run_schedule).
     Neither graph_lipschitz, an exact sweep over boundary pairs through
     groups.pair_kernel, nor extend_nearest, the nearest-boundary step
-    function, is called by a solve.
+    function, is called by a solve; the benchmark harness (perfbench)
+    still times both by name.
     """
 
     def __init__(self, domain: GridDomain, values):
@@ -115,37 +116,32 @@ class BoundaryData:
         """Constant extension along nearest-boundary-node assignment.
 
         Nearness is the coordinate (euclidean) distance on every geometry.
-        Ties go to the lowest flat index, so the extension is reproducible
-        across runs.  Interior nodes are taken in tiles (_nearest_tiles),
-        and each tile sweeps only the boundary nodes that can be nearest to
-        one of its nodes, in ascending order, so argmin picks what it would
-        over all of them.
+        Each interior node takes the argmin over all boundary nodes in
+        ascending flat order, so ties go to the lowest flat index and the
+        extension is reproducible across runs.
         """
         dom = self.domain
         bc = dom.coords[dom.boundary_flat]
         out = np.full(dom.n_nodes, np.nan)
         out[dom.boundary_flat] = self.values
         euclid = groups.euclidean(dom.spec.dim)
-        for tile, near in _nearest_tiles(dom, bc):
-            d2 = groups.pair_kernel(euclid, dom.coords[tile], bc[near])
-            out[tile] = self.values[near[np.argmin(d2, axis=1)]]
+        inodes = dom.interior_flat
+        rows = max(1, _PAIR_BLOCK // max(1, bc.shape[0]))
+        for s in range(0, inodes.size, rows):
+            block = inodes[s : s + rows]
+            d2 = groups.pair_kernel(euclid, dom.coords[block], bc)
+            out[block] = self.values[np.argmin(d2, axis=1)]
         return ScalarField(dom, out)
 
     def graph_lipschitz(self) -> float:
         """Largest |g(a) - g(b)| / gauge distance over boundary pairs.
 
-        No solve uses it as its scale any more: it does not bound the
-        solution's slopes, as on the gauge box of heisenberg1 at h = 1/8,
-        where it is 1.0 and the k = 16 solution's max |Xu| is 1.19, so
-        that the weights q^(kappa-1) of the high levels left the double
-        range.  The gauge
-        distance is the left kernel's root, as in groups.gauge_distance;
-        grushin, which has no gauge, uses the coordinate distance.  Both
-        are symmetric bit for bit, and so is |g(a) - g(b)|, so only the
-        pairs b >= a are swept.
+        No solve scales by it, because it does not bound the solution's
+        slopes.  The gauge distance is the left kernel's root, as in
+        groups.gauge_distance; grushin, which has no gauge, uses the
+        coordinate distance.  Both are symmetric bit for bit, and so is
+        |g(a) - g(b)|, so only the pairs b >= a are swept.
         """
-        if getattr(self, "_lip", None) is not None:
-            return self._lip
         dom = self.domain
         bc = dom.coords[dom.boundary_flat]
         nb = bc.shape[0]
@@ -159,54 +155,12 @@ class BoundaryData:
             r = np.zeros_like(dv)
             np.divide(dv, d, out=r, where=d > 0)
             best = max(best, float(np.max(r)))
-        self._lip = best
         return best
 
 
-# Node pairs per block in graph_lipschitz: 256 kB per array, so that the
-# pair kernel's passes stay in cache.
+# Node pairs per block in graph_lipschitz and extend_nearest: 256 kB per
+# array, so that the pair kernel's passes stay in cache.
 _PAIR_BLOCK = 32_768
-
-# About this many interior nodes per tile of extend_nearest.
-_TILE_NODES = 64
-
-
-def _nearest_tiles(dom: GridDomain, bc: np.ndarray):
-    """Yield (tile, near): interior nodes and the boundary nodes that can be nearest.
-
-    Tiles group the interior nodes by w lattice indices per axis, with w^n
-    about _TILE_NODES.  With lo and hi the corners of a tile's bounding
-    box, each boundary node b gets a floor sum_j max(lo_j - b_j, b_j - hi_j,
-    0)^2 and a ceiling sum_j max(b_j - lo_j, hi_j - b_j)^2 on the squared
-    distance from any node x of the tile.  Rounding is monotone, so these
-    also bound the computed sum_j (x_j - b_j)^2, summed in the same axis
-    order.  A b whose floor exceeds the smallest ceiling is farther from
-    every x than some other b, so near (b in ascending order) keeps every
-    nearest node and every tie, whatever the classification.
-    """
-    inodes = dom.interior_flat
-    if inodes.size == 0:
-        return
-    width = max(1, round(_TILE_NODES ** (1.0 / len(dom.dims))))
-    tdims = tuple(-(-d // width) for d in dom.dims)
-    key = np.ravel_multi_index(tuple((dom.multi_indices[inodes] // width).T), tdims)
-    order = np.argsort(key, kind="stable")
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(key[order])) + 1])
-    sorted_coords = dom.coords[inodes[order]]
-    lo = np.minimum.reduceat(sorted_coords, starts)
-    hi = np.maximum.reduceat(sorted_coords, starts)
-    floor = np.zeros((starts.size, bc.shape[0]))
-    ceiling = np.zeros_like(floor)
-    for j in range(bc.shape[1]):
-        below = lo[:, j, None] - bc[None, :, j]
-        above = bc[None, :, j] - hi[:, j, None]
-        gap = np.maximum(np.maximum(below, above), 0.0)
-        floor += gap * gap
-        far = np.maximum(-below, -above)
-        ceiling += far * far
-    bound = ceiling.min(axis=1)
-    for tile, row, cap in zip(np.split(inodes[order], starts[1:]), floor, bound):
-        yield tile, np.flatnonzero(row <= cap)
 
 
 @dataclass(frozen=True)
@@ -309,10 +263,9 @@ class LevelReport:
 class SolveReport:
     """Outcome of a solve: the field plus convergence bookkeeping.
 
-    energy_trace maps each k level to its per-iteration objective values
-    (cell quadrature, original units).  levels holds one LevelReport per
-    descent run, warm-up levels included, and is the one record of the
-    schedule: its ks, iteration counts and final residuals.  converged
+    levels holds one LevelReport per descent run, warm-up levels
+    included, and is the one record of the schedule: its ks, iteration
+    counts, final residuals and start and end energies.  converged
     requires the last level to have met gradient_tolerance.
     start_cg_iterations is the CG work of the harmonic start (0 for
     initialization zero), which no level counts; with the levels'
@@ -320,7 +273,6 @@ class SolveReport:
     """
 
     solution: ScalarField
-    energy_trace: dict
     converged: bool
     message: str = ""
     levels: list = dc_field(default_factory=list)
@@ -1022,7 +974,6 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
     else:
         warm, start_cg = base, 0
     q = _cell_q(dom, warm)
-    trace = {}
     levels = []
     prev_vals = None
     stopped = False
@@ -1033,7 +984,6 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
         obj = _Objective(dom, base, f, k, eps, side, slope)
         z, level_trace, residual, iters, stop, cg_iters = _descend(
             obj, obj.z0_of(warm), config)
-        trace[k] = [obj.energy_original_units(e) for e in level_trace]
         vals = obj.solution_of(z)
         q = _cell_q(dom, vals)
         diff = None
@@ -1042,7 +992,8 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
                 vals[dom.interior_flat] - prev_vals[dom.interior_flat])))
         levels.append(LevelReport(k, iters, residual, stop, cg_iters,
                                   time.perf_counter() - start,
-                                  trace[k][0], trace[k][-1], diff,
+                                  obj.energy_original_units(level_trace[0]),
+                                  obj.energy_original_units(level_trace[-1]), diff,
                                   obj.scale, _unseen(obj, q)))
         prev_vals = vals
         if diff is not None and not chain and diff <= config.cross_tolerance:
@@ -1058,7 +1009,6 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
         message += "; k schedule exhausted before cross-level tolerance"
     return SolveReport(
         solution=ScalarField(dom, prev_vals),
-        energy_trace=trace,
         converged=levels[-1].converged and settled,
         message=message,
         levels=levels,

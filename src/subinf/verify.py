@@ -138,25 +138,25 @@ class ViscosityReport:
                 and self.worst_supersolution_violation <= self.tol)
 
 
-def _stencil_values(u: ScalarField, radius: int = 2):
+def _stencil_values(u: ScalarField):
     """Offsets delta and offset-major neighbor values u(x + delta) of the interior.
 
-    offs lists the cube [-radius, radius]^n, the 3^n offsets of the unit
-    ring first, each part in C order.  The values are gathered from u
-    padded by radius with NaN, exterior nodes NaN too, so a neighbor off
-    the lattice or exterior reads NaN (the touching filter and the
-    difference stencils skip it).
+    offs lists the cube [-2, 2]^n, the 3^n offsets of the unit ring
+    first, each part in C order.  The values are gathered from u padded
+    by 2 with NaN, exterior nodes NaN too, so a neighbor off the lattice
+    or exterior reads NaN (the touching filter and the difference
+    stencils skip it).
     """
     dom = u.domain
     n = dom.spec.dim
-    ticks = np.arange(-radius, radius + 1)
+    ticks = np.arange(-2, 3)
     grids = np.meshgrid(*([ticks] * n), indexing="ij")
     offs = np.stack([g.reshape(-1) for g in grids], axis=1)
     offs = offs[np.argsort(np.max(np.abs(offs), axis=1) > 1, kind="stable")]
     grid = np.where(dom.classification == EXTERIOR, np.nan, u.values).reshape(dom.dims)
-    padded = np.pad(grid, radius, constant_values=np.nan)
+    padded = np.pad(grid, 2, constant_values=np.nan)
     strides = np.array(padded.strides) // padded.itemsize
-    pidx = (dom.multi_indices[dom.interior_flat] + radius) @ strides
+    pidx = (dom.multi_indices[dom.interior_flat] + 2) @ strides
     poff = offs @ strides
     return offs, padded.reshape(-1)[pidx[None, :] + poff[:, None]]
 

@@ -223,14 +223,6 @@ def test_convolve_on_grushin_exits_2_and_names_the_group_law(tmp_path, capsys):
     assert "inverse" not in err
 
 
-def test_verify_comparison_passes(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, LINE_CFG)
-    out = str(tmp_path / "v")
-    assert cli.main(["verify", cfg, "-o", out, "--check", "comparison"]) == 0
-    assert "comparison: margin" in capsys.readouterr().out
-    assert "verify.passed = true" in open(os.path.join(out, "manifest.txt")).read()
-
-
 def test_verify_viscosity_passes_on_line(tmp_path, capsys):
     cfg = write_cfg(tmp_path, LINE_CFG)
     out = str(tmp_path / "v")
@@ -261,6 +253,18 @@ def test_verify_negative_jets_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", cfg, "-o", out, "--check", "viscosity",
                      "--jets", "-1"]) == 2
     assert "argument --jets: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_verify_ratio_tol_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, value):
+    """A NaN ratio tolerance failed every check, after the whole solve."""
+    monkeypatch.setattr(cli, "_solve_problem", _no_solve)
+    cfg = write_cfg(tmp_path, LINE_CFG)
+    out = str(tmp_path / "v")
+    assert cli.main(["verify", cfg, "-o", out, "--check", "amle",
+                     "--ratio-tol", value]) == 2
+    assert f"argument --ratio-tol: must be positive and finite, got {value}" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("check", ["viscosity", "amle"])

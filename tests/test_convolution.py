@@ -19,11 +19,6 @@ def euclid_dom():
     return GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.25)
 
 
-@pytest.fixture
-def h1_dom():
-    return GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.25)
-
-
 def test_sup_convolution_dominates(euclid_dom):
     u = bump_field(euclid_dom)
     rep = convolution.sup_convolution(u, 0.1)
@@ -38,23 +33,6 @@ def test_sup_convolution_monotone_in_eps(euclid_dom):
     small = convolution.sup_convolution(u, 0.05).field.values[ne]
     large = convolution.sup_convolution(u, 0.2).field.values[ne]
     assert np.all(large >= small)
-
-
-def test_sup_convolution_attains_on_lattice(h1_dom):
-    u = bump_field(h1_dom)
-    rep = convolution.sup_convolution(u, 0.1)
-    ne = h1_dom.nonexterior_flat
-    assert np.all(rep.attainment[ne] >= 0)
-    # rebuild the value from the reported attaining node at a few points
-    spec = h1_dom.spec
-    for flat in ne[:: max(1, ne.size // 7)]:
-        y = int(rep.attainment[flat])
-        diff = groups.multiply(
-            spec, h1_dom.coords[flat], groups.inverse(spec, h1_dom.coords[y])
-        )
-        K = float(groups.gauge_kernel(spec, diff))
-        assert np.isclose(rep.field.values[flat],
-                          u.values[y] - K / 0.2, rtol=1e-12, atol=1e-12)
 
 
 def test_inf_convolution_duality(euclid_dom):
@@ -169,10 +147,8 @@ def dense_sup(u, eps, kernel):
     vals = np.where(K <= threshold, vals, -np.inf)
     best = np.argmax(vals, axis=1)
     out = np.full(dom.n_nodes, np.nan)
-    arg = np.full(dom.n_nodes, -1, dtype=np.int64)
     out[nodes] = vals[np.arange(nodes.size), best]
-    arg[nodes] = nodes[best]
-    return out, arg, dense_shrink(dom, (1.0 + 4.0 * r0) * eps, kernel)
+    return out, dense_shrink(dom, (1.0 + 4.0 * r0) * eps, kernel)
 
 
 def heisenberg_with_holes():
@@ -316,15 +292,13 @@ def test_convolutions_equal_dense_sweep_bit_for_bit(name, small, kernel, monkeyp
         monkeypatch.setattr(convolution, "_BLOCK", SMALL_BLOCKS[name])
         splits = count_splits(monkeypatch)
     dom = {**DYADIC, **NON_DYADIC}[name]()
-    for u, eps, (field, arg, shrunk) in dense_cases(name, kernel):
+    for u, eps, (field, shrunk) in dense_cases(name, kernel):
         rep = convolution.sup_convolution(u, eps, kernel)
         assert rep.field.values.tobytes() == field.tobytes()
-        assert np.array_equal(rep.attainment, arg)
         assert np.array_equal(rep.shrunken, shrunk)
         neg = ScalarField(dom, -u.values)
         inf_rep = convolution.inf_convolution(neg, eps, kernel)
         assert inf_rep.field.values.tobytes() == (-field).tobytes()
-        assert np.array_equal(inf_rep.attainment, arg)
         assert np.array_equal(inf_rep.shrunken, shrunk)
     if small:
         split = {kind for kind, count in splits.items() if count}

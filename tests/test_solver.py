@@ -29,6 +29,22 @@ def line_boundary(dom, slope=1.0, offset=0.0):
 SQ = integrands.squared_norm()
 
 
+def record_traces(monkeypatch):
+    """Per k level, the energies (original units) of every iterate of its
+    descent, as solver._descend returns them; a level run twice keeps the
+    last run."""
+    traces = {}
+    descend = solver._descend
+
+    def recorded(obj, z0, config):
+        out = descend(obj, z0, config)
+        traces[obj.k] = [obj.energy_original_units(e) for e in out[1]]
+        return out
+
+    monkeypatch.setattr(solver, "_descend", recorded)
+    return traces
+
+
 # -- energy ---------------------------------------------------------------
 
 
@@ -109,7 +125,7 @@ def test_reported_energy_is_the_public_energy(eps, side):
     rep = solver.solve(g, SQ, eps, side, config=cfg)
     k = rep.levels[-1].k
     assert np.isclose(solver.energy(rep.solution, SQ, k, eps, side),
-                      rep.energy_trace[k][-1], rtol=1e-10, atol=0.0)
+                      rep.levels[-1].energy_end, rtol=1e-10, atol=0.0)
 
 
 # -- boundary data --------------------------------------------------------
@@ -176,13 +192,11 @@ def warm_start_by_pair_loops(lattice):
 def test_warm_start_matches_brute_force_loops(monkeypatch, block):
     """extend_nearest and graph_lipschitz against plain pair loops.
 
-    block None keeps the module's sweep sizes; otherwise it is both the
-    pairs per graph_lipschitz block and the nodes per extend_nearest tile,
-    so 200 000 sweeps each lattice in one piece and 7 puts block and tile
-    edges everywhere."""
+    block None keeps the module's sweep size; otherwise it is the pairs
+    per block of both, so 200 000 sweeps each lattice in one piece and 7
+    puts block edges everywhere."""
     if block is not None:
         monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
-        monkeypatch.setattr(solver, "_TILE_NODES", block)
     for lattice in WARM_LATTICES:
         dom, values, ext, ties, lip = warm_start_by_pair_loops(lattice)
         g = BoundaryData(dom, values)
@@ -317,7 +331,7 @@ def test_minimize_k_matches_lbfgs_oracle():
     oracle = np.array(res.x)
     got = rep.solution.values[dom.interior_flat]
     assert np.max(np.abs(got - oracle)) <= 1e-6
-    e_pkg = rep.energy_trace[k][-1]
+    e_pkg = rep.levels[-1].energy_end
     assert np.isclose(e_pkg, res.fun, rtol=1e-10, atol=1e-14)
 
 
@@ -355,7 +369,7 @@ def test_newton_level_matches_lbfgs_oracle_at_k8():
         options={"maxiter": 20000, "ftol": 1e-18, "gtol": 1e-12},
     )
     assert np.max(np.abs(rep.solution.values[free] - res.x)) <= 1e-6
-    assert np.isclose(rep.energy_trace[k][-1], res.fun, rtol=1e-10)
+    assert np.isclose(rep.levels[-1].energy_end, res.fun, rtol=1e-10)
 
 
 @pytest.mark.parametrize("geometry,lower,upper,h", [
@@ -896,6 +910,7 @@ def test_forcing_term_follows_the_gradient_and_the_residual():
 
 def test_newton_steps_from_one_cg_iteration_still_descend(monkeypatch):
     monkeypatch.setattr(solver, "_forcing", lambda residual, ratio: np.inf)
+    traces = record_traces(monkeypatch)
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] ** 2 - c[:, 1] ** 2)
     rep = solver.minimize_k(g, SQ, 2, 0.0, "lower", SolverConfig(max_iterations=8))
@@ -903,7 +918,7 @@ def test_newton_steps_from_one_cg_iteration_still_descend(monkeypatch):
     assert lv.iterations >= 1
     # one CG iteration per Newton system solved
     assert lv.cg_iterations in (lv.iterations, lv.iterations + 1)
-    assert np.all(np.diff(rep.energy_trace[2]) < 0)
+    assert np.all(np.diff(traces[2]) < 0)
 
 
 ORACLE_SOLVES = {
@@ -1107,23 +1122,26 @@ def test_minimize_k_translation_equivariance():
     assert np.max(np.abs((b - a) - 7.0)) <= 1e-6
 
 
-def test_energy_trace_is_monotone_per_level():
+def test_energy_trace_is_monotone_per_level(monkeypatch):
+    traces = record_traces(monkeypatch)
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, 1])
     rep = solver.solve(g, SQ, config=SolverConfig(k_max=8))
-    for k, trace in rep.energy_trace.items():
+    assert sorted(traces) == [lv.k for lv in rep.levels]
+    for k, trace in traces.items():
         diffs = np.diff(np.array(trace))
         assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
-def test_level_reports_carry_energies_changes_and_cg_work():
+def test_level_reports_carry_energies_changes_and_cg_work(monkeypatch):
+    traces = record_traces(monkeypatch)
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, 1] ** 2)
     rep = solver.solve(g, SQ, config=SolverConfig(k_max=8))
     assert [lv.k for lv in rep.levels] == [2, 4, 8]
     for lv in rep.levels:
-        assert lv.energy_start == rep.energy_trace[lv.k][0]
-        assert lv.energy_end == rep.energy_trace[lv.k][-1]
+        assert lv.energy_start == traces[lv.k][0]
+        assert lv.energy_end == traces[lv.k][-1]
         assert lv.cg_iterations >= lv.iterations
         assert lv.seconds > 0.0
     assert rep.levels[0].change is None
@@ -1137,11 +1155,13 @@ def test_level_reports_carry_energies_changes_and_cg_work():
 
 
 def test_no_solve_calls_graph_lipschitz(monkeypatch):
-    """Each level is scaled by its own start, not by the boundary pairs."""
-    def sweep(self):
-        raise AssertionError("graph_lipschitz called")
+    """Each level is scaled by its own start, not by the boundary pairs,
+    and no start is the nearest-boundary extension."""
+    for name in ("graph_lipschitz", "extend_nearest"):
+        def sweep(self, name=name):
+            raise AssertionError(name + " called")
 
-    monkeypatch.setattr(BoundaryData, "graph_lipschitz", sweep)
+        monkeypatch.setattr(BoundaryData, name, sweep)
     dom = GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 0.5)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, 1] + c[:, 2])
     config = SolverConfig(k_max=4)
@@ -1371,17 +1391,19 @@ def test_an_eps_whose_scaled_source_meets_the_tolerance_is_rejected():
     assert 4.0e4 < rep.solution.values[2] < 4.4e4
 
 
-def test_solve_at_eps_zero_ignores_the_side():
+def test_solve_at_eps_zero_ignores_the_side(monkeypatch):
     """eps = 0 is the infinity-harmonic branch: the upper side does the
     same arithmetic as the lower one, bit for bit."""
+    traces = record_traces(monkeypatch)
     dom = GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 0.25)
     g = BoundaryData.from_function(
         dom, lambda c: np.abs(c[:, 0]) ** (4 / 3) - np.abs(c[:, 1]) ** (4 / 3))
     cfg = SolverConfig(k_max=8)
     lo = solver.solve(g, SQ, 0.0, "lower", config=cfg)
+    lo_traces = dict(traces)
     hi = solver.solve(g, SQ, 0.0, "upper", config=cfg)
     assert lo.solution.values.tobytes() == hi.solution.values.tobytes()
-    assert lo.energy_trace == hi.energy_trace
+    assert lo_traces == traces
     assert [dataclasses.replace(lv, seconds=0.0) for lv in lo.levels] == \
         [dataclasses.replace(lv, seconds=0.0) for lv in hi.levels]
     default = solver.solve(g, SQ, config=cfg)
