@@ -45,8 +45,10 @@ progress is solved again to 1e-8 before the level ends as stalled.
 Each step sums the Hessian's per-cell blocks into its diagonals, laid
 out once per lattice on the bounding box of the free nodes (_Cells), with
 one precomputed csr scatter, and damps its main diagonal in place.  The
-scatter is built forward from the corner table: each block entry names
-its slot, and one stable sort by slot lines the entries up cell by cell.
+blocks and the diagonals live in two arrays of the level's objective,
+allocated once and overwritten by every step.  The scatter is built
+forward from the corner table: each block entry names its slot, and one
+stable sort by slot lines the entries up cell by cell.
 """
 
 from __future__ import annotations
@@ -490,7 +492,10 @@ class _Objective:
     maps back to the original one exactly.  The energy, its gradient, its
     Hessian and the line search all take F = q^kappa, F' and F'' per cell
     from _power_law, so the line search's phi(0) is value_grad's energy
-    bit for bit.
+    bit for bit.  The objective owns the Newton step's two large arrays,
+    allocated once: the per-cell Hessian blocks, shaped like
+    _Cells.gram, and the dia matrix they are summed into.  Each hessian
+    call overwrites both.
     """
 
     def __init__(self, domain, base_full, f, k, eps, side, slope_scale):
@@ -503,6 +508,7 @@ class _Objective:
         self._hessian = sp.dia_matrix(
             (np.empty((self.cells.offsets.size, size)), self.cells.offsets),
             shape=(size, size))
+        self._block = np.empty_like(self.cells.gram)
         self.cell = float(domain.h) ** domain.spec.dim
         # f(p)^k = q^kappa with q = |p|^2
         self.kappa = 0.5 * f.alpha * self.k
@@ -563,15 +569,23 @@ class _Objective:
         b = 4 F'' = 4 kappa (kappa-1) q^(kappa-2) from _power_law.  So
         H = cell * sum over cells of a G + b y y^T, with G the cell's
         block of sum_i X_i^T X_i (_Cells.gram) and y its row of
-        Y = sum_i diag(V_i) X_i on its corners.  One csr matvec of
-        _Cells.scatter adds the blocks' both-free entries into the
-        diagonals of the box lattice.  Every call fills and returns the
-        objective's one dia matrix, so the next call overwrites it.
+        Y = sum_i diag(V_i) X_i on its corners.  The blocks are written
+        into the objective's block buffer, a G first and then the
+        rank-one term one corner row c at a time, (y b)_c y, through a
+        small work row: each entry is a G + (y b)_c y_d, added in that
+        order, with no temporary the size of the blocks.  One csr matvec
+        of _Cells.scatter adds the blocks' both-free entries into the
+        diagonals of the box lattice.  Every call overwrites the block
+        buffer and fills and returns the objective's one dia matrix, so
+        the next call overwrites both.
         """
         cells = self.cells
         a, b = 2.0 * point.F1, 4.0 * point.F2
         y = np.einsum("ir,icr->cr", point.V, cells.coeff)
-        block = cells.gram * a + (y * b)[:, None] * y[None]
+        block = np.multiply(cells.gram, a, out=self._block)
+        row = np.empty_like(y)
+        for c, yc in enumerate(y):
+            block[c] += np.multiply(yc * b, y, out=row)
         data = self._hessian.data
         data.fill(0.0)
         S = cells.scatter
@@ -939,7 +953,13 @@ def _check_source(eps: float, slope: float, alpha: float, tolerance: float) -> N
     source coefficient of the scaled level is eps^(1/alpha - 1).  At or
     below gradient_tolerance, the source alone can no longer move the
     residual past the tolerance, and the level would end at its start
-    as converged.
+    as converged.  An eps that passes can still give no answer: up to
+    about two decades below the bound, the energy part of the scaled
+    gradient can sit below rounding, so the first Newton step makes no
+    progress, the level ends stalled after 0 iterations, and the solve
+    exits 3.  On
+    the h = 1/4 unit line with g = x (squared norm, k_max = 4), eps =
+    1e14 to 9e15 ends level 4 that way, with the bound at 1e16.
     """
     if eps <= 0 or eps < slope ** alpha:
         return

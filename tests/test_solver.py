@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -543,6 +544,14 @@ def test_hessian_matches_the_sparse_product_reference(lattice, f, k, start):
     assert not dense[pad].any() and not dense[:, pad].any()
 
 
+def block_expression(obj, point):
+    """The per-cell Hessian blocks a G + (y b)_c y_d at point, as one
+    expression of whole-array temporaries."""
+    a, b = 2.0 * point.F1, 4.0 * point.F2
+    y = np.einsum("ir,icr->cr", point.V, obj.cells.coeff)
+    return obj.cells.gram * a + (y * b)[:, None] * y[None]
+
+
 def bincount_csr_hessian(obj, point):
     """The free-node Hessian as a csr matrix in free-node order, assembled
     as by the csr layout the dia one replaced: a pattern with a stored
@@ -572,9 +581,7 @@ def bincount_csr_hessian(obj, point):
     indptr = np.zeros(nf + 1, dtype=np.int64)
     indptr[1:] = slot[:, -1] + 1
     columns = index[(free[:, None] + offsets[None, :])[present]]
-    a, b = 2.0 * point.F1, 4.0 * point.F2
-    y = np.einsum("ir,icr->cr", point.V, cells.coeff)
-    block = cells.gram * a + (y * b)[:, None] * y[None]
+    block = block_expression(obj, point)
     data = np.bincount(slot.reshape(-1)[at], block.reshape(-1)[pair * nr + r],
                        minlength=columns.size)
     return scipy.sparse.csr_matrix((obj.cell * data, columns, indptr), shape=(nf, nf))
@@ -613,6 +620,66 @@ def test_dia_hessian_equals_the_bincount_csr_entry_for_entry(lattice, f, k, star
     rest[o, cols] = 0.0
     assert not rest.any()
     assert (nf < obj.cells.size) == (lattice in ("cavity", "heis_holes"))
+
+
+# the benchmark's plane and heisenberg1 lattices, a degenerate line, holes
+BUFFER_DOMAINS = {
+    "plane": lambda: GridDomain.box(groups.euclidean(2), [-1, -1], [1, 1], 1 / 16),
+    "heis": lambda: GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 1 / 8),
+    "grushin": HESSIAN_DOMAINS["grushin"],
+    "heis_holes": heisenberg_with_holes,
+    "line": HESSIAN_DOMAINS["line"],
+}
+
+
+def buffer_objective(dom):
+    """A k = 4 level of x * (last coordinate) data, scaled as the solver
+    scales a level: by the largest cell |Xu| of its start."""
+    base = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, -1]).base_values()
+    slope = math.sqrt(np.max(solver._cell_q(dom, base)))
+    return solver._Objective(dom, base, SQ, 4, 0.0, "lower", slope)
+
+
+@pytest.mark.parametrize("lattice", BUFFER_DOMAINS)
+def test_the_hessian_buffers_keep_no_state_between_calls(lattice):
+    """hessian overwrites the objective's block buffer and dia matrix at
+    every call.  At point A, then B (flat: q = 0 on whole cells), then A
+    again, the third matrix equals the first, a fresh objective's and the
+    block expression's, bit for bit."""
+    dom = BUFFER_DOMAINS[lattice]()
+    obj = buffer_objective(dom)
+    nf = dom.interior_flat.size
+    z_a = np.random.default_rng(5).normal(scale=0.3, size=nf)
+    point_a = obj.value_grad(z_a)[2]
+    first = obj.hessian(point_a).data.copy()
+    second = obj.hessian(obj.value_grad(np.zeros(nf))[2]).data.copy()
+    again = obj.hessian(point_a).data
+    assert not np.array_equal(second, first)
+    assert again.tobytes() == first.tobytes()
+    fresh = buffer_objective(dom)
+    assert fresh.hessian(fresh.value_grad(z_a)[2]).data.tobytes() == first.tobytes()
+    # the block expression, added into the slots by one product with
+    # _Cells.scatter and times the cell volume
+    ref = (obj.cells.scatter @ block_expression(obj, point_a).ravel()) * obj.cell
+    assert ref.tobytes() == first.tobytes()
+
+
+def test_a_repeat_hessian_allocates_less_than_one_block():
+    """The block is written into the objective's buffer: a repeat call on
+    the heisenberg1 h = 1/8 lattice allocates less than one
+    (n+1) x (n+1) x cells array, where the block expression takes three."""
+    dom = BUFFER_DOMAINS["heis"]()
+    obj = buffer_objective(dom)
+    z = np.random.default_rng(5).normal(scale=0.3, size=dom.interior_flat.size)
+    point = obj.value_grad(z)[2]
+    obj.hessian(point)
+    tracemalloc.start()
+    try:
+        obj.hessian(point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < obj.cells.gram.nbytes
 
 
 # a box whose interior is one node wide along its second axis
