@@ -12,9 +12,10 @@ function here needs a group law, so grushin is refused.
 Only the (x, y) pairs that can matter are evaluated; the results equal
 those of a sweep over every pair, ties included.  They are evaluated by
 ``groups.pair_kernel`` (bit for bit ``gauge_kernel(multiply(...))``, one
-coordinate column at a time) in blocks of at most ``_BLOCK`` pairs, small
-enough for its passes to stay in cache: about 4 ns a pair on euclidean:2
-and 9 ns on heisenberg1 on a 2-core Xeon.
+coordinate column at a time), several tiles of x nodes to a call, in blocks
+of at most ``_BLOCK`` pairs, small enough for its passes to stay in cache:
+about 4 ns a pair on euclidean:2 and 10 ns on heisenberg1 on a 2-core Xeon,
+where blocks twice as large took about twice as long a pair.
 
 *Window.*  y = x scores u(x), so the maximiser y* of x scores at least
 that: K(x, y*) <= 2 eps (u(y*) - u(x)) <= 2 eps (max u - u(x)).  Every y
@@ -22,26 +23,34 @@ above this attainment bound scores strictly less than y = x and cannot
 attain or tie, so no mask is needed and the y outside the window are never
 evaluated.  The bound is padded by a relative margin for the rounding of
 u(y) - K / (2 eps); a constant field has bound 0 up to that margin, and
-each x then meets itself alone.  The x nodes are taken in cubic tiles of
-about ``_TILE_NODES`` nodes, each with the largest bound of its nodes.  The
-window of a tile is a set of index ranges along the last axis, one per
-line within bound^(1/p) of the tile along the axes before it; p is the
-homogeneity exponent, and K(x, y) >= |x_i - y_i|^p along every horizontal
-axis.  On euclidean:n a line keeps the y whose squared distance to the
-tile stays within the bound.  On heisenberg1 the line along t keeps the y
-whose twisted vertical term +-(x_t - y_t) + 2 (x_0 y_1 - x_1 y_0) can stay
-within the square root of what the horizontal gaps leave of the bound, so
-a tile meets only the t levels that can hold its maximisers.  Every y
+each x then meets itself alone.  The x nodes are taken in cubic tiles,
+each with the largest bound of its nodes: about ``_TILE_NODES`` nodes on
+euclidean:n and 2 nodes a side on heisenberg1, where the twisted term below
+widens a tile's t window by about 2 (|y_0| + |y_1|) times the tile's
+horizontal extent.  The window of a tile is a set of index ranges along
+the last axis, one per line within bound^(1/p) of the tile along the axes
+before it; p is the homogeneity exponent, and K(x, y) >= |x_i - y_i|^p
+along every horizontal axis.  On euclidean:n a line keeps the y whose
+squared distance to the tile stays within the bound.  On heisenberg1 the
+line along t keeps the y whose twisted vertical term
++-(x_t - y_t) + 2 (x_0 y_1 - x_1 y_0) can stay within the square root of
+what the horizontal gaps leave of the bound, so a tile meets only the t
+levels that can hold its maximisers.  Every y
 that can attain is in the window, so the maximum over it is the value
 over all of them.  ``shrink_domain`` first drops every x that has a band
 node y with K(x, y) below its threshold among the nearest band nodes along
 x's axis lines (one forward and one backward accumulate per axis), then
 cuts the boundary band to the windows of its threshold for the x that are
 left.  The windows are array passes over a table with one row per (tile,
-line), for groups of consecutive tiles: a group's table and its
-concatenated windows each stay within ``_BLOCK`` entries unless one tile's
-window alone is larger, so memory does not grow with the lattice or with
-eps, up to eps = inf.
+line), for groups of consecutive tiles.  A row carries about twenty
+numbers through the passes and a kernel pair three, so a group's table
+stays within ``_BLOCK / 4`` rows and its concatenated windows within
+``_BLOCK`` entries, unless one tile alone has more; memory does not grow
+with the lattice or with eps, up to eps = inf.  The tiles of a group, ordered by window size, share
+kernel calls: each call pads every tile's x and y to the longest by
+repeating its last node, which changes no maximum, minimum or scatter, and
+holds at most ``_BLOCK`` pairs, padding included, unless one tile's window
+alone is larger.
 
 *Extreme points.*  Along each axis a, the centred second difference
 D_a(x, y) = (K(x + h e_a, y) - 2 K(x, y) + K(x - h e_a, y)) / h^2 is
@@ -57,7 +66,6 @@ line along every axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -65,13 +73,19 @@ from .errors import ParameterError, UnsupportedGeometryError
 from .grids import GridDomain, ScalarField
 from .groups import gauge_kernel, inverse, multiply, pair_kernel
 
-_TILE_NODES = 64  # about this many x nodes in one tile
-_BLOCK = 65_536  # most (x, y) pairs evaluated at once: 512 kB per array, in cache
+_TILE_NODES = 64  # about this many x nodes in one euclidean tile
+_BLOCK = 32_768  # most (x, y) pairs evaluated at once: 256 kB per array, in cache
 
 
 def _kernel_rows(dom: GridDomain, x_coords: np.ndarray, y_coords: np.ndarray, kernel: str) -> np.ndarray:
-    """(rows, cols) kernels K(x, y) of x_coords against y_coords (groups.pair_kernel)."""
-    return pair_kernel(dom.spec, x_coords, y_coords, kernel)
+    """(rows, cols) kernels K(x, y) of x_coords against y_coords (groups.pair_kernel).
+
+    Batched (tiles, x, n) and (tiles, y, n) coordinates pair each tile's x
+    with its own y; their kernels come back as (tiles * x, y) rows, so rows
+    times cols is always the number of pairs evaluated.
+    """
+    K = pair_kernel(dom.spec, x_coords, y_coords, kernel)
+    return K.reshape(-1, K.shape[-1])
 
 
 def _require_group(dom: GridDomain) -> None:
@@ -93,6 +107,28 @@ def _runs(sizes: np.ndarray, limit: int):
         total += size
     if sizes.size:
         yield start, sizes.size
+
+
+def _padded_runs(rows: np.ndarray, cols: np.ndarray, limit: int):
+    """Yield [start, stop) runs of consecutive items whose padded block fits in limit.
+
+    Item i is a (rows[i], cols[i]) block; a run pads its items to the most
+    rows and the most cols among them, and count * rows * cols stays within
+    ``limit``.  An item larger than ``limit`` is a run of its own.
+    """
+    start, top_r, top_c = 0, 0, 0
+    for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+        if i > start and (i + 1 - start) * max(r, top_r) * max(c, top_c) > limit:
+            yield start, i
+            start, top_r, top_c = i, 0, 0
+        top_r, top_c = max(r, top_r), max(c, top_c)
+    if rows.size:
+        yield start, rows.size
+
+
+def _padded(flat: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(len(starts), max(sizes)) rows flat[start : start + size], padded with their last entry."""
+    return flat[starts[:, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)]
 
 
 def _lines(dom: GridDomain, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray,
@@ -134,8 +170,12 @@ def _lines(dom: GridDomain, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray,
             half = np.sqrt(bound - g * g)
             y0, y1 = (dom.lower[a] + j[a] * h for a in range(2))
             x0, x1 = ([(dom.lower[a] + c[:, a] * h)[tile] for c in (lo, hi)] for a in range(2))
-            w = [2.0 * (c0 * y1 - c1 * y0) for c0 in x0 for c1 in x1]
-            w_min, w_max = reduce(np.minimum, w), reduce(np.maximum, w)
+            # w at the four corners; rounding is monotone, so its extremes
+            # pair the extremes of x_0 y_1 and x_1 y_0
+            a, b = (c0 * y1 for c0 in x0)
+            c, d = (c1 * y0 for c1 in x1)
+            w_min = 2.0 * (np.minimum(a, b) - np.maximum(c, d))
+            w_max = 2.0 * (np.maximum(a, b) - np.minimum(c, d))
             if kernel == "right":  # y_t = x_t + w -+ v
                 y_lo, y_hi = x_lo + w_min - half, x_hi + w_max + half
             else:  # y_t = x_t - w +- v
@@ -155,21 +195,30 @@ def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_mask: np.ndarray,
                      bound: np.ndarray, kernel: str):
     """Yield (xs, ys) blocks of flat indices covering every pair that can matter.
 
-    The x nodes are taken in cubic tiles of about ``_TILE_NODES`` nodes.  A pair
-    can matter when K(x, y) <= bound[i] for x = x_flat[i]; a tile meets
-    the nodes of ``y_mask`` in its window for the largest bound in the tile
-    (see the module docstring), in ascending flat order.  Tiles with no
-    such y are skipped, and a tile with more than ``_BLOCK`` pairs is split
-    by rows.  The windows of consecutive tiles are computed together, by
-    ``_lines``, in groups whose lines and then whose concatenated windows
-    number at most ``_BLOCK`` unless one tile alone has more.
+    A pair can matter when K(x, y) <= bound[i] for x = x_flat[i].  The x
+    nodes are taken in cubic tiles (2 nodes a side on heisenberg1, about
+    ``_TILE_NODES`` nodes on euclidean:n), and a tile meets the nodes of
+    ``y_mask`` in its window for the largest bound in the tile (see the
+    module docstring), in ascending flat order.  Tiles with no such y are
+    skipped.  The windows of consecutive tiles are computed together, by
+    ``_lines``, in groups of at most ``_BLOCK / 4`` lines and then of at
+    most ``_BLOCK`` concatenated window nodes, unless one tile alone has
+    more.  The tiles of
+    such a group, ordered by window size, come several to a block: row i of
+    the (tiles, x) array xs pairs with row i of the (tiles, y) array ys,
+    each row padded to the longest by repeating its last node, and a block
+    holds at most ``_BLOCK`` pairs, padding included.  A tile with more
+    pairs than that comes alone, split by rows.
     """
     spec, h = dom.spec, dom.h
     last = spec.dim - 1
     # what the rounding of coordinates and of K can add to K
     scale = 1.0 + float(np.max(np.abs([dom.lower, dom.upper])))
     slop = 1e-12 * scale ** spec.gauge_exponent
-    width = max(1, round(_TILE_NODES ** (1.0 / len(dom.dims))))
+    if spec.name == "heisenberg1":
+        width = 2
+    else:
+        width = max(1, round(_TILE_NODES ** (1.0 / len(dom.dims))))
     mi = dom.multi_indices[x_flat]
     key = np.ravel_multi_index(tuple((mi // width).T), tuple(-(-d // width) for d in dom.dims))
     order = np.argsort(key, kind="stable")
@@ -188,7 +237,7 @@ def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_mask: np.ndarray,
     tick_lo = np.maximum(tile_lo[:, :last] - reach, 0)
     ticks = np.minimum(tile_hi[:, :last] + reach, np.asarray(dom.dims[:last], dtype=np.int64) - 1) - tick_lo + 1
     n_lines = ticks.prod(axis=1)
-    for t0, t1 in _runs(n_lines, _BLOCK):
+    for t0, t1 in _runs(n_lines, _BLOCK // 4):
         starts, counts = _lines(dom, tile_lo[t0:t1], tile_hi[t0:t1], tile_bound[t0:t1],
                                 tick_lo[t0:t1], ticks[t0:t1], kernel)
         line_ends = np.cumsum(n_lines[t0:t1])
@@ -203,13 +252,23 @@ def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_mask: np.ndarray,
             cuts = np.concatenate(([0], np.cumsum(keep)))
             cuts = cuts[np.concatenate(([0], np.cumsum(sizes[s0:s1])))]
             ys = ys[keep]
-            for t, a, b in zip(range(t0 + s0, t0 + s1), cuts[:-1].tolist(), cuts[1:].tolist()):
-                if a == b:
+            ny = np.diff(cuts)
+            met = np.flatnonzero(ny)
+            met = met[np.argsort(ny[met], kind="stable")]
+            tiles = met + t0 + s0
+            x_at, nx = heads[tiles], tails[tiles] - heads[tiles]
+            y_at, ny = cuts[met], ny[met]
+            for b0, b1 in _padded_runs(nx, ny, _BLOCK):
+                if b1 - b0 > 1:
+                    yield (_padded(x_sorted, x_at[b0:b1], nx[b0:b1]),
+                           _padded(ys, y_at[b0:b1], ny[b0:b1]))
                     continue
-                xs = x_sorted[heads[t] : tails[t]]
-                rows = max(1, _BLOCK // (b - a))
+                # one tile: views, nothing to pad
+                xs = x_sorted[x_at[b0] : x_at[b0] + nx[b0]]
+                window = ys[y_at[b0] : y_at[b0] + ny[b0]]
+                rows = max(1, _BLOCK // window.size)
                 for start in range(0, xs.size, rows):
-                    yield xs[start : start + rows], ys[a:b]
+                    yield xs[None, start : start + rows], window[None]
 
 
 @dataclass
@@ -276,7 +335,7 @@ def shrink_domain(dom: GridDomain, eps: float, kernel: str = "right") -> np.ndar
     if rest.size:
         for xs, ys in _windowed_blocks(dom, rest, dom.boundary_mask, np.float64(eps), kernel):
             K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel)
-            keep[xs] = K.min(axis=1) >= eps
+            keep[xs] = K.reshape(*xs.shape, -1).min(axis=2) >= eps
     return rest[keep[rest]]
 
 
@@ -302,9 +361,9 @@ def sup_convolution(u: ScalarField, eps: float, kernel: str = "right") -> Convol
             / np.float64(inv_two_eps)
     out = np.full(dom.n_nodes, np.nan)
     for xs, ys in _windowed_blocks(dom, nodes, dom.nonexterior_mask, bound, kernel):
-        K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel)
+        K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel).reshape(*xs.shape, -1)
         K *= inv_two_eps
-        out[xs] = np.subtract(vals[ys], K, out=K).max(axis=1)
+        out[xs] = np.subtract(vals[ys][:, None], K, out=K).max(axis=2)
     field = ScalarField(dom, out, validate=False)
     shrunk = shrink_domain(dom, (1.0 + 4.0 * r0) * eps, kernel)
     return ConvolutionReport(field, r0, shrunk)

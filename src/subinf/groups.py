@@ -165,44 +165,52 @@ def gauge_kernel(spec: GroupSpec, p: np.ndarray) -> np.ndarray:
 
 def pair_kernel(spec: GroupSpec, x: np.ndarray, y: np.ndarray,
                 kernel: str = "right") -> np.ndarray:
-    """(len(x), len(y)) gauge kernels of every pair of points from x and y.
+    """(..., L, R) gauge kernels of every pair of points from x and y.
 
-    Entry (i, j) is ``gauge_kernel(spec, multiply(spec, x[i], inverse(spec,
-    y[j])))`` for ``kernel="right"`` and ``gauge_kernel(spec, multiply(spec,
-    inverse(spec, x[i]), y[j]))`` for ``kernel="left"``, bit for bit: the
-    same roundings in the same order, one coordinate column at a time, with
-    no (len(x), len(y), n) temporary.  The two kernels differ only in the
-    sign of the vertical difference x_t - y_t on heisenberg1, so they
-    coincide on euclidean:n.  The left kernel is symmetric under swapping
-    x and y bit for bit: every term of its twisted t negates exactly.
+    x is (..., L, n) and y is (..., R, n) with the same leading shape, so a
+    batch of point sets pairs each x set with its own y set; two (L, n) and
+    (R, n) arrays give one (L, R) array.  Entry (..., i, j) is
+    ``gauge_kernel(spec, multiply(spec, x[..., i, :], inverse(spec,
+    y[..., j, :])))`` for ``kernel="right"`` and ``gauge_kernel(spec,
+    multiply(spec, inverse(spec, x[..., i, :]), y[..., j, :]))`` for
+    ``kernel="left"``, bit for bit: the same roundings in the same order,
+    one coordinate column at a time, with no (..., L, R, n) temporary.  The
+    two kernels differ only in the sign of the vertical difference x_t - y_t
+    on heisenberg1, so they coincide on euclidean:n.  The left kernel is
+    symmetric under swapping x and y bit for bit: every term of its twisted
+    t negates exactly.
     """
     _require_group(spec, "pair_kernel")
     if kernel not in ("right", "left"):
         raise ParameterError(f"kernel must be 'right' or 'left', got {kernel!r}")
     x = _check_point(spec, x)
     y = _check_point(spec, y)
-    if x.ndim != 2 or y.ndim != 2:
-        raise ParameterError("pair_kernel takes two (count, n) point arrays")
+    if min(x.ndim, y.ndim) < 2 or x.shape[:-2] != y.shape[:-2]:
+        raise ParameterError("pair_kernel takes (..., L, n) and (..., R, n) point arrays "
+                             "with the same leading shape")
+    # column j of x against column j of y, as (..., L, 1) and (..., 1, R)
+    xs = [x[..., :, None, j] for j in range(spec.dim)]
+    ys = [y[..., None, :, j] for j in range(spec.dim)]
     # |x_j - y_j|^2 summed over the horizontal layer in axis order
-    out = np.subtract.outer(x[:, 0], y[:, 0])
+    out = np.subtract(xs[0], ys[0])
     out *= out
     work = np.empty_like(out)
     for j in range(1, spec.horizontal_dim):
-        np.subtract.outer(x[:, j], y[:, j], out=work)
+        np.subtract(xs[j], ys[j], out=work)
         work *= work
         out += work
     if spec.name == "euclidean":
         return out
     # heisenberg1: planar^2 + (+-(x_t - y_t) + 2 (x_0 y_1 - x_1 y_0))^2
     out *= out
-    vertical = np.multiply.outer(x[:, 1], y[:, 0])
-    np.multiply.outer(x[:, 0], y[:, 1], out=work)
+    vertical = np.multiply(xs[1], ys[0])
+    np.multiply(xs[0], ys[1], out=work)
     work -= vertical
     work *= 2.0
     if kernel == "right":
-        np.subtract.outer(x[:, 2], y[:, 2], out=vertical)
+        np.subtract(xs[2], ys[2], out=vertical)
     else:
-        np.subtract(y[None, :, 2], x[:, None, 2], out=vertical)
+        np.subtract(ys[2], xs[2], out=vertical)
     vertical += work
     vertical *= vertical
     out += vertical

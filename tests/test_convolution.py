@@ -246,21 +246,27 @@ def dense_cases(name, kernel):
     return [(u, eps, dense_sup(u, eps, kernel)) for u, eps in _cases(dom)]
 
 
-# per lattice, a block small enough to split its tile groups (below the
-# lines of all its tiles' windows at eps = inf), its window groups and the
-# rows of its tiles; the line has one tile, so only its rows split
-SMALL_BLOCKS = {"line": 8, "plane": 128, "space": 256, "heis": 2048,
+# per lattice, a block small enough to split its tile groups (a quarter of
+# it below the lines of all its tiles' windows at eps = inf), its window
+# groups, the padded blocks of a window group and the rows of its tiles
+SMALL_BLOCKS = {"line": 8, "plane": 128, "space": 512, "heis": 2048,
                 "plane_h0.1": 48, "heis_h0.1": 1024, "heis_holes": 1024}
+# the line has one tile, so only its rows split; at 48, no window group of
+# plane_h0.1's four tiles holds two windows, so none splits into padded blocks
+SPLITS = {"line": {"rows"}, "plane_h0.1": {"tiles", "windows", "rows"}}
 
 
 def count_splits(monkeypatch):
     """Count the splits of every ``_windowed_blocks`` sweep from here on.
 
     The first ``_runs`` of a sweep groups its tiles and each later one the
-    windows of a tile group; two blocks in a row whose ys share memory are
-    rows of one tile."""
+    windows of a tile group; ``_padded_runs`` splits the tiles of a window
+    group into padded blocks; two blocks in a row whose ys share memory are
+    rows of one tile.  Every block holds at most ``_BLOCK`` pairs, padding
+    included, unless it is one x against a window larger than that."""
     counts = collections.Counter()
-    runs, blocks = convolution._runs, convolution._windowed_blocks
+    runs, padded_runs, blocks = (convolution._runs, convolution._padded_runs,
+                                 convolution._windowed_blocks)
     sweep = {}
 
     def counted_runs(sizes, limit):
@@ -268,15 +274,22 @@ def count_splits(monkeypatch):
         counts[sweep.pop("first", "windows")] += len(out) > 1
         return out
 
+    def counted_padded_runs(rows, cols, limit):
+        out = list(padded_runs(rows, cols, limit))
+        counts["batches"] += len(out) > 1
+        return out
+
     def counted_blocks(*args):
         sweep["first"] = "tiles"
         prev = None
         for xs, ys in blocks(*args):
+            assert xs.size * ys.shape[1] <= convolution._BLOCK or xs.size == 1
             counts["rows"] += prev is not None and np.shares_memory(prev, ys)
             prev = ys
             yield xs, ys
 
     monkeypatch.setattr(convolution, "_runs", counted_runs)
+    monkeypatch.setattr(convolution, "_padded_runs", counted_padded_runs)
     monkeypatch.setattr(convolution, "_windowed_blocks", counted_blocks)
     return counts
 
@@ -302,7 +315,7 @@ def test_convolutions_equal_dense_sweep_bit_for_bit(name, small, kernel, monkeyp
         assert np.array_equal(inf_rep.shrunken, shrunk)
     if small:
         split = {kind for kind, count in splits.items() if count}
-        assert split == ({"rows"} if name == "line" else {"tiles", "windows", "rows"})
+        assert split == SPLITS.get(name, {"tiles", "windows", "batches", "rows"})
 
 
 # -- per-tile reference: each tile's window computed on its own --
@@ -347,10 +360,13 @@ def tile_window(dom, lo, hi, bound, kernel):
 
 
 def tile_blocks(dom, x_flat, y_mask, bound, kernel):
-    """The (xs, ys) blocks of ``_windowed_blocks``, one tile window at a time."""
+    """The (xs, ys) blocks of ``_windowed_blocks`` unpadded, one tile window at a time."""
     scale = 1.0 + float(np.max(np.abs([dom.lower, dom.upper])))
     slop = 1e-12 * scale ** dom.spec.gauge_exponent
-    width = max(1, round(convolution._TILE_NODES ** (1.0 / len(dom.dims))))
+    if dom.spec.name == "heisenberg1":
+        width = 2
+    else:
+        width = max(1, round(convolution._TILE_NODES ** (1.0 / len(dom.dims))))
     mi = dom.multi_indices[x_flat]
     key = np.ravel_multi_index(tuple((mi // width).T), tuple(-(-d // width) for d in dom.dims))
     order = np.argsort(key, kind="stable")
@@ -391,12 +407,22 @@ def test_windowed_blocks_equal_the_per_tile_windows(name, kernel, monkeypatch):
         sweeps = [args[2] is dom.nonexterior_mask for args in calls]
         assert sweeps == [True, False] or (sweeps == [True] and rep.shrunken.size == 0)
         for args in calls:
-            got = list(blocks(*args))
+            got = [(unpadded(gx), unpadded(gy)) for xs, ys in blocks(*args)
+                   for gx, gy in zip(xs, ys, strict=True)]
             want = list(tile_blocks(*args))
             assert len(got) == len(want)
+            got.sort(key=lambda block: block[0][0])
+            want.sort(key=lambda block: block[0][0])
             for (gx, gy), (wx, wy) in zip(got, want):
                 assert np.array_equal(gx, wx) and gx.dtype == wx.dtype
                 assert np.array_equal(gy, wy) and gy.dtype == wy.dtype
+
+
+def unpadded(row):
+    """A block row without its padding: the repeats of its last entry."""
+    end = int(np.flatnonzero(row == row[-1])[0]) + 1
+    assert np.all(row[end:] == row[-1])
+    return row[:end]
 
 
 def plane_with_slot():
@@ -447,8 +473,9 @@ def test_convolution_evaluates_fewer_pairs_than_the_dense_sweep(monkeypatch):
     rows = convolution._kernel_rows
 
     def counted(d, xs, ys, kernel):
-        pairs.append(xs.shape[0] * ys.shape[0])
-        return rows(d, xs, ys, kernel)
+        K = rows(d, xs, ys, kernel)
+        pairs.append(K.size)
+        return K
 
     monkeypatch.setattr(convolution, "_kernel_rows", counted)
     n = dom.nonexterior_flat.size
@@ -472,6 +499,9 @@ def test_convolution_evaluates_fewer_pairs_than_the_dense_sweep(monkeypatch):
     pairs.clear()
     convolution.sup_convolution(u, 0.05)
     assert sum(pairs) < n * n / 6
+    # tiles 2 nodes a side keep the twist from widening their t windows:
+    # 4-node tiles evaluated about n^2 / 10 pairs here, 2-node ones n^2 / 27
+    assert sum(pairs) < n * n / 20
 
 
 def test_group_law_is_required():

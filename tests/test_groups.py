@@ -97,17 +97,24 @@ def test_gauge_kernel_avoids_the_root_power_round_trip():
 
 
 @given(st.sampled_from(["euclidean:1", "euclidean:2", "euclidean:3", "heisenberg1"]),
-       st.integers(1, 5), st.integers(1, 5), st.data())
-@settings(max_examples=120, deadline=None)
-def test_pair_kernel_is_the_product_kernel_bit_for_bit(gid, nx, ny, data):
-    """Random points off any lattice, against the kernel of the group product."""
+       st.sampled_from([(), (1,), (3,)]), st.integers(1, 5), st.integers(1, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pair_kernel_is_the_product_kernel_bit_for_bit(gid, batch, nx, ny, data):
+    """Random points off any lattice, against the kernel of the group product.
+
+    Batched (B, L, n) and (B, R, n) points repeat their last rows from a
+    drawn row on, as the padded tiles of a sup convolution do."""
     spec = groups.from_id(gid)
-    x = data.draw(arrays(float, (nx, spec.dim), elements=coord))
-    y = data.draw(arrays(float, (ny, spec.dim), elements=coord))
+    x = data.draw(arrays(float, batch + (nx, spec.dim), elements=coord))
+    y = data.draw(arrays(float, batch + (ny, spec.dim), elements=coord))
+    if batch:
+        for p in (x, y):
+            end = data.draw(st.integers(1, p.shape[1]))
+            p[:, end:] = p[:, end - 1 : end]
     right = groups.gauge_kernel(spec, groups.multiply(
-        spec, x[:, None, :], groups.inverse(spec, y)[None, :, :]))
+        spec, x[..., :, None, :], groups.inverse(spec, y)[..., None, :, :]))
     left = groups.gauge_kernel(spec, groups.multiply(
-        spec, groups.inverse(spec, x)[:, None, :], y[None, :, :]))
+        spec, groups.inverse(spec, x)[..., :, None, :], y[..., None, :, :]))
     assert np.array_equal(groups.pair_kernel(spec, x, y), right)
     assert np.array_equal(groups.pair_kernel(spec, x, y, "right"), right)
     assert np.array_equal(groups.pair_kernel(spec, x, y, "left"), left)
@@ -135,6 +142,14 @@ def test_pair_kernel_validation():
         groups.pair_kernel(h1, pts[0], pts)
     with pytest.raises(UnsupportedGeometryError):
         groups.pair_kernel(groups.grushin(), np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_batched_pair_kernel_needs_one_leading_shape():
+    h1 = groups.heisenberg1()
+    with pytest.raises(ParameterError):
+        groups.pair_kernel(h1, np.zeros((2, 4, 3)), np.zeros((3, 4, 3)))
+    with pytest.raises(ParameterError):
+        groups.pair_kernel(h1, np.zeros((2, 4, 3)), np.zeros((4, 3)))
 
 
 def test_gauge_exponent_per_geometry():
