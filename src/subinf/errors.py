@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an
+integer count argument."""
 
 
 class SubinfError(Exception):
@@ -27,3 +28,11 @@ class ConfigError(SubinfError):
 
 class ParameterError(SubinfError, ValueError):
     """An argument is outside its documented range."""
+
+
+def require_count(name: str, value, least: int) -> int:
+    """value as an int; ParameterError unless it is an integer of at least
+    least.  NaN, infinities and fractions fail."""
+    if not (value >= least and float(value).is_integer()):
+        raise ParameterError(f"{name} must be an integer of at least {least}, got {value}")
+    return int(value)

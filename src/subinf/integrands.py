@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class Integrand:
-    """Convex positively homogeneous integrand f(p) = |p|^alpha, alpha >= 1.
+    """Convex positively homogeneous integrand f(p) = |p|^alpha, 1 <= alpha < inf.
 
     alpha = 2 is the squared norm (id ``squared_norm``, strictly convex
     with D^2 f = 2 I).  The gradient is singular at p = 0 when alpha < 2;
@@ -21,8 +22,8 @@ class Integrand:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ParameterError(f"power integrand needs alpha >= 1, got {self.alpha}")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ParameterError(f"power integrand needs 1 <= alpha < inf, got {self.alpha}")
 
     @property
     def id(self) -> str:
@@ -54,7 +55,8 @@ def from_id(integrand_id: str) -> Integrand:
         return squared_norm()
     if iid.startswith("power:"):
         try:
-            return power(float(iid.split(":", 1)[1]))
+            alpha = float(iid.split(":", 1)[1])
         except ValueError:
             raise ParameterError(f"bad power integrand id {integrand_id!r}") from None
+        return power(alpha)
     raise ParameterError(f"unknown integrand id {integrand_id!r}")

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 # scipy.sparse.csgraph is imported inside the functions that use it: it
 # loads scipy.sparse.linalg and scipy.linalg, which no solve needs.
 
-from .errors import ConnectivityError, ParameterError
+from .errors import ConnectivityError, ParameterError, require_count
 from .grids import GridDomain
 
 
@@ -125,8 +125,7 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
     """
     if depth is None:
         depth = domain.spec.step
-    if depth < 1:
-        raise ParameterError(f"graph depth must be >= 1, got {depth}")
+    depth = require_count("graph depth", depth, 1)
     spec = domain.spec
     h = domain.h
     n = domain.n_nodes

@@ -62,7 +62,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 from . import groups
-from .errors import IncompleteFieldError, ParameterError
+from .errors import IncompleteFieldError, ParameterError, require_count
 from .grids import EXTERIOR, GridDomain, ScalarField, require_same_lattice
 from .integrands import Integrand
 
@@ -184,17 +184,13 @@ class SolverConfig:
     initialization: str = "boundary"
 
     def __post_init__(self):
-        if not (self.k_max >= 4 and float(self.k_max).is_integer()):
-            raise ParameterError("k_max must be an integer of at least 4, got %s"
-                                 % (self.k_max,))
+        require_count("k_max", self.k_max, 4)
         for name in ("gradient_tolerance", "cross_tolerance"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ParameterError("%s must be positive and finite, got %s"
                                      % (name, value))
-        if not (self.max_iterations >= 1 and float(self.max_iterations).is_integer()):
-            raise ParameterError("max_iterations must be an integer of at least 1, got %s"
-                                 % (self.max_iterations,))
+        require_count("max_iterations", self.max_iterations, 1)
         if self.initialization not in ("boundary", "zero"):
             raise ParameterError(
                 "initialization must be 'boundary' or 'zero', got %r"
@@ -218,8 +214,7 @@ def _doubling(k) -> tuple:
 def _check_level(k, eps, side) -> None:
     """Reject a k that is not an integer >= 1, an eps that is not >= 0
     (NaN included) and a side other than lower or upper."""
-    if not (k >= 1 and float(k).is_integer()):
-        raise ParameterError("k must be an integer of at least 1, got %s" % (k,))
+    require_count("k", k, 1)
     if not eps >= 0:
         raise ParameterError("eps must be nonnegative, got %s" % (eps,))
     if side not in _SIDES:

@@ -14,13 +14,14 @@ rest of the radius-2 stencil for the few pairs the ring leaves open (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .calculus import horizontal_gradient
-from .errors import ParameterError
+from .errors import ParameterError, require_count
 from .grids import EXTERIOR, ScalarField, require_same_lattice
 from .groups import horizontal_frame
 from .integrands import Integrand
@@ -50,8 +51,9 @@ class OperatorSpec:
             raise ParameterError("unknown operator kind %r" % (self.kind,))
         if self.kind in ("aronsson", "aux_lower", "aux_upper") and self.f is None:
             raise ParameterError("%s needs an integrand" % (self.kind,))
-        if self.kind in ("aux_lower", "aux_upper") and self.eps <= 0:
-            raise ParameterError("auxiliary operators need eps > 0")
+        if self.kind in ("aux_lower", "aux_upper") and not 0 < self.eps < math.inf:
+            raise ParameterError("auxiliary operators need 0 < eps < inf, got %s"
+                                 % (self.eps,))
 
     @classmethod
     def infinity_laplacian(cls) -> "OperatorSpec":
@@ -93,8 +95,7 @@ def subelliptic_check(op: OperatorSpec, samples: int, m: int = 2,
     Returns (passed, worst margin) where the margin is the largest
     observed A(x,p,M) - A(x,p,M-E); anything above 1e-9 fails.
     """
-    if samples < 1:
-        raise ParameterError("samples must be at least 1")
+    samples = require_count("samples", samples, 1)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(samples, m))
     p = rng.normal(size=(samples, m)) * rng.uniform(0.0, 3.0, (samples, 1))
@@ -340,8 +341,7 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
     Running the check on -u negates every plane and jet and swaps each
     sign pair, so it swaps the two violation columns.
     """
-    if jet_samples < 0:
-        raise ParameterError(f"jet_samples must be nonnegative, got {jet_samples}")
+    jet_samples = require_count("jet_samples", jet_samples, 0)
     dom = u.domain
     n = dom.spec.dim
     h = dom.h
@@ -374,7 +374,7 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
     cands = [(np.full(n, lam), zeta, zero_g, zero_h)
              for lam in (0.0, 0.25, 0.5, 0.75, 1.0) for zeta in (0.0, h, 1.0)]
     rng = np.random.default_rng(seed)
-    for _ in range((int(jet_samples) + 1) // 2):
+    for _ in range((jet_samples + 1) // 2):
         lam = rng.uniform(0.0, 1.0, n)
         gshift = rng.normal(size=n) * h
         zeta = rng.uniform(0.0, 1.0)
@@ -439,15 +439,14 @@ def amle_check(u: ScalarField, f: Integrand, trials: int,
     tolerance.  Degenerate sub-boxes (fewer than 3 interior nodes) are
     skipped.  Returns the worst ratio observed.
     """
-    if trials < 1:
-        raise ParameterError("trials must be at least 1")
+    trials = require_count("trials", trials, 1)
     config = config or SolverConfig(k_max=16)
     dom = u.domain
     dims = np.asarray(dom.dims)
     rng = np.random.default_rng(seed)
     worst = 0.0
     tested = 0
-    for _ in range(int(trials)):
+    for _ in range(trials):
         span = np.array([rng.integers(3, d + 1) for d in dims])
         lo = np.array([rng.integers(0, d - s + 1)
                        for d, s in zip(dims, span)])

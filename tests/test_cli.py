@@ -160,6 +160,18 @@ def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_a_nan_integrand_exponent_exits_2(tmp_path, capsys):
+    """NaN passes a plain alpha < 1 test; a solve with it would print
+    residual nan and exit 3."""
+    cfg = write_cfg(tmp_path, LINE_CFG.replace("h = 0.125", "h = 0.25").replace(
+        "k_max = 16", "k_max = 4").replace("boundary = linear:1",
+                                           "boundary = linear:1\nintegrand = power:nan"))
+    assert cli.main(["solve", cfg, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "line 7: field 'integrand'" in err
+    assert "1 <= alpha < inf" in err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["solve", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err

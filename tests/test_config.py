@@ -89,6 +89,8 @@ def test_defaults_show_up_in_resolved_items():
      r"line 13: \[solver\] gradient_tolerance .* got nan"),
     (lambda t: t.replace("cross_tolerance = 1e-5", "cross_tolerance = nan"),
      r"line 14: \[solver\] cross_tolerance .* got nan"),
+    (lambda t: t.replace("seed = 7", "integrand = power:nan"),
+     "line 10: field 'integrand': power integrand needs 1 <= alpha < inf, got nan"),
 ])
 def test_errors_are_line_anchored(mangle, where):
     with pytest.raises(ConfigError, match=where):

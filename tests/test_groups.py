@@ -124,8 +124,8 @@ def test_pair_kernel_is_the_product_kernel_bit_for_bit(gid, batch, nx, ny, data)
 @settings(max_examples=100, deadline=None)
 def test_heisenberg_gauge_distance_is_symmetric_bit_for_bit(a, b):
     """||a^-1 b|| == ||b^-1 a|| exactly: each term of the twisted t negates
-    exactly under the swap.  BoundaryData.graph_lipschitz sweeps only half
-    of the pairs on the strength of it."""
+    exactly under the swap, as pair_kernel's docstring states for its left
+    kernel."""
     h1 = groups.heisenberg1()
     assert groups.gauge_distance(h1, a, b) == groups.gauge_distance(h1, b, a)
     both = np.stack([a, b])

@@ -62,7 +62,8 @@ def test_from_id_round_trip():
         assert integrands.from_id(iid).id == iid
 
 
-@pytest.mark.parametrize("bad", ["norm", "power:abc", "power:", "p4"])
+@pytest.mark.parametrize("bad", ["norm", "power:abc", "power:", "p4",
+                                 "power:nan", "power:inf", "power:1e400"])
 def test_from_id_rejects(bad):
     with pytest.raises(ParameterError):
         integrands.from_id(bad)

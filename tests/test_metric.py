@@ -117,8 +117,9 @@ def test_node_index_takes_only_flat_nodes():
 
 def test_depth_validation():
     dom = GridDomain.box(groups.euclidean(1), [0.0], [1.0], 0.25)
-    with pytest.raises(ParameterError):
-        metric.build_graph(dom, depth=0)
+    for bad in (0, float("nan"), 1.5):
+        with pytest.raises(ParameterError, match="depth"):
+            metric.build_graph(dom, depth=bad)
 
 
 def test_disconnected_lattice_is_reported():

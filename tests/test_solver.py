@@ -373,6 +373,14 @@ def test_newton_level_matches_lbfgs_oracle_at_k8():
     assert np.isclose(rep.levels[-1].energy_end, res.fun, rtol=1e-10)
 
 
+def level_objective(dom, g, f, k, eps=0.0, side="lower"):
+    """The objective of a level that starts from g's base values, scaled
+    as the solver scales a level: by the largest cell |Xu| of its start."""
+    base = g.base_values()
+    return solver._Objective(dom, base, f, k, eps, side,
+                             math.sqrt(np.max(solver._cell_q(dom, base))))
+
+
 @pytest.mark.parametrize("geometry,lower,upper,h", [
     ("euclidean:2", [0, 0], [1, 1], 0.25),
     ("heisenberg1", [-1, -1, -1], [1, 1, 1], 0.5),
@@ -383,8 +391,7 @@ def test_newton_level_matches_lbfgs_oracle_at_k8():
 def test_hessian_matches_finite_differences(geometry, lower, upper, h, f, k):
     dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
     g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, 1] ** 2)
-    obj = solver._Objective(dom, g.base_values(), f, k, 0.0, "lower",
-                            g.graph_lipschitz())
+    obj = level_objective(dom, g, f, k)
     z = np.random.default_rng(k).normal(scale=0.3, size=dom.interior_flat.size)
     hess = obj.hessian(obj.value_grad(z)[2]).toarray()
     step = 1e-6
@@ -496,8 +503,7 @@ def test_energy_gradient_is_the_adjoint_of_the_cell_operators(lattice, eps, side
     dom = HESSIAN_DOMAINS[lattice]()
     g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, -1] ** 2)
     f = integrands.power(1.5)
-    obj = solver._Objective(dom, g.base_values(), f, 4, eps, side,
-                            g.graph_lipschitz())
+    obj = level_objective(dom, g, f, 4, eps, side)
     z = np.random.default_rng(3).normal(scale=0.3, size=dom.interior_flat.size)
     ops = cell_operators_by_definition(dom)
     V = np.stack([op @ obj.full_of(z) for op in ops])
@@ -518,8 +524,7 @@ def test_energy_gradient_is_the_adjoint_of_the_cell_operators(lattice, eps, side
 def test_hessian_matches_the_sparse_product_reference(lattice, f, k, start):
     dom = HESSIAN_DOMAINS[lattice]()
     g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, -1] ** 2)
-    obj = solver._Objective(dom, g.base_values(), f, k, 0.0, "lower",
-                            g.graph_lipschitz())
+    obj = level_objective(dom, g, f, k)
     nf = dom.interior_flat.size
     z = (np.zeros(nf) if start == "flat"
          else np.random.default_rng(k).normal(scale=0.3, size=nf))
@@ -553,37 +558,28 @@ def block_expression(obj, point):
 
 
 def bincount_csr_hessian(obj, point):
-    """The free-node Hessian as a csr matrix in free-node order, assembled
-    as by the csr layout the dia one replaced: a pattern with a stored
-    diagonal for every free node, and one np.bincount of the blocks'
-    both-free entries into it, cell by cell."""
-    dom, cells = obj.domain, obj.cells
-    n = dom.spec.dim
-    corners = cells.corners.T
-    nr = corners.shape[0]
-    free = dom.interior_flat
-    nf = free.size
-    index = np.full(dom.n_nodes, -1)
-    index[free] = np.arange(nf)
-    fc = index[corners]
-    shape = (nr, n + 1, n + 1)
-    both = (fc[:, :, None] >= 0) & (fc[:, None, :] >= 0)
-    fi = np.broadcast_to(fc[:, :, None], shape)[both]
-    r = np.broadcast_to(np.arange(nr)[:, None, None], shape)[both]
-    pair = np.broadcast_to(np.arange((n + 1) ** 2).reshape(1, n + 1, n + 1), shape)[both]
-    step = np.concatenate([[0], dom.strides])
-    offsets, jump = np.unique(step[None, :] - step[:, None], return_inverse=True)
-    at = fi * offsets.size + jump.reshape(-1)[pair]
-    present = np.zeros((nf, offsets.size), dtype=bool)
-    present.reshape(-1)[at] = True
-    present[:, int(np.searchsorted(offsets, 0))] = True
-    slot = np.cumsum(present, axis=None).reshape(present.shape) - 1
-    indptr = np.zeros(nf + 1, dtype=np.int64)
-    indptr[1:] = slot[:, -1] + 1
-    columns = index[(free[:, None] + offsets[None, :])[present]]
+    """The free-node Hessian as a csr matrix in free-node order, read off
+    the corner table alone, as the csr layout the dia one replaced
+    assembled it: a stored diagonal for every free node, and one
+    np.bincount of the blocks' both-free entries, which adds each
+    (row, column) by ascending cell.  The zero diagonal keys go first,
+    and the entries follow cell by cell."""
+    cells, nf = obj.cells, obj.free.size
+    # every corner a lattice node, so every column below is a free node:
+    # a bad corner table fails here, before scipy sees it
+    assert 0 <= cells.corners.min() and cells.corners.max() < obj.domain.n_nodes
+    index = np.full(obj.domain.n_nodes, -1)
+    index[obj.free] = np.arange(nf)
+    fc = index[cells.corners.T]
+    r, c, d = np.nonzero((fc[:, :, None] >= 0) & (fc[:, None, :] >= 0))
+    diag = np.arange(nf)
+    keys, at = np.unique(np.concatenate([diag * nf + diag, fc[r, c] * nf + fc[r, d]]),
+                         return_inverse=True)
     block = block_expression(obj, point)
-    data = np.bincount(slot.reshape(-1)[at], block.reshape(-1)[pair * nr + r],
-                       minlength=columns.size)
+    data = np.bincount(at.reshape(-1), np.concatenate([np.zeros(nf), block[c, d, r]]),
+                       minlength=keys.size)
+    rows, columns = np.divmod(keys, nf)
+    indptr = np.searchsorted(rows, np.arange(nf + 1))
     return scipy.sparse.csr_matrix((obj.cell * data, columns, indptr), shape=(nf, nf))
 
 
@@ -602,8 +598,7 @@ def test_dia_hessian_equals_the_bincount_csr_entry_for_entry(lattice, f, k, star
     holes, where the box has nodes that are not free."""
     dom = LAYOUT_DOMAINS[lattice]()
     g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, -1] ** 2)
-    obj = solver._Objective(dom, g.base_values(), f, k, 0.0, "lower",
-                            g.graph_lipschitz())
+    obj = level_objective(dom, g, f, k)
     nf = dom.interior_flat.size
     z = (np.zeros(nf) if start == "flat"
          else np.random.default_rng(k).normal(scale=0.3, size=nf))
@@ -633,11 +628,9 @@ BUFFER_DOMAINS = {
 
 
 def buffer_objective(dom):
-    """A k = 4 level of x * (last coordinate) data, scaled as the solver
-    scales a level: by the largest cell |Xu| of its start."""
-    base = BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, -1]).base_values()
-    slope = math.sqrt(np.max(solver._cell_q(dom, base)))
-    return solver._Objective(dom, base, SQ, 4, 0.0, "lower", slope)
+    """A k = 4 level of x * (last coordinate) data."""
+    return level_objective(dom, BoundaryData.from_function(dom, lambda c: c[:, 0] * c[:, -1]),
+                           SQ, 4)
 
 
 @pytest.mark.parametrize("lattice", BUFFER_DOMAINS)
@@ -732,8 +725,7 @@ def test_line_search_sees_the_energy_the_descent_tests(lattice, f, k, start):
     start has cells where q^(kappa-1) or q^(kappa-2) is q^0 = 1."""
     dom = HESSIAN_DOMAINS[lattice]()
     g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, -1] ** 2)
-    obj = solver._Objective(dom, g.base_values(), f, k, 0.3, "upper",
-                            g.graph_lipschitz())
+    obj = level_objective(dom, g, f, k, 0.3, "upper")
     nf = dom.interior_flat.size
     rng = np.random.default_rng(k)
     z = np.zeros(nf) if start == "flat" else rng.normal(scale=0.3, size=nf)
@@ -752,8 +744,7 @@ def _first_newton_iterate(geometry, lower, upper, h, k, start):
     """A level's objective and the free values its descent starts from."""
     dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
     g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, 1] ** 2)
-    obj = solver._Objective(dom, g.base_values(), SQ, k, 0.0, "lower",
-                            g.graph_lipschitz())
+    obj = level_objective(dom, g, SQ, k)
     n = dom.interior_flat.size
     z = (np.zeros(n) if start == "flat"
          else np.random.default_rng(k).normal(scale=0.3, size=n))
@@ -953,12 +944,14 @@ def test_descend_damps_the_hessian_in_place(monkeypatch, geometry, lower,
 
 def test_pcg_keeps_its_stop_rule_beyond_the_range_of_the_2_norm():
     """Gradients above ~1e154 overflow |g|_2; the solve must not stop
-    early on an infinite threshold."""
+    early on an infinite threshold.  The gradient is scaled by a power of
+    two, which rounds nothing: x has an entry of 2e-6 among entries up
+    to 0.26, which a rounded scaling moves by more than the rtol."""
     A, g = _damped_newton_system("euclidean:2", [0, 0], [1, 1], 0.25, 2, "random")
     x, its = solver._pcg(A, g, solver._CG_RTOL)
-    big, its_big = solver._pcg(A, 1e200 * g, solver._CG_RTOL)
+    big, its_big = solver._pcg(A, 2.0**664 * g, solver._CG_RTOL)
     assert its_big == its > 1
-    assert np.allclose(big / 1e200, x, rtol=1e-12, atol=0)
+    assert np.allclose(big / 2.0**664, x, rtol=1e-12, atol=0)
 
 
 def test_forcing_term_follows_the_gradient_and_the_residual():

@@ -35,6 +35,9 @@ def test_operator_spec_validation():
         OperatorSpec(kind="aronsson")
     with pytest.raises(ParameterError):
         OperatorSpec(kind="aux_lower", f=SQ, eps=0.0)
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="0 < eps < inf"):
+            OperatorSpec.aux_lower(SQ, eps)
 
 
 @pytest.mark.parametrize("op", [
@@ -64,8 +67,9 @@ def test_broken_operator_fails_the_ellipticity_audit():
 
 
 def test_subelliptic_check_needs_samples():
-    with pytest.raises(ParameterError):
-        verify.subelliptic_check(OperatorSpec.infinity_laplacian(), samples=0)
+    for bad in (0, float("nan"), 2.5):
+        with pytest.raises(ParameterError, match="samples"):
+            verify.subelliptic_check(OperatorSpec.infinity_laplacian(), samples=bad)
 
 
 # -- viscosity jets ---------------------------------------------------------
@@ -183,8 +187,9 @@ def test_viscosity_check_counts_sign_paired_jets():
     counts = [verify.viscosity_check(u, op, jet_samples=j).candidates
               for j in (0, 1, 2, 3, 64)]
     assert counts == [15, 17, 17, 19, 79]
-    with pytest.raises(ParameterError, match="jet_samples"):
-        verify.viscosity_check(u, op, jet_samples=-5)
+    for bad in (-5, float("nan"), 1.5):
+        with pytest.raises(ParameterError, match="jet_samples"):
+            verify.viscosity_check(u, op, jet_samples=bad)
 
 
 # -- reference: the check as first written, one candidate and node at a time --
@@ -531,8 +536,9 @@ def test_amle_check_flags_an_interior_bump():
 def test_amle_check_validation():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.125)
     u = ScalarField.zeros(dom)
-    with pytest.raises(ParameterError):
-        verify.amle_check(u, SQ, trials=0)
+    for bad in (0, float("nan"), 2.5):
+        with pytest.raises(ParameterError, match="trials"):
+            verify.amle_check(u, SQ, trials=bad)
     # a 4-node axis leaves every sub-box without enough interior
     small = GridDomain.box(groups.euclidean(1), [0.0], [1.0], 1.0 / 3)
     with pytest.raises(ParameterError):
