@@ -1,10 +1,11 @@
 """Batch front end.
 
-Subcommands: solve, distance, convolve, verify, table, acceptance.  Each run
-reads one problem config (flat key = value text) and leaves artifacts in the
-output directory: field files, a manifest with the fully resolved config, and
-whitespace plot tables.  Exit codes: 0 success, 2 config error, 3 solver
-non-convergence, 4 verification failure.
+Subcommands: solve, distance, convolve, verify, table, acceptance.  Each but
+acceptance reads one problem config (flat key = value text) and leaves
+artifacts in the output directory: field files, whitespace plot tables, and
+manifest.txt with the fully resolved config and the command's results,
+which main writes once the command returns an exit code.  Exit codes: 0
+success, 2 config error, 3 solver non-convergence, 4 verification failure.
 
 The env var SUBINF_THREADS caps BLAS/OpenMP parallelism.  The package's
 __init__ applies it before any of its modules imports numpy, so it takes
@@ -109,29 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args):
-    from . import config as cfgmod
-
-    cfg = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(args.seed))
-    return cfg
-
-
 def _solve_problem(cfg):
     from . import solver
 
     return solver.solve(cfg.boundary_data(), cfg.integrand_obj(), cfg.eps, cfg.side,
                         config=cfg.solver)
-
-
-def _base_manifest(cfg, command: str) -> dict:
-    from . import __version__
-
-    entries = cfg.resolved_items()
-    entries["command"] = command
-    entries["version"] = __version__
-    return entries
 
 
 def _report_entries(report) -> dict:
@@ -156,21 +139,12 @@ def _report_entries(report) -> dict:
     return entries
 
 
-def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _cmd_solve(args) -> int:
+def _cmd_solve(args, cfg, entries) -> int:
     from . import fieldio
 
-    cfg = _load(args)
-    out = _ensure_outdir(args.out)
     report = _solve_problem(cfg)
-    fieldio.write_field(os.path.join(out, "solution.field"), report.solution)
-    entries = _base_manifest(cfg, "solve")
+    fieldio.write_field(os.path.join(args.out, "solution.field"), report.solution)
     entries.update(_report_entries(report))
-    fieldio.write_manifest(os.path.join(out, "manifest.txt"), entries)
     print(f"solve: residual {report.levels[-1].residual:.3e} after "
           f"{entries['result.iterations']} iterations over "
           f"k = {[lv.k for lv in report.levels]}; "
@@ -197,13 +171,11 @@ def _parse_point(text: str, dom, what: str):
     return vals
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args, cfg, entries) -> int:
     import numpy as np
 
     from . import fieldio, metric
 
-    cfg = _load(args)
-    out = _ensure_outdir(args.out)
     dom = cfg.domain()
     graph = metric.build_graph(dom, depth=args.depth)
     if args.source is None:
@@ -211,7 +183,6 @@ def _cmd_distance(args) -> int:
     else:
         center = _parse_point(args.source, dom, "--source")
     src = dom.nearest_node(center)
-    entries = _base_manifest(cfg, "distance")
     entries["distance.source_node"] = src
     entries["distance.depth"] = graph.depth
     entries["distance.edges"] = graph.n_edges
@@ -227,39 +198,34 @@ def _cmd_distance(args) -> int:
         cols = [dom.coords[nodes][:, j] for j in range(dom.spec.dim)]
         cols.append(dists[nodes])
         names = [f"x{j}" for j in range(dom.spec.dim)] + ["d_cc"]
-        fieldio.write_table(os.path.join(out, "distance.txt"), cols, names,
+        fieldio.write_table(os.path.join(args.out, "distance.txt"), cols, names,
                             title=f"cc distances from node {src} ({cfg.geometry})")
         finite = dists[nodes][np.isfinite(dists[nodes])]
         entries["distance.max"] = float(finite.max()) if finite.size else float("nan")
         print(f"distance: wrote {len(nodes)} rows to distance.txt "
               f"(max {entries['distance.max']:.6g})")
-    fieldio.write_manifest(os.path.join(out, "manifest.txt"), entries)
     return EXIT_OK
 
 
-def _cmd_convolve(args) -> int:
+def _cmd_convolve(args, cfg, entries) -> int:
     import numpy as np
 
     from . import convolution, fieldio
 
-    cfg = _load(args)
-    out = _ensure_outdir(args.out)
     dom = cfg.domain()
     u = cfg.boundary_field(dom)
     fn = (convolution.sup_convolution if args.mode == "sup"
           else convolution.inf_convolution)
     rep = fn(u, args.eps, kernel=args.kernel)
-    fieldio.write_field(os.path.join(out, f"{args.mode}_convolution.field"), rep.field)
+    fieldio.write_field(os.path.join(args.out, f"{args.mode}_convolution.field"), rep.field)
     gap = float(np.max(np.abs(rep.field.values[rep.shrunken] - u.values[rep.shrunken]))) \
         if rep.shrunken.size else float("nan")
-    entries = _base_manifest(cfg, "convolve")
     entries["convolve.mode"] = args.mode
     entries["convolve.kernel"] = args.kernel
     entries["convolve.eps"] = float(args.eps)
     entries["convolve.r0"] = rep.r0
     entries["convolve.shrunken_nodes"] = int(rep.shrunken.size)
     entries["convolve.shrunken_gap"] = gap
-    fieldio.write_manifest(os.path.join(out, "manifest.txt"), entries)
     if rep.shrunken.size:
         print(f"convolve: {args.mode} at eps={args.eps:g}, gap {gap:.6g} "
               f"on {rep.shrunken.size} shrunken nodes")
@@ -269,13 +235,10 @@ def _cmd_convolve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    from . import fieldio, verify
+def _cmd_verify(args, cfg, entries) -> int:
+    from . import verify
 
-    cfg = _load(args)
-    out = _ensure_outdir(args.out)
     f = cfg.integrand_obj()
-    entries = _base_manifest(cfg, "verify")
     entries["verify.check"] = args.check
 
     if args.check == "subelliptic":
@@ -286,12 +249,12 @@ def _cmd_verify(args) -> int:
         entries["verify.samples"] = samples
         entries["verify.worst_margin"] = worst
         entries["verify.passed"] = ok
-        fieldio.write_manifest(os.path.join(out, "manifest.txt"), entries)
         print(f"subelliptic: worst monotonicity margin {worst:.3e} "
               f"over {samples} samples -> {'ok' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_VERIFY
 
     report = _solve_problem(cfg)
+    entries.update(_report_entries(report))
     if not report.converged:
         print(f"verify: solve did not converge ({report.message})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -308,7 +271,6 @@ def _cmd_verify(args) -> int:
         entries["verify.jets_above"] = rep.jets_above
         entries["verify.jets_below"] = rep.jets_below
         entries["verify.passed"] = rep.passed
-        fieldio.write_manifest(os.path.join(out, "manifest.txt"), entries)
         print(f"viscosity: sub {rep.worst_subsolution_violation:.3e} / "
               f"super {rep.worst_supersolution_violation:.3e} vs tol {rep.tol:.3e} "
               f"({rep.jets_above}+{rep.jets_below} certified jets) "
@@ -322,7 +284,6 @@ def _cmd_verify(args) -> int:
     entries["verify.worst_ratio"] = worst
     entries["verify.ratio_tol"] = float(args.ratio_tol)
     entries["verify.passed"] = ok
-    fieldio.write_manifest(os.path.join(out, "manifest.txt"), entries)
     print(f"amle: worst sub-box energy ratio {worst:.6f} "
           f"(allowed {args.ratio_tol:g}) over {trials} trials -> "
           f"{'ok' if ok else 'FAIL'}")
@@ -341,19 +302,17 @@ def _operator_for(cfg, f):
     return verify.OperatorSpec.aronsson(f)
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args, cfg, entries) -> int:
     import numpy as np
 
     from . import fieldio
 
-    cfg = _load(args)
     dim = cfg.spec().dim
     axis = args.axis
-    if dim > 2 and not 0 <= axis < dim:
+    if not 0 <= axis < dim:
         from .errors import ConfigError
 
         raise ConfigError(f"--axis must be in [0, {dim - 1}], got {axis}")
-    out = _ensure_outdir(args.out)
     report = _solve_problem(cfg)
     u = report.solution
     dom = u.domain
@@ -372,11 +331,9 @@ def _cmd_table(args) -> int:
         sel = nodes[on_line]
         cols = [dom.coords[sel][:, axis], u.values[sel]]
         names = [f"x{axis}", "u"]
-    fieldio.write_table(os.path.join(out, "solution.txt"), cols, names,
+    fieldio.write_table(os.path.join(args.out, "solution.txt"), cols, names,
                         title=f"{cfg.geometry} solve, h = {dom.h:g}")
-    entries = _base_manifest(cfg, "table")
     entries.update(_report_entries(report))
-    fieldio.write_manifest(os.path.join(out, "manifest.txt"), entries)
     print(f"table: wrote {len(cols[0])} rows ({' '.join(names)})")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
@@ -411,13 +368,33 @@ def main(argv=None) -> int:
     from .errors import SubinfError
 
     try:
-        return _HANDLERS[args.command](args)
-    except SubinfError as exc:
+        handler = _HANDLERS[args.command]
+        if args.command == "acceptance":  # no config, so no manifest
+            return handler(args)
+        return _run(handler, args)
+    except (SubinfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+
+
+def _run(handler, args) -> int:
+    """Load the config, run handler(args, cfg, entries), then write the manifest.
+
+    The handler adds its own lines to the entries; a handler that raises
+    leaves no manifest.
+    """
+    from . import __version__, config, fieldio
+
+    cfg = config.load_config(args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
+    entries = cfg.resolved_items()
+    entries["command"] = args.command
+    entries["version"] = __version__
+    code = handler(args, cfg, entries)
+    fieldio.write_manifest(os.path.join(args.out, "manifest.txt"), entries)
+    return code
 
 
 if __name__ == "__main__":

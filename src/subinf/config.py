@@ -82,19 +82,11 @@ class ProblemConfig:
 
     def resolved_items(self) -> dict:
         """Every field with defaults expanded, for the run manifest."""
-        return {
-            "config.geometry": self.geometry,
-            "config.lower": list(self.lower),
-            "config.upper": list(self.upper),
-            "config.h": self.h,
-            "config.boundary": self.boundary,
-            "config.integrand": self.integrand,
-            "config.eps": self.eps,
-            "config.side": self.side,
-            "config.seed": self.seed,
-            **{"config.solver." + fd.name: getattr(self.solver, fd.name)
-               for fd in fields(self.solver)},
-        }
+        items = {"config." + fd.name: getattr(self, fd.name) for fd in fields(self)
+                 if fd.name not in ("solver", "base_dir", "source")}
+        items.update(("config.solver." + fd.name, getattr(self.solver, fd.name))
+                     for fd in fields(self.solver))
+        return items
 
 
 def _builtin_expression(expr: str, dim: int, source: str):
@@ -183,6 +175,10 @@ def _floats(value: str) -> tuple:
     return tuple(float(t) for t in toks)
 
 
+# SolverConfig's field annotations, which solver.py leaves as strings
+_KINDS = {"int": int, "float": float, "str": str}
+
+
 def parse_config(text: str, source: str = "<config>", base_dir: str = ".") -> ProblemConfig:
     sections = _scan(text, source)
     prob = sections["problem"]
@@ -237,13 +233,10 @@ def parse_config(text: str, source: str = "<config>", base_dir: str = ".") -> Pr
 
     kwargs = {}
     lines = {}
-    for key, kind in (
-        ("k_max", int), ("max_iterations", int), ("gradient_tolerance", float),
-        ("cross_tolerance", float), ("initialization", str),
-    ):
-        if key in solv:
-            lines[key] = solv[key].line
-            kwargs[key] = _take(solv, key, source, kind)
+    for fd in fields(SolverConfig):
+        if fd.name in solv:
+            lines[fd.name] = solv[fd.name].line
+            kwargs[fd.name] = _take(solv, fd.name, source, _KINDS[fd.type])
     if solv:
         key = sorted(solv)[0]
         raise ConfigError(f"{source}, line {solv[key].line}: unknown field {key!r} in [solver]")

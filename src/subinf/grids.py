@@ -22,8 +22,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from . import groups
 from .errors import DomainMismatchError, IncompleteFieldError, ParameterError
-from .groups import GroupSpec, horizontal_frame
+from .groups import GroupSpec
 
 INTERIOR = 0
 BOUNDARY = 1
@@ -178,7 +179,7 @@ class GridDomain:
 
     @cached_property
     def frame_coefficients(self) -> np.ndarray:
-        return horizontal_frame(self.spec).coefficients(self.coords)
+        return groups.frame_coefficients(self.spec, self.coords)
 
     def flat_of_multi(self, multi) -> int:
         return int(np.ravel_multi_index(tuple(int(i) for i in multi), self.dims))
@@ -313,11 +314,8 @@ class ScalarField:
     def copy(self) -> "ScalarField":
         return ScalarField(self.domain, self.values.copy(), validate=False)
 
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.domain.interior_flat]
-
     def max_abs_interior(self) -> float:
-        vals = self.interior_values()
+        vals = self.values[self.domain.interior_flat]
         return float(np.max(np.abs(vals))) if vals.size else 0.0
 
     def sup_norm(self) -> float:

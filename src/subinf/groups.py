@@ -136,11 +136,8 @@ def gauge_norm(spec: GroupSpec, p: np.ndarray) -> np.ndarray:
     norm for step 1 and to ``((x^2+y^2)^2 + t^2)^(1/4)`` on heisenberg1.
     """
     _require_group(spec, "gauge_norm")
-    p = _check_point(spec, p)
-    if spec.name == "euclidean":
-        return np.sqrt(np.sum(p * p, axis=-1))
-    planar = p[..., 0] ** 2 + p[..., 1] ** 2
-    return (planar**2 + p[..., 2] ** 2) ** 0.25
+    kernel = gauge_kernel(spec, p)
+    return np.sqrt(kernel) if spec.name == "euclidean" else kernel**0.25
 
 
 def gauge_distance(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -217,50 +214,41 @@ def pair_kernel(spec: GroupSpec, x: np.ndarray, y: np.ndarray,
     return out
 
 
-class HorizontalFrame:
+def frame_coefficients(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
     """Coefficient matrix of the horizontal vector fields at given points.
 
-    ``coefficients(x)`` returns an (..., m, n) array A with
-    ``X_i u = sum_j A[i, j] * du/dx_j``.  ``coefficient_derivatives(x)``
-    returns the exact partials dA[i, j]/dx_a as an (..., n, m, n) array
-    indexed [a, i, j]; these are closed-form and used when pushing
-    quadratic jets through the frame.
+    An (..., m, n) array A with ``X_i u = sum_j A[i, j] * du/dx_j``.
     """
-
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        x = _check_point(spec, x)
-        base = x.shape[:-1]
-        m, n = spec.horizontal_dim, spec.dim
-        a = np.zeros(base + (m, n))
-        if spec.name == "euclidean":
-            a[...] = np.eye(n)
-        elif spec.name == "heisenberg1":
-            a[..., 0, 0] = 1.0
-            a[..., 0, 2] = -2.0 * x[..., 1]
-            a[..., 1, 1] = 1.0
-            a[..., 1, 2] = 2.0 * x[..., 0]
-        else:  # grushin: X1 = d/dx, X2 = x d/dy
-            a[..., 0, 0] = 1.0
-            a[..., 1, 1] = x[..., 0]
-        return a
-
-    def coefficient_derivatives(self, x: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        x = _check_point(spec, x)
-        base = x.shape[:-1]
-        m, n = spec.horizontal_dim, spec.dim
-        d = np.zeros(base + (n, m, n))
-        if spec.name == "heisenberg1":
-            d[..., 1, 0, 2] = -2.0  # d/dy of the t-coefficient of X1
-            d[..., 0, 1, 2] = 2.0  # d/dx of the t-coefficient of X2
-        elif spec.name == "grushin":
-            d[..., 0, 1, 1] = 1.0  # d/dx of the y-coefficient of X2
-        return d
+    x = _check_point(spec, x)
+    base = x.shape[:-1]
+    m, n = spec.horizontal_dim, spec.dim
+    a = np.zeros(base + (m, n))
+    if spec.name == "euclidean":
+        a[...] = np.eye(n)
+    elif spec.name == "heisenberg1":
+        a[..., 0, 0] = 1.0
+        a[..., 0, 2] = -2.0 * x[..., 1]
+        a[..., 1, 1] = 1.0
+        a[..., 1, 2] = 2.0 * x[..., 0]
+    else:  # grushin: X1 = d/dx, X2 = x d/dy
+        a[..., 0, 0] = 1.0
+        a[..., 1, 1] = x[..., 0]
+    return a
 
 
-def horizontal_frame(spec: GroupSpec) -> HorizontalFrame:
-    return HorizontalFrame(spec)
+def frame_derivatives(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
+    """The exact partials dA[i, j]/dx_a of frame_coefficients.
+
+    An (..., n, m, n) array indexed [a, i, j]; these are closed-form and
+    used when pushing quadratic jets through the frame.
+    """
+    x = _check_point(spec, x)
+    base = x.shape[:-1]
+    m, n = spec.horizontal_dim, spec.dim
+    d = np.zeros(base + (n, m, n))
+    if spec.name == "heisenberg1":
+        d[..., 1, 0, 2] = -2.0  # d/dy of the t-coefficient of X1
+        d[..., 0, 1, 2] = 2.0  # d/dx of the t-coefficient of X2
+    elif spec.name == "grushin":
+        d[..., 0, 1, 1] = 1.0  # d/dx of the y-coefficient of X2
+    return d

@@ -4,8 +4,8 @@ The graph connects lattice nodes by short horizontal motions: single-field
 moves (flow of +-X_i for time h, cost h), simultaneous two-field diagonals
 (flow of (+-X_i +- X_j)/sqrt(2) run for sqrt(2) h, cost sqrt(2) h) and
 two-leg compositions (X_i for h then X_j for h, cost 2h).  The last two kinds
-appear from depth 2 on; two-leg moves are what give the vertical drift on
-heisenberg1.  Endpoints are snapped to the nearest lattice node while the
+are added at depth 2, the deepest move set; two-leg moves are what give the
+vertical drift on heisenberg1.  Endpoints are snapped to the nearest lattice node while the
 cost keeps the continuous control time, an O(h)-per-edge approximation that
 keeps the graph finite.  Parallel edges keep the cheapest cost and opposite
 orientations are averaged so the graph is symmetric.  build_graph does both
@@ -116,7 +116,7 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
     ----------
     domain : GridDomain
     depth : int, optional
-        Move composition depth; defaults to the geometry step.
+        Move composition depth, 1 or 2; defaults to the geometry step.
 
     Raises
     ------
@@ -126,6 +126,10 @@ def build_graph(domain: GridDomain, depth: int | None = None) -> HorizontalGraph
     if depth is None:
         depth = domain.spec.step
     depth = require_count("graph depth", depth, 1)
+    if depth > 2:
+        raise ParameterError(
+            f"graph depth must be at most 2 (the moves stop at two-leg compositions), "
+            f"got {depth}")
     spec = domain.spec
     h = domain.h
     n = domain.n_nodes

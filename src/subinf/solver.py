@@ -1015,10 +1015,9 @@ def _run_schedule(g: BoundaryData, f: Integrand, eps: float, side: str,
             stopped = True
             break
         warm = vals
-    # the last level must meet its own tolerance, and unless it is the
-    # only level or ends a chain, the schedule must have met the
-    # cross-level one
-    settled = stopped or bool(chain) or len(levels) == 1
+    # the last level must meet its own tolerance, and unless it ends a
+    # chain, the schedule must have met the cross-level one
+    settled = stopped or bool(chain)
     message = _level_message(levels)
     if not settled:
         message += "; k schedule exhausted before cross-level tolerance"

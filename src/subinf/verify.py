@@ -23,7 +23,7 @@ import numpy as np
 from .calculus import horizontal_gradient
 from .errors import ParameterError, require_count
 from .grids import EXTERIOR, ScalarField, require_same_lattice
-from .groups import horizontal_frame
+from .groups import frame_coefficients, frame_derivatives
 from .integrands import Integrand
 from .solver import BoundaryData, SolverConfig, solve
 
@@ -363,10 +363,9 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
     fwd, bwd = np.where(np.isnan(fwd), bwd, fwd), np.where(np.isnan(bwd), fwd, bwd)
     fwd, bwd = np.nan_to_num(fwd, nan=0.0), np.nan_to_num(bwd, nan=0.0)
     D2 = _second_difference_matrices(at, center, n, h)
-    frame = horizontal_frame(dom.spec)
     coords = dom.coords[inodes]
-    a = frame.coefficients(coords)
-    da = frame.coefficient_derivatives(coords)
+    a = frame_coefficients(dom.spec, coords)
+    da = frame_derivatives(dom.spec, coords)
     slack = 1e-12 * max(1.0, float(np.max(np.abs(u.values[inodes]), initial=0.0)))
 
     # (lam, zeta, g, H): the fixed candidates, then the sign pairs

@@ -199,6 +199,15 @@ def test_distance_bad_point_exits_2(tmp_path, capsys):
     assert "--source" in capsys.readouterr().err
 
 
+def test_distance_depth_above_2_exits_2_without_a_manifest(tmp_path, capsys):
+    """The move set stops at two-leg moves, so depth 3 would build the depth-2 graph."""
+    cfg = write_cfg(tmp_path, PLANE_CFG)
+    out = tmp_path / "d"
+    assert cli.main(["distance", cfg, "-o", str(out), "--depth", "3"]) == 2
+    assert "graph depth must be at most 2" in capsys.readouterr().err
+    assert not (out / "manifest.txt").exists()
+
+
 def test_distance_point_outside_the_box_exits_2(tmp_path, capsys):
     """On [0,1]^2 at h = 1/4 a point may lie up to h/2 outside the box."""
     cfg = write_cfg(tmp_path, PLANE_CFG)
@@ -306,6 +315,21 @@ def test_verify_does_not_depend_on_the_integrand_spelling(tmp_path, check):
     assert "verify.passed = true" in verified[0]
 
 
+def test_verify_records_a_solve_that_did_not_converge(tmp_path, capsys):
+    """Every level meets its gradient tolerance, but k = 8 is far from the
+    cross-level one: the check does not run, and the manifest says why."""
+    cfg = write_cfg(tmp_path, PLANE_CFG.replace("lower = 0 0", "lower = -1 -1")
+                    .replace("linear:1,-0.5", "aronsson43"))
+    out = tmp_path / "v"
+    assert cli.main(["verify", cfg, "-o", str(out), "--check", "viscosity"]) == 3
+    assert "solve did not converge" in capsys.readouterr().err
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "verify.check = viscosity" in manifest
+    assert "result.converged = false" in manifest
+    assert "result.level.8.stop = gradient_tolerance" in manifest
+    assert not any(line.startswith("verify.passed") for line in manifest)
+
+
 def test_verify_subelliptic_and_amle(tmp_path, capsys):
     cfg = write_cfg(tmp_path, LINE_CFG)
     out = str(tmp_path / "v")
@@ -338,9 +362,12 @@ def test_table_full_dump_and_axis_line(tmp_path):
 def test_table_axis_out_of_range_exits_2_before_the_solve(tmp_path, capsys,
                                                           monkeypatch, axis):
     monkeypatch.setattr(cli, "_solve_problem", _no_solve)
-    cfg3 = write_cfg(tmp_path, H1_CFG, name="h1.cfg")
-    assert cli.main(["table", cfg3, "-o", str(tmp_path / "t"), "--axis", axis]) == 2
-    assert f"--axis must be in [0, 2], got {axis}" in capsys.readouterr().err
+    out = tmp_path / "t"
+    for name, text, top in (("h1.cfg", H1_CFG, 2), ("plane.cfg", PLANE_CFG, 1)):
+        cfg = write_cfg(tmp_path, text, name=name)
+        assert cli.main(["table", cfg, "-o", str(out), "--axis", axis]) == 2
+        assert f"--axis must be in [0, {top}], got {axis}" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
 
 
 def test_acceptance_only_subset(tmp_path, capsys):

@@ -117,9 +117,11 @@ def test_node_index_takes_only_flat_nodes():
 
 def test_depth_validation():
     dom = GridDomain.box(groups.euclidean(1), [0.0], [1.0], 0.25)
-    for bad in (0, float("nan"), 1.5):
+    for bad in (0, float("nan"), 1.5, 3, 4):
         with pytest.raises(ParameterError, match="depth"):
             metric.build_graph(dom, depth=bad)
+    with pytest.raises(ParameterError, match="at most 2"):
+        metric.build_graph(dom, depth=3)
 
 
 def test_disconnected_lattice_is_reported():
@@ -203,7 +205,7 @@ def _graph_or_error(build, dom, depth):
         return str(exc)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, None])
+@pytest.mark.parametrize("depth", [1, 2, None])
 @pytest.mark.parametrize("name", sorted(GRAPH_DOMAINS))
 def test_graph_equals_the_reference_array_for_array(name, depth):
     dom = GRAPH_DOMAINS[name]()

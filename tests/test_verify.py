@@ -247,10 +247,9 @@ def reference_viscosity_check(u, op, jet_samples, seed):
     fwd, bwd = np.nan_to_num(fwd, nan=0.0), np.nan_to_num(bwd, nan=0.0)
     D2 = reference_second_differences(nb, center, n, h)
     du = nbv - center[:, None]
-    frame = groups.horizontal_frame(dom.spec)
     coords = dom.coords[inodes]
-    a = frame.coefficients(coords)
-    da = frame.coefficient_derivatives(coords)
+    a = groups.frame_coefficients(dom.spec, coords)
+    da = groups.frame_derivatives(dom.spec, coords)
     slack = 1e-12 * max(1.0, float(np.max(np.abs(center), initial=0.0)))
     cands = [(np.full(n, lam), np.zeros(n), zeta, np.zeros((n, n)))
              for lam in (0.0, 0.25, 0.5, 0.75, 1.0) for zeta in (0.0, h, 1.0)]
