@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the one check of an
 integer count argument."""
 
+import numbers
+
 
 class SubinfError(Exception):
     """Base class for errors raised by this package."""
@@ -32,7 +34,9 @@ class ParameterError(SubinfError, ValueError):
 
 def require_count(name: str, value, least: int) -> int:
     """value as an int; ParameterError unless it is an integer of at least
-    least.  NaN, infinities and fractions fail."""
-    if not (value >= least and float(value).is_integer()):
-        raise ParameterError(f"{name} must be an integer of at least {least}, got {value}")
+    least.  Bools, non-numbers (a string, None), NaN, infinities and
+    fractions fail."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (value >= least and float(value).is_integer())):
+        raise ParameterError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)

@@ -5,11 +5,16 @@ viscosity sub/supersolution tests via discretely certified touching
 quadratics, the comparison-principle margin, and the absolutely
 minimizing property on random sub-boxes.
 
-The touching test is small matrix products over every (candidate, node)
-pair at once: the 2n axis offsets first, for every pair, then the rest of
-the unit ring for the candidates still open in a chunk of nodes, then the
+The touching test runs a chunk of nodes at a time, in small matrix
+products: the 2n axis offsets first, for every candidate, then the rest
+of the unit ring for the candidates still open in the chunk, then the
 rest of the radius-2 stencil for the few pairs the ring leaves open (see
-``viscosity_check``).  It is bound by arithmetic, not by Python calls.
+``viscosity_check``).  The stencil values are gathered per chunk from the
+NaN-padded lattice, those beyond the ring only for a chunk with an open
+pair, and the running extremes live in contiguous per-chunk buffers; so
+no (offset, node) or (candidate, node) float table is built, and the
+working set is a few chunk-sized buffers.  It is bound by arithmetic, not
+by Python calls.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ from .integrands import Integrand
 from .solver import BoundaryData, SolverConfig, solve
 
 _KINDS = ("infinity_laplacian", "aronsson", "aux_lower", "aux_upper")
-_CHUNK = 32_768  # gaps (candidate, node) or (offset, pair) in one product: 256 kB, in cache
-_JETS = 16_384  # certified jets whose operator values are evaluated at once
+_CHUNK = 32_768  # doubles in one product or block (gaps, or jet Hessians): 256 kB, in cache
 
 
 @dataclass(frozen=True)
@@ -139,15 +143,34 @@ class ViscosityReport:
                 and self.worst_supersolution_violation <= self.tol)
 
 
-def _stencil_values(u: ScalarField):
-    """Offsets delta and offset-major neighbor values u(x + delta) of the interior.
+@dataclass(frozen=True)
+class _Stencil:
+    """The radius-2 stencil of u at its interior nodes, read on demand.
 
     offs lists the cube [-2, 2]^n, the 3^n offsets of the unit ring
-    first, each part in C order.  The values are gathered from u padded
-    by 2 with NaN, exterior nodes NaN too, so a neighbor off the lattice
-    or exterior reads NaN (the touching filter and the difference
-    stencils skip it).
+    first, each part in C order.  flat is u padded by 2 with NaN,
+    exterior nodes NaN too, so a neighbor off the lattice or exterior
+    reads NaN (the touching filter and the difference stencils skip it).
+    pos holds the interior nodes' positions in flat and steps each
+    offset's stride there.  No (offset, node) table is kept: each caller
+    gathers the rows and nodes it reads.
     """
+
+    offs: np.ndarray
+    flat: np.ndarray
+    pos: np.ndarray
+    steps: np.ndarray
+
+    def values(self, rows, nodes) -> np.ndarray:
+        """Values u(x + delta) for the offsets offs[rows] at the interior nodes [nodes].
+
+        (offset, node) for a slice of rows, one value per node for an integer.
+        """
+        return np.take(self.flat, self.steps[rows, None] + self.pos[nodes])
+
+
+def _stencil_values(u: ScalarField) -> _Stencil:
+    """The reader of u's radius-2 stencil at its interior nodes; see _Stencil."""
     dom = u.domain
     n = dom.spec.dim
     ticks = np.arange(-2, 3)
@@ -157,16 +180,15 @@ def _stencil_values(u: ScalarField):
     grid = np.where(dom.classification == EXTERIOR, np.nan, u.values).reshape(dom.dims)
     padded = np.pad(grid, 2, constant_values=np.nan)
     strides = np.array(padded.strides) // padded.itemsize
-    pidx = (dom.multi_indices[dom.interior_flat] + 2) @ strides
-    poff = offs @ strides
-    return offs, padded.reshape(-1)[pidx[None, :] + poff[:, None]]
+    pos = (dom.multi_indices[dom.interior_flat] + 2) @ strides
+    return _Stencil(offs, padded.reshape(-1), pos, offs @ strides)
 
 
 def _second_difference_matrices(nb, center: np.ndarray, n: int, h: float):
     """Dense symmetric n-by-n second differences at interior nodes.
 
-    nb(offset) gives the neighbor values u(x + offset) from the stencil
-    table, NaN where missing, and center the values u(x).  Diagonal
+    nb(offset) gives the neighbor values u(x + offset) from the stencil,
+    NaN where missing, and center the values u(x).  Diagonal
     entries are the usual centered second differences; mixed entries use
     the four-point cross stencil.  An entry with a missing neighbor is
     zero.
@@ -227,30 +249,62 @@ def _ring_planes(delta: np.ndarray, du: np.ndarray, fwd: np.ndarray,
     np.subtract(base, du, out=planes[:, 0])
     for a in range(n):
         np.multiply.outer(delta[:, a], fwd[:, a] - bwd[:, a], out=planes[:, 1 + a])
-    Q = planes[:, n + 1]
-    Q[...] = 0.0
+    # Q is summed in a buffer of its own: adding into the strided plane is twice as slow
+    Q = np.zeros(du.shape)
     for a in range(n):
         for b in range(n):
             Q += np.multiply.outer(delta[:, a] * delta[:, b], D2[:, a, b])
-    Q *= 0.5
+    np.multiply(Q, 0.5, out=planes[:, n + 1])
     planes[:, n + 2] = 1.0
     return planes
 
 
-def _touching(delta: np.ndarray, nbv: np.ndarray, center: np.ndarray,
+def _ring_extremes(coef: np.ndarray, axes: np.ndarray, diagonals: np.ndarray,
+                   planes: np.ndarray, slack: float):
+    """Stage 1 on a chunk of nodes: the (candidate, node) min and max gaps over the ring.
+
+    coef (offset, candidate, n + 3) holds the rows [1, lam, zeta, c] and
+    planes (offset, n + 3, node) the chunk's planes.  Both extremes start
+    at the centre gap, exactly 0, and are kept in contiguous buffers of
+    the chunk: the axis offsets take every candidate, the diagonal ones
+    only the candidates with a pair still open.
+    """
+    shape = (coef.shape[1], planes.shape[2])
+    lo, hi = np.zeros(shape), np.zeros(shape)
+    gap = np.empty(shape)
+    for r in axes:
+        np.matmul(coef[r], planes[r], out=gap)
+        np.fmin(lo, gap, out=lo)
+        np.fmax(hi, gap, out=hi)
+    # lo only falls and hi only rises, so a row with no open pair stays shut
+    rows = np.flatnonzero(np.any((lo >= -slack) | (hi <= slack), axis=1))
+    if rows.size:
+        lo_open, hi_open, gap = lo[rows], hi[rows], gap[: rows.size]
+        for r in diagonals:
+            np.matmul(coef[r][rows], planes[r], out=gap)
+            np.fmin(lo_open, gap, out=lo_open)
+            np.fmax(hi_open, gap, out=hi_open)
+        lo[rows], hi[rows] = lo_open, hi_open
+    return lo, hi
+
+
+def _touching(delta: np.ndarray, stencil: _Stencil, center: np.ndarray,
               jets: _Jets, slack: float):
     """(above, below): the (candidate, node) pairs whose quadratic touches u.
 
     A pair is above when its gap is >= -slack at every offset of the
     stencil, and below when it is <= slack; see viscosity_check for the
-    two stages.  nbv holds u(x + delta), offset-major, NaN where the
-    neighbor is missing.
+    two stages.  Both run a chunk of nodes at a time, so the working set
+    is a few chunk-sized buffers whatever the lattice: stage 1 in
+    _ring_extremes, then stage 2 on the chunk's open pairs, which reads
+    the values beyond the ring at the chunk's nodes only if a pair is
+    open there.
     """
     n = delta.shape[1]
     n_c, n_int = jets.zeta.size, center.size
     ring = 3**n
     # stage 1: one row [1, lam, zeta, c] per candidate and ring offset
-    near = delta[:ring]
+    near, far = delta[:ring], delta[ring:]
     coef = np.empty((ring, n_c, n + 3))
     coef[:, :, 0] = 1.0
     coef[:, :, 1 : n + 1] = jets.lam
@@ -259,44 +313,39 @@ def _touching(delta: np.ndarray, nbv: np.ndarray, center: np.ndarray,
                          + 0.5 * np.einsum("oa,iab,ob->io", near, jets.H, near)).T
     steps = np.count_nonzero(near, axis=1)
     axes, diagonals = np.flatnonzero(steps == 1), np.flatnonzero(steps > 1)
-    lowest = np.zeros((n_c, n_int))  # the centre gap, exactly 0
-    highest = np.zeros((n_c, n_int))
-    width = max(1, _CHUNK // n_c)
-    for start in range(0, n_int, width):
-        cols = slice(start, start + width)
-        planes = _ring_planes(near, nbv[:ring, cols] - center[cols],
-                              jets.fwd[cols], jets.bwd[cols], jets.D2[cols])
-        lo, hi = lowest[:, cols], highest[:, cols]
-        for r in axes:
-            gap = coef[r] @ planes[r]
-            np.fmin(lo, gap, out=lo)
-            np.fmax(hi, gap, out=hi)
-        # lo only falls and hi only rises, so a row with no open pair stays shut
-        rows = np.flatnonzero(np.any((lo >= -slack) | (hi <= slack), axis=1))
-        if rows.size == 0:
-            continue
-        lo_open, hi_open = lo[rows], hi[rows]
-        for r in diagonals:
-            gap = coef[r][rows] @ planes[r]
-            np.fmin(lo_open, gap, out=lo_open)
-            np.fmax(hi_open, gap, out=hi_open)
-        lo[rows], hi[rows] = lo_open, hi_open
-    # stage 2: the other offsets, at the pairs the ring leaves open
-    far = delta[ring:]
+    # stage 2: one row [delta, vec(delta delta^T) / 2] per offset beyond the ring
     phi = np.concatenate([far, 0.5 * np.einsum("oa,ob->oab", far, far).reshape(-1, n * n)],
                          axis=1)
-    lowest, highest = lowest.reshape(-1), highest.reshape(-1)
-    pairs = np.flatnonzero((lowest >= -slack) | (highest <= slack))  # c n_int + k
     step = max(1, _CHUNK // far.shape[0])
-    for start in range(0, pairs.size, step):
-        flat = pairs[start : start + step]
-        c, k = np.divmod(flat, n_int)
-        xi, S = jets.at(c, k)
-        gap = phi @ np.concatenate([xi, S.reshape(-1, n * n)], axis=1).T
-        gap -= np.take(nbv[ring:], k, axis=1) - center[k]
-        lowest[flat] = np.fmin(lowest[flat], np.fmin.reduce(gap, axis=0))
-        highest[flat] = np.fmax(highest[flat], np.fmax.reduce(gap, axis=0))
-    return (lowest >= -slack).reshape(n_c, n_int), (highest <= slack).reshape(n_c, n_int)
+    width = max(1, _CHUNK // n_c)
+
+    def chunk(cols: slice):
+        """(above, below) at the nodes cols; their buffers are freed on return."""
+        planes = _ring_planes(near, stencil.values(slice(ring), cols) - center[cols],
+                              jets.fwd[cols], jets.bwd[cols], jets.D2[cols])
+        lo, hi = _ring_extremes(coef, axes, diagonals, planes, slack)
+        del planes  # freed before stage 2 allocates its own buffers
+        m = lo.shape[1]
+        lo, hi = lo.reshape(-1), hi.reshape(-1)
+        pairs = np.flatnonzero((lo >= -slack) | (hi <= slack))  # c m + node - cols.start
+        if pairs.size:
+            du = stencil.values(slice(ring, None), cols) - center[cols]
+        for first in range(0, pairs.size, step):
+            flat = pairs[first : first + step]
+            c, k = np.divmod(flat, m)
+            xi, S = jets.at(c, k + cols.start)
+            gap = phi @ np.concatenate([xi, S.reshape(-1, n * n)], axis=1).T
+            gap -= np.take(du, k, axis=1)
+            lo[flat] = np.fmin(lo[flat], np.fmin.reduce(gap, axis=0))
+            hi[flat] = np.fmax(hi[flat], np.fmax.reduce(gap, axis=0))
+        return (lo >= -slack).reshape(n_c, m), (hi <= slack).reshape(n_c, m)
+
+    above = np.empty((n_c, n_int), dtype=bool)
+    below = np.empty((n_c, n_int), dtype=bool)
+    for start in range(0, n_int, width):
+        cols = slice(start, start + width)
+        above[:, cols], below[:, cols] = chunk(cols)
+    return above, below
 
 
 def viscosity_check(u: ScalarField, op: OperatorSpec,
@@ -318,24 +367,26 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
 
     with base = bwd . delta - (u(x + delta) - u(x)),
     J_a = (fwd_a - bwd_a) delta_a, Q = delta^T D2 delta / 2 and the
-    per-offset constant c = g . delta + delta^T H delta / 2.  Every
-    (candidate, node) pair is tested at once, in two stages.  The gap at
-    the centre is exactly 0, so the running min and max over the stencil
-    start there.  Stage 1 takes the rest of the unit ring {-1, 0, 1}^n,
-    an offset and a chunk of nodes at a time: the gaps of all candidates
+    per-offset constant c = g . delta + delta^T H delta / 2.  The
+    (candidate, node) pairs are tested a chunk of nodes at a time, in two
+    stages.  The gap at the centre is exactly 0, so the running min and
+    max over the stencil start there.  Stage 1 takes the rest of the unit
+    ring {-1, 0, 1}^n, an offset at a time: the gaps of all candidates
     are one matrix product of their rows [1, lam, zeta, c] with the
     offset's planes [base; J; Q; 1].  The 2n axis offsets +-e_a come
     first.  The other ring offsets take only the rows of the candidates
     with a pair still open in the chunk: the running min only falls and
     the max only rises, so a pair the axes shut stays shut (on the
     Heisenberg A5 fixture, 54 of 79 candidates are shut at every node).
-    Stage 2 takes only the pairs the ring leaves open (about 10% on the
-    plane A5 fixture and 2% on the Heisenberg one).  It builds each
-    pair's jet xi = lam fwd + (1 - lam) bwd + g and S = zeta D2 + H, and
-    gets the gaps at the other offsets as [delta, vec(delta delta^T) / 2]
-    . [xi, vec S] - (u(x + delta) - u(x)), one product per block of
-    pairs.  The jet (p, M) and A are evaluated only for the certified
-    pairs; on euclidean:n the frame is the identity, so (p, M) is
+    Stage 2 takes only the pairs of the chunk the ring leaves open (about
+    10% on the plane A5 fixture and 2% on the Heisenberg one).  It builds
+    each pair's jet xi = lam fwd + (1 - lam) bwd + g and S = zeta D2 + H,
+    and gets the gaps at the other offsets as [delta, vec(delta delta^T)
+    / 2] . [xi, vec S] - (u(x + delta) - u(x)), one product per block of
+    pairs; the values beyond the ring are gathered for the chunk's nodes
+    only when it has an open pair.  The jet (p, M) and A are evaluated
+    only for the certified pairs, a block at a time, with the frame at
+    their nodes; on euclidean:n the frame is the identity, so (p, M) is
     (xi, S).  u(x + delta) is read from u padded with NaN, exterior
     nodes NaN too, so a neighbor off the lattice or exterior is missing.
     Running the check on -u negates every plane and jet and swaps each
@@ -347,14 +398,14 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
     h = dom.h
     inodes = dom.interior_flat
     n_int = inodes.size
-    offs, nbv = _stencil_values(u)
-    row = {tuple(o): r for r, o in enumerate(offs.tolist())}
+    stencil = _stencil_values(u)
+    row = {tuple(o): r for r, o in enumerate(stencil.offs.tolist())}
     center = u.values[inodes]
 
     def at(offset):
-        return nbv[row[tuple(offset)]]
+        return stencil.values(row[tuple(offset)], slice(None))
 
-    delta = offs.astype(float) * h
+    delta = stencil.offs.astype(float) * h
     # one-sided axis slopes; a missing side takes the other one, and a
     # node with neither gets slope zero
     eye = np.eye(n, dtype=int)
@@ -364,8 +415,6 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
     fwd, bwd = np.nan_to_num(fwd, nan=0.0), np.nan_to_num(bwd, nan=0.0)
     D2 = _second_difference_matrices(at, center, n, h)
     coords = dom.coords[inodes]
-    a = frame_coefficients(dom.spec, coords)
-    da = frame_derivatives(dom.spec, coords)
     slack = 1e-12 * max(1.0, float(np.max(np.abs(u.values[inodes]), initial=0.0)))
 
     # (lam, zeta, g, H): the fixed candidates, then the sign pairs
@@ -382,28 +431,32 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
         cands.append((lam, zeta, gshift, hshift))
         cands.append((lam, zeta, -gshift, -hshift))
     jets = _Jets(*(np.array(col) for col in zip(*cands)), fwd, bwd, D2)
-    above, below = _touching(delta, nbv, center, jets, slack)
+    above, below = _touching(delta, stencil, center, jets, slack)
 
     # the certified jets, (candidate, node) in C order, a block at a time
     sub_viol = np.zeros(n_int)
     sup_viol = np.zeros(n_int)
     cand, node = np.nonzero(above | below)
-    for start in range(0, cand.size, _JETS):
-        c, k = cand[start : start + _JETS], node[start : start + _JETS]
+    block = max(1, _CHUNK // (n * n))  # Hessians S of the jets in one block: 256 kB
+    for start in range(0, cand.size, block):
+        c, k = cand[start : start + block], node[start : start + block]
         xi, S = jets.at(c, k)
+        x = np.take(coords, k, axis=0)
         if dom.spec.name == "euclidean":
             # the frame is the identity and its derivative zero, and S is
             # symmetric by construction
             p, M = xi, S
         else:
-            ak = np.take(a, k, axis=0)
+            # the frame at each pair's node; every entry is a function of that node alone
+            ak = frame_coefficients(dom.spec, x)
             p = np.einsum("kia,ka->ki", ak, xi)
             # optimize=True contracts pairwise, ~10x faster than the single
             # nested loop; it may round differently in the last bit
             M = np.einsum("kia,kjb,kab->kij", ak, ak, S, optimize=True) \
-                + np.einsum("kia,kajb,kb->kij", ak, np.take(da, k, axis=0), xi, optimize=True)
+                + np.einsum("kia,kajb,kb->kij", ak, frame_derivatives(dom.spec, x), xi,
+                            optimize=True)
             M = 0.5 * (M + np.swapaxes(M, 1, 2))
-        A = op.evaluate(np.take(coords, k, axis=0), p, M)
+        A = op.evaluate(x, p, M)
         for viol, hit, val in ((sub_viol, above[c, k], A), (sup_viol, below[c, k], -A)):
             np.maximum.at(viol, k[hit], np.maximum(val[hit], 0.0))
     return ViscosityReport(

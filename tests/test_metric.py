@@ -117,7 +117,7 @@ def test_node_index_takes_only_flat_nodes():
 
 def test_depth_validation():
     dom = GridDomain.box(groups.euclidean(1), [0.0], [1.0], 0.25)
-    for bad in (0, float("nan"), 1.5, 3, 4):
+    for bad in (0, float("nan"), 1.5, 3, 4, True, "2"):
         with pytest.raises(ParameterError, match="depth"):
             metric.build_graph(dom, depth=bad)
     with pytest.raises(ParameterError, match="at most 2"):

@@ -245,7 +245,7 @@ def test_non_integer_k_max_is_rejected():
 def test_max_iterations_must_be_a_positive_integer():
     """max_iterations = NaN passed the old `< 1` test, and then the budget
     never ended a level; 2.5 and inf passed it too."""
-    for bad in (2.5, math.nan, math.inf, 0):
+    for bad in (2.5, math.nan, math.inf, 0, True, "64", None):
         with pytest.raises(ParameterError,
                            match="max_iterations must be an integer of at least 1"):
             SolverConfig(max_iterations=bad)

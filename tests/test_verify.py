@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_broken_operator_fails_the_ellipticity_audit():
 
 
 def test_subelliptic_check_needs_samples():
-    for bad in (0, float("nan"), 2.5):
+    for bad in (0, float("nan"), 2.5, True, "64", None):
         with pytest.raises(ParameterError, match="samples"):
             verify.subelliptic_check(OperatorSpec.infinity_laplacian(), samples=bad)
 
@@ -187,7 +188,7 @@ def test_viscosity_check_counts_sign_paired_jets():
     counts = [verify.viscosity_check(u, op, jet_samples=j).candidates
               for j in (0, 1, 2, 3, 64)]
     assert counts == [15, 17, 17, 19, 79]
-    for bad in (-5, float("nan"), 1.5):
+    for bad in (-5, float("nan"), 1.5, True, "64", None):
         with pytest.raises(ParameterError, match="jet_samples"):
             verify.viscosity_check(u, op, jet_samples=bad)
 
@@ -332,20 +333,32 @@ VISCOSITY_CASES = {
 }
 
 
+def stencil_table(stencil):
+    """(offset, node) values of every stencil offset at every interior node."""
+    return stencil.values(slice(None), slice(None))
+
+
 @pytest.mark.parametrize("name", ["lattice_edge", "plane_slot"])
 def test_stencil_values_read_missing_neighbors_as_nan(name):
     """The padded gather equals the neighbor table of the reference.
 
-    Off the lattice (lattice_edge) and on exterior nodes (plane_slot) it
-    reads NaN, never the exterior junk."""
+    The ring rows and the rows beyond it, each read for all nodes as
+    _touching reads them, and one offset read alone.  Off the lattice
+    (lattice_edge) and on exterior nodes (plane_slot) it reads NaN, never
+    the exterior junk."""
     u = VISCOSITY_CASES[name]()
-    offs, nbv = verify._stencil_values(u)
+    stencil = verify._stencil_values(u)
+    ring = 3 ** u.domain.spec.dim
     ref_offs, nb_flat, valid = reference_stencil_table(u.domain)
     column = {tuple(o): c for c, o in enumerate(ref_offs.tolist())}
-    cols = [column[tuple(o)] for o in offs.tolist()]
+    cols = [column[tuple(o)] for o in stencil.offs.tolist()]
     want = np.where(valid, u.values[nb_flat], np.nan)[:, cols].T
     assert np.any(~valid)
-    assert nbv.tobytes() == want.tobytes()
+    assert stencil.offs.shape[0] == 5 ** u.domain.spec.dim
+    nodes = slice(None)
+    assert stencil.values(slice(ring), nodes).tobytes() == want[:ring].tobytes()
+    assert stencil.values(slice(ring, None), nodes).tobytes() == want[ring:].tobytes()
+    assert stencil.values(ring + 3, nodes).tobytes() == want[ring + 3].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(VISCOSITY_CASES))
@@ -382,13 +395,15 @@ def ring_gaps(near, nbv, center, jets):
     return np.matmul(coef, planes)
 
 
-def unstaged_touching(delta, nbv, center, jets, slack, ring_open=None):
+def unstaged_touching(delta, stencil, center, jets, slack, ring_open=None):
     """verify._touching without its stages: every (candidate, node) pair at every offset.
 
     The ring offsets take the stage-1 products over all nodes at once, the
-    other offsets the stage-2 products over all pairs at once.  ring_open,
-    a list, receives the number of pairs the ring alone leaves open.
+    other offsets the stage-2 products over all pairs at once, on the whole
+    (offset, node) value table.  ring_open, a list, receives the number of
+    pairs the ring alone leaves open.
     """
+    nbv = stencil_table(stencil)
     n = delta.shape[1]
     ring = 3**n
     near, far = delta[:ring], delta[ring:]
@@ -450,6 +465,16 @@ def test_staged_touching_when_no_pair_reaches_stage_two(monkeypatch):
     assert ref.worst_subsolution_violation == ref.worst_supersolution_violation == 0.0
 
 
+def touching_args(u, jet_samples, monkeypatch):
+    """The arguments viscosity_check passes to _touching."""
+    touching = verify._touching
+    args = []
+    monkeypatch.setattr(verify, "_touching", lambda *a: args.append(a) or touching(*a))
+    verify.viscosity_check(u, OperatorSpec.infinity_laplacian(), jet_samples=jet_samples, seed=4)
+    monkeypatch.undo()
+    return args[0]
+
+
 def test_axis_cut_keeps_other_rows_in_each_chunk(monkeypatch):
     """Stage 1 with chunks of 8 nodes, some of which keep no candidate row.
 
@@ -458,13 +483,9 @@ def test_axis_cut_keeps_other_rows_in_each_chunk(monkeypatch):
     the plane cones alone are shut in most chunks.  The premise is
     recomputed from _ring_planes: chunks keep different rows, some keep
     none and some keep a few.  The verdicts equal the unstaged ones."""
-    touching = verify._touching
-    args = []
-    monkeypatch.setattr(verify, "_touching", lambda *a: args.append(a) or touching(*a))
-    verify.viscosity_check(VISCOSITY_CASES["plane_cones"](), OperatorSpec.infinity_laplacian(),
-                           jet_samples=16, seed=4)
-    monkeypatch.undo()
-    delta, nbv, center, jets, slack = args[0]
+    delta, stencil, center, jets, slack = touching_args(VISCOSITY_CASES["plane_cones"](), 16,
+                                                        monkeypatch)
+    nbv = stencil_table(stencil)
     rand = slice(15, None)
     jets = dataclasses.replace(jets, lam=jets.lam[rand], zeta=jets.zeta[rand],
                                g=jets.g[rand], H=jets.H[rand])
@@ -481,11 +502,50 @@ def test_axis_cut_keeps_other_rows_in_each_chunk(monkeypatch):
     assert 0 in sizes and any(0 < k < jets.zeta.size for k in sizes)
     assert len({tuple(rows) for rows in kept if rows.size}) > 1
     monkeypatch.setattr(verify, "_CHUNK", width * jets.zeta.size)
-    got = verify._touching(delta, nbv, center, jets, slack)
-    want = unstaged_touching(delta, nbv, center, jets, slack)
+    got = verify._touching(delta, stencil, center, jets, slack)
+    want = unstaged_touching(delta, stencil, center, jets, slack)
     assert np.any(want[0] | want[1])
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [16, 7 * 31])
+def test_touching_at_chunk_edges(chunk, monkeypatch):
+    """_CHUNK below the candidate count gives chunks of one node and
+    stage-2 blocks of one pair; 7 candidate rows give 7-node chunks, and
+    961 interior nodes leave a last chunk of 2.  The verdicts equal the
+    unstaged ones byte for byte, with pairs open after the ring."""
+    delta, stencil, center, jets, slack = touching_args(VISCOSITY_CASES["plane_cones"](), 16,
+                                                        monkeypatch)
+    assert jets.zeta.size == 31 and center.size == 961
+    ring_open = []
+    want = unstaged_touching(delta, stencil, center, jets, slack, ring_open=ring_open)
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    width = max(1, chunk // jets.zeta.size)
+    assert width == 1 or center.size % width == 2
+    got = verify._touching(delta, stencil, center, jets, slack)
+    assert ring_open[0] > 0 and np.any(want[0]) and np.any(want[1])
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_viscosity_check_keeps_no_full_stencil_table():
+    """The check gathers the stencil a chunk of nodes at a time, so its
+    tracemalloc peak on the heisenberg1 cone fixture at h = 1/10 (6 859
+    interior nodes, 64 jet samples) stays below the bytes of the whole
+    (5^3, interior) value table, which a full gather alone would take."""
+    dom = GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], 1 / 10)
+    u = cone_field(dom, [-1, -1, -1], [1, 1, 1])
+    op = OperatorSpec.infinity_laplacian()
+    verify.viscosity_check(u, op)
+    tracemalloc.start()
+    try:
+        rep = verify.viscosity_check(u, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.jets_above + rep.jets_below > 0
+    assert peak < 5**3 * dom.interior_flat.size * np.dtype(float).itemsize
 
 
 # -- comparison and minimality ----------------------------------------------
@@ -535,7 +595,7 @@ def test_amle_check_flags_an_interior_bump():
 def test_amle_check_validation():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.125)
     u = ScalarField.zeros(dom)
-    for bad in (0, float("nan"), 2.5):
+    for bad in (0, float("nan"), 2.5, True, "64", None):
         with pytest.raises(ParameterError, match="trials"):
             verify.amle_check(u, SQ, trials=bad)
     # a 4-node axis leaves every sub-box without enough interior
