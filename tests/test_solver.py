@@ -956,20 +956,31 @@ def test_pcg_keeps_its_stop_rule_beyond_the_range_of_the_2_norm():
 
 def test_forcing_term_follows_the_gradient_and_the_residual():
     # first step: 0.5, or sqrt(residual) once that is smaller
-    assert solver._forcing(1.0, None) == 0.5
-    assert solver._forcing(1e-6, None) == pytest.approx(1e-3)
+    assert solver._forcing(1.0, None, 0.0) == 0.5
+    assert solver._forcing(1e-6, None, 0.0) == pytest.approx(1e-3)
     # Eisenstat-Walker choice 2: 0.9 (|g_j|_2 / |g_j-1|_2)^2
-    assert solver._forcing(1.0, 0.1) == pytest.approx(0.009)
-    assert solver._forcing(1.0, 10.0) == 0.5
-    assert solver._forcing(1e-4, 0.5) == pytest.approx(1e-2)
+    assert solver._forcing(1.0, 0.1, 0.0) == pytest.approx(0.009)
+    assert solver._forcing(1.0, 10.0, 0.0) == 0.5
+    assert solver._forcing(1e-4, 0.5, 0.0) == pytest.approx(1e-2)
     # never tighter than _CG_RTOL
-    assert solver._forcing(1e-30, 1e-9) == solver._CG_RTOL
+    assert solver._forcing(1e-30, 1e-9, 0.0) == solver._CG_RTOL
     # a gradient that overflows the ratio only loosens the solve
-    assert solver._forcing(1.0, np.inf) == 0.5
+    assert solver._forcing(1.0, np.inf, 0.0) == 0.5
+    # Kelley's safeguard: eta >= needed / 2 beats a tighter Eisenstat-Walker term
+    assert solver._forcing(1.0, 0.1, 0.1) == pytest.approx(0.05)
+    assert solver._forcing(1e-6, None, 0.1) == pytest.approx(0.05)
+    # and a looser one keeps its own value
+    assert solver._forcing(1.0, 0.1, 1e-3) == pytest.approx(0.009)
+    # the floor is capped at _ETA_MAX
+    assert solver._forcing(1.0, 0.1, 4.0) == solver._ETA_MAX
+    assert solver._forcing(1.0, None, np.inf) == solver._ETA_MAX
+    # and eta never drops below _CG_RTOL
+    assert solver._forcing(1e-30, 1e-9, 1e-12) == solver._CG_RTOL
+    assert solver._forcing(1e-30, 1e-9, 4e-8) == pytest.approx(2e-8)
 
 
 def test_newton_steps_from_one_cg_iteration_still_descend(monkeypatch):
-    monkeypatch.setattr(solver, "_forcing", lambda residual, ratio: np.inf)
+    monkeypatch.setattr(solver, "_forcing", lambda residual, ratio, needed: np.inf)
     traces = record_traces(monkeypatch)
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     g = BoundaryData.from_function(dom, lambda c: c[:, 0] ** 2 - c[:, 1] ** 2)
@@ -1004,11 +1015,35 @@ def test_forcing_terms_reach_the_fixed_tolerance_solution(monkeypatch, case):
     g = BoundaryData.from_function(dom, fn)
     config = SolverConfig(k_max=k_max, gradient_tolerance=1e-10)
     got = solver.solve(g, SQ, config=config)
-    monkeypatch.setattr(solver, "_forcing", lambda residual, ratio: solver._CG_RTOL)
+    monkeypatch.setattr(solver, "_forcing", lambda residual, ratio, needed: solver._CG_RTOL)
     ref = solver.solve(g, SQ, config=config)
     for rep in (got, ref):
         assert [lv.stop for lv in rep.levels] == ["gradient_tolerance"] * len(rep.levels)
     assert [lv.k for lv in got.levels] == [lv.k for lv in ref.levels]
+    assert sum(lv.cg_iterations for lv in got.levels) < \
+        sum(lv.cg_iterations for lv in ref.levels)
+    inner = dom.interior_flat
+    assert np.max(np.abs(got.solution.values[inner] - ref.solution.values[inner])) <= 1e-8
+
+
+@pytest.mark.parametrize("case", ORACLE_SOLVES)
+def test_the_forcing_floor_saves_cg_iterations_at_the_same_stops(monkeypatch, case):
+    """At the default tolerance, the floor at half the level's stop must
+    leave every level's stop and Newton count as they are without it,
+    take fewer CG iterations in all, and move the solution by no more
+    than the CG tolerance."""
+    geometry, lower, upper, h, k_max, fn = ORACLE_SOLVES[case]
+    dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
+    g = BoundaryData.from_function(dom, fn)
+    config = SolverConfig(k_max=k_max)
+    got = solver.solve(g, SQ, config=config)
+    forcing = solver._forcing
+    monkeypatch.setattr(solver, "_forcing",
+                        lambda residual, ratio, needed: forcing(residual, ratio, 0.0))
+    ref = solver.solve(g, SQ, config=config)
+    assert [(lv.k, lv.stop, lv.iterations) for lv in got.levels] == \
+        [(lv.k, lv.stop, lv.iterations) for lv in ref.levels]
+    assert got.start_cg_iterations == ref.start_cg_iterations
     assert sum(lv.cg_iterations for lv in got.levels) < \
         sum(lv.cg_iterations for lv in ref.levels)
     inner = dom.interior_flat
@@ -1030,7 +1065,8 @@ def _record_pcg(monkeypatch):
 
 def test_a_loose_step_that_makes_no_progress_is_solved_again(monkeypatch):
     """The a8_grushin k = 4 level from the zero-start k = 2 minimizer,
-    at the scale the schedule gives it, starts at residual 7e-8.  Its
+    solved to a residual of 1e-9 and at the scale the schedule gives it,
+    starts at residual 3e-7.  Its
     first step, solved only to eta = 0.5, makes progress; its second
     lowers the energy by less than its rounding error and does not halve
     the residual.  The level must solve that system again to _CG_RTOL
@@ -1038,12 +1074,12 @@ def test_a_loose_step_that_makes_no_progress_is_solved_again(monkeypatch):
     cfg = acceptance._cfg(acceptance.bundled_config_dir(), "a8_grushin.cfg")
     g, f = cfg.boundary_data(), cfg.integrand_obj()
     k2 = solver.minimize_k(g, f, 2, 0.0, "lower", dataclasses.replace(
-        cfg.solver, initialization="zero")).solution.values
+        cfg.solver, initialization="zero", gradient_tolerance=1e-9)).solution.values
     slope = math.sqrt(np.max(solver._cell_q(g.domain, k2)))
     obj = solver._Objective(g.domain, g.base_values(), f, 4, 0.0, "lower", slope)
     z0 = obj.z0_of(k2)
-    assert 1e-8 < np.max(np.abs(obj.value_grad(z0)[1])) / obj.cell < 1e-7
-    monkeypatch.setattr(solver, "_forcing", lambda residual, ratio: 0.5)
+    assert 1e-7 < np.max(np.abs(obj.value_grad(z0)[1])) / obj.cell < 1e-6
+    monkeypatch.setattr(solver, "_forcing", lambda residual, ratio, needed: 0.5)
     calls = _record_pcg(monkeypatch)
     _, _, residual, iterations, stop, _ = solver._descend(obj, z0, cfg.solver)
     assert (stop, iterations) == ("gradient_tolerance", 2)
