@@ -194,10 +194,8 @@ def _check_connected(graph: HorizontalGraph) -> None:
 
 def cc_distance(graph: HorizontalGraph, a: int, b: int) -> float:
     """Shortest horizontal path cost between two lattice nodes."""
-    from scipy.sparse import csgraph
-
     ia, ib = graph.node_index(a), graph.node_index(b)
-    d = float(csgraph.dijkstra(graph.matrix, directed=False, indices=ia)[ib])
+    d = float(cc_distances_from(graph, ia)[ib])
     if not np.isfinite(d):
         raise ConnectivityError(
             f"node {graph.domain.multi_of_flat(ib)} unreachable from "

@@ -11,10 +11,10 @@ of the unit ring for the candidates still open in the chunk, then the
 rest of the radius-2 stencil for the few pairs the ring leaves open (see
 ``viscosity_check``).  The stencil values are gathered per chunk from the
 NaN-padded lattice, those beyond the ring only for a chunk with an open
-pair, and the running extremes live in contiguous per-chunk buffers; so
-no (offset, node) or (candidate, node) float table is built, and the
-working set is a few chunk-sized buffers.  It is bound by arithmetic, not
-by Python calls.
+pair; the jets stage 2 builds and certifies are evaluated in the same
+pass.  So no (offset, node) or (candidate, node) table is built, each jet
+is built once, and the working set is a few chunk-sized buffers.  It is
+bound by arithmetic, not by Python calls.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .integrands import Integrand
 from .solver import BoundaryData, SolverConfig, solve
 
 _KINDS = ("infinity_laplacian", "aronsson", "aux_lower", "aux_upper")
-_CHUNK = 32_768  # doubles in one product or block (gaps, or jet Hessians): 256 kB, in cache
+_CHUNK = 32_768  # doubles in one product or block (extremes, or gaps): 256 kB, in cache
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,10 @@ class OperatorSpec:
             w = p
         else:
             w = self.f.grad(p)
-        principal = -np.einsum("...i,...ij,...j->...", w, M, w)
+        # w^T M w term by term in C order, einsum's order for a batch but not
+        # for a lone row, so a jet's value does not depend on its batch
+        m = range(w.shape[-1])
+        principal = -sum(w[..., i] * M[..., i, j] * w[..., j] for i in m for j in m)
         if self.kind in ("infinity_laplacian", "aronsson"):
             return principal
         fv = self.f.value(p)
@@ -96,10 +99,11 @@ def subelliptic_check(op: OperatorSpec, samples: int, m: int = 2,
                       seed: int = 0):
     """Monotonicity in the matrix slot: A(x,p,M) <= A(x,p,M-E) for PSD E.
 
-    Returns (passed, worst margin) where the margin is the largest
+    Returns (passed, worst margin) over random m-jets, m >= 1: the largest
     observed A(x,p,M) - A(x,p,M-E); anything above 1e-9 fails.
     """
     samples = require_count("samples", samples, 1)
+    m = require_count("m", m, 1)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(samples, m))
     p = rng.normal(size=(samples, m)) * rng.uniform(0.0, 3.0, (samples, 1))
@@ -290,15 +294,16 @@ def _ring_extremes(coef: np.ndarray, axes: np.ndarray, diagonals: np.ndarray,
 
 def _touching(delta: np.ndarray, stencil: _Stencil, center: np.ndarray,
               jets: _Jets, slack: float):
-    """(above, below): the (candidate, node) pairs whose quadratic touches u.
+    """Per chunk of nodes with a touching pair, its rows (c, k, xi, S, above, below).
 
-    A pair is above when its gap is >= -slack at every offset of the
-    stencil, and below when it is <= slack; see viscosity_check for the
-    two stages.  Both run a chunk of nodes at a time, so the working set
-    is a few chunk-sized buffers whatever the lattice: stage 1 in
-    _ring_extremes, then stage 2 on the chunk's open pairs, which reads
-    the values beyond the ring at the chunk's nodes only if a pair is
-    open there.
+    A (candidate c, interior node k) pair is above when its gap is >= -slack
+    at every offset of the stencil, and below when it is <= slack; see
+    viscosity_check for the two stages.  Both run a chunk of nodes at a
+    time, so the working set is a few chunk-sized buffers whatever the
+    lattice: stage 1 in _ring_extremes, then stage 2 on the chunk's open
+    pairs, which reads the values beyond the ring at the chunk's nodes only
+    if a pair is open there.  A touching pair is open after the ring, so
+    its row carries the jet xi, S that stage 2 built; rows are in C order.
     """
     n = delta.shape[1]
     n_c, n_int = jets.zeta.size, center.size
@@ -319,33 +324,34 @@ def _touching(delta: np.ndarray, stencil: _Stencil, center: np.ndarray,
     step = max(1, _CHUNK // far.shape[0])
     width = max(1, _CHUNK // n_c)
 
-    def chunk(cols: slice):
-        """(above, below) at the nodes cols; their buffers are freed on return."""
+    def chunk(start: int) -> list:
+        """The rows of the chunk from node start, [] if none; its buffers are freed on
+        return, so they are not held while the caller evaluates the rows."""
+        cols = slice(start, start + width)
         planes = _ring_planes(near, stencil.values(slice(ring), cols) - center[cols],
                               jets.fwd[cols], jets.bwd[cols], jets.D2[cols])
         lo, hi = _ring_extremes(coef, axes, diagonals, planes, slack)
         del planes  # freed before stage 2 allocates its own buffers
         m = lo.shape[1]
         lo, hi = lo.reshape(-1), hi.reshape(-1)
-        pairs = np.flatnonzero((lo >= -slack) | (hi <= slack))  # c m + node - cols.start
+        pairs = np.flatnonzero((lo >= -slack) | (hi <= slack))  # c m + node - start
         if pairs.size:
             du = stencil.values(slice(ring, None), cols) - center[cols]
+        rows = []
         for first in range(0, pairs.size, step):
             flat = pairs[first : first + step]
-            c, k = np.divmod(flat, m)
-            xi, S = jets.at(c, k + cols.start)
+            c, j = np.divmod(flat, m)  # j: the node's place in the chunk
+            xi, S = jets.at(c, j + start)
             gap = phi @ np.concatenate([xi, S.reshape(-1, n * n)], axis=1).T
-            gap -= np.take(du, k, axis=1)
-            lo[flat] = np.fmin(lo[flat], np.fmin.reduce(gap, axis=0))
-            hi[flat] = np.fmax(hi[flat], np.fmax.reduce(gap, axis=0))
-        return (lo >= -slack).reshape(n_c, m), (hi <= slack).reshape(n_c, m)
+            gap -= np.take(du, j, axis=1)
+            above = np.fmin(lo[flat], np.fmin.reduce(gap, axis=0)) >= -slack
+            below = np.fmax(hi[flat], np.fmax.reduce(gap, axis=0)) <= slack
+            hit = np.flatnonzero(above | below)
+            if hit.size:
+                rows.append((c[hit], j[hit] + start, xi[hit], S[hit], above[hit], below[hit]))
+        return [np.concatenate(col) for col in zip(*rows)]
 
-    above = np.empty((n_c, n_int), dtype=bool)
-    below = np.empty((n_c, n_int), dtype=bool)
-    for start in range(0, n_int, width):
-        cols = slice(start, start + width)
-        above[:, cols], below[:, cols] = chunk(cols)
-    return above, below
+    yield from filter(None, map(chunk, range(0, n_int, width)))  # skips chunks with no rows
 
 
 def viscosity_check(u: ScalarField, op: OperatorSpec,
@@ -385,12 +391,12 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
     / 2] . [xi, vec S] - (u(x + delta) - u(x)), one product per block of
     pairs; the values beyond the ring are gathered for the chunk's nodes
     only when it has an open pair.  The jet (p, M) and A are evaluated
-    only for the certified pairs, a block at a time, with the frame at
-    their nodes; on euclidean:n the frame is the identity, so (p, M) is
-    (xi, S).  u(x + delta) is read from u padded with NaN, exterior
-    nodes NaN too, so a neighbor off the lattice or exterior is missing.
-    Running the check on -u negates every plane and jet and swaps each
-    sign pair, so it swaps the two violation columns.
+    once per chunk for its certified pairs, from the xi and S stage 2
+    built, with the frame at their nodes; on euclidean:n the frame is the
+    identity, so (p, M) is (xi, S).  u(x + delta) is read from u padded
+    with NaN, exterior nodes NaN too, so a neighbor off the lattice or
+    exterior is missing.  Running the check on -u negates every plane and
+    jet and swaps each sign pair, so it swaps the two violation columns.
     """
     jet_samples = require_count("jet_samples", jet_samples, 0)
     dom = u.domain
@@ -431,16 +437,9 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
         cands.append((lam, zeta, gshift, hshift))
         cands.append((lam, zeta, -gshift, -hshift))
     jets = _Jets(*(np.array(col) for col in zip(*cands)), fwd, bwd, D2)
-    above, below = _touching(delta, stencil, center, jets, slack)
-
-    # the certified jets, (candidate, node) in C order, a block at a time
-    sub_viol = np.zeros(n_int)
-    sup_viol = np.zeros(n_int)
-    cand, node = np.nonzero(above | below)
-    block = max(1, _CHUNK // (n * n))  # Hessians S of the jets in one block: 256 kB
-    for start in range(0, cand.size, block):
-        c, k = cand[start : start + block], node[start : start + block]
-        xi, S = jets.at(c, k)
+    sub_viol, sup_viol = np.zeros(n_int), np.zeros(n_int)
+    jets_above = jets_below = 0
+    for c, k, xi, S, above, below in _touching(delta, stencil, center, jets, slack):
         x = np.take(coords, k, axis=0)
         if dom.spec.name == "euclidean":
             # the frame is the identity and its derivative zero, and S is
@@ -450,20 +449,20 @@ def viscosity_check(u: ScalarField, op: OperatorSpec,
             # the frame at each pair's node; every entry is a function of that node alone
             ak = frame_coefficients(dom.spec, x)
             p = np.einsum("kia,ka->ki", ak, xi)
-            # optimize=True contracts pairwise, ~10x faster than the single
-            # nested loop; it may round differently in the last bit
-            M = np.einsum("kia,kjb,kab->kij", ak, ak, S, optimize=True) \
-                + np.einsum("kia,kajb,kb->kij", ak, frame_derivatives(dom.spec, x), xi,
-                            optimize=True)
+            # M = a S a^T + a (dA/dx . xi), in matmuls: no einsum path search per chunk
+            dxi = np.matmul(frame_derivatives(dom.spec, x), xi[:, None, :, None])[..., 0]
+            M = ak @ S @ ak.swapaxes(1, 2) + ak @ dxi
             M = 0.5 * (M + np.swapaxes(M, 1, 2))
         A = op.evaluate(x, p, M)
-        for viol, hit, val in ((sub_viol, above[c, k], A), (sup_viol, below[c, k], -A)):
+        for viol, hit, val in ((sub_viol, above, A), (sup_viol, below, -A)):
             np.maximum.at(viol, k[hit], np.maximum(val[hit], 0.0))
+        jets_above += int(np.count_nonzero(above))
+        jets_below += int(np.count_nonzero(below))
     return ViscosityReport(
         subsolution_violations=sub_viol,
         supersolution_violations=sup_viol,
-        jets_above=int(np.count_nonzero(above)),
-        jets_below=int(np.count_nonzero(below)),
+        jets_above=jets_above,
+        jets_below=jets_below,
         candidates=len(cands),
         tol=10.0 * h * h,
     )

@@ -27,6 +27,21 @@ def test_evaluate_hand_values():
     assert OperatorSpec.aux_upper(SQ, 0.3).evaluate(x, p, M) == -4.7
 
 
+def test_evaluate_does_not_depend_on_the_batch():
+    """A jet's value is the same alone, as a batch of one or in a batch, bit
+    for bit; the viscosity check evaluates its jets in batches of any size."""
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3):
+        p = rng.normal(size=(40, m))
+        M = rng.normal(size=(40, m, m))
+        for op in (OperatorSpec.infinity_laplacian(), OperatorSpec.aronsson(integrands.power(4))):
+            whole = op.evaluate(None, p, M)
+            for i in range(40):
+                one = op.evaluate(None, p[i : i + 1], M[i : i + 1])
+                assert one.tobytes() == whole[i : i + 1].tobytes()
+                assert op.evaluate(None, p[i], M[i]) == whole[i]
+
+
 def test_operator_spec_validation():
     with pytest.raises(ParameterError):
         OperatorSpec(kind="laplace")
@@ -71,6 +86,10 @@ def test_subelliptic_check_needs_samples():
     for bad in (0, float("nan"), 2.5, True, "64", None):
         with pytest.raises(ParameterError, match="samples"):
             verify.subelliptic_check(OperatorSpec.infinity_laplacian(), samples=bad)
+    # m = 0 would pass vacuously on empty jets
+    for bad in (0, 1.5, True, None):
+        with pytest.raises(ParameterError, match="m must"):
+            verify.subelliptic_check(OperatorSpec.infinity_laplacian(), samples=8, m=bad)
 
 
 # -- viscosity jets ---------------------------------------------------------
@@ -112,40 +131,6 @@ def test_negation_swaps_the_violation_columns_exactly():
                           r2.supersolution_violations)
     assert np.array_equal(r1.supersolution_violations,
                           r2.subsolution_violations)
-
-
-@pytest.mark.parametrize("geometry,lower,upper,h", [
-    ("euclidean:2", [0, 0], [2, 2], 0.0625),
-    ("heisenberg1", [-1, -1, -1], [1, 1, 1], 0.25),
-])
-def test_viscosity_check_matches_unoptimized_einsum(monkeypatch, geometry,
-                                                    lower, upper, h):
-    """The contraction order einsum's optimizer picks moves no verdict.
-
-    Reference: the same check with every einsum unoptimized, on a field
-    of six offset cones as in the A5 fixture.  Jet counts must agree
-    exactly.  The violations may round differently in the last bit (2
-    supersolution entries do on the Heisenberg box), so they are
-    compared to rtol 1e-13."""
-    dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
-    rng = np.random.default_rng(11)
-    centres = rng.uniform(np.add(lower, 0.2), np.subtract(upper, 0.2),
-                          (6, len(lower)))
-    dist = np.linalg.norm(dom.coords[:, None, :] - centres[None], axis=2)
-    u = ScalarField(dom, np.min(rng.uniform(0.0, 0.1, 6) + dist, axis=1))
-    op = OperatorSpec.infinity_laplacian()
-    got = verify.viscosity_check(u, op, jet_samples=32, seed=4)
-    plain = np.einsum
-    monkeypatch.setattr(np, "einsum",
-                        lambda *operands, optimize=False: plain(*operands))
-    ref = verify.viscosity_check(u, op, jet_samples=32, seed=4)
-    assert (got.jets_above, got.jets_below, got.candidates) == \
-        (ref.jets_above, ref.jets_below, ref.candidates)
-    assert np.any(ref.supersolution_violations > 0)
-    np.testing.assert_allclose(got.subsolution_violations,
-                               ref.subsolution_violations, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(got.supersolution_violations,
-                               ref.supersolution_violations, rtol=1e-13, atol=0)
 
 
 def test_viscosity_check_on_an_interior_that_touches_the_lattice_edge():
@@ -400,8 +385,10 @@ def unstaged_touching(delta, stencil, center, jets, slack, ring_open=None):
 
     The ring offsets take the stage-1 products over all nodes at once, the
     other offsets the stage-2 products over all pairs at once, on the whole
-    (offset, node) value table.  ring_open, a list, receives the number of
-    pairs the ring alone leaves open.
+    (offset, node) value table.  It yields the certified rows (c, k, xi, S,
+    above, below) of all nodes as one chunk, in (candidate, node) C order.
+    ring_open, a list, receives the number of pairs the ring alone leaves
+    open.
     """
     nbv = stencil_table(stencil)
     n = delta.shape[1]
@@ -419,9 +406,30 @@ def unstaged_touching(delta, stencil, center, jets, slack, ring_open=None):
                          axis=1)
     gap = phi @ np.concatenate([xi, S.reshape(-1, n * n)], axis=1).T \
         - (nbv[ring:, node] - center[node])
-    lowest = np.fmin(lowest, np.fmin.reduce(gap, axis=0).reshape(lowest.shape))
-    highest = np.fmax(highest, np.fmax.reduce(gap, axis=0).reshape(highest.shape))
-    return lowest >= -slack, highest <= slack
+    above = np.fmin(lowest.reshape(-1), np.fmin.reduce(gap, axis=0)) >= -slack
+    below = np.fmax(highest.reshape(-1), np.fmax.reduce(gap, axis=0)) <= slack
+    hit = np.flatnonzero(above | below)
+    if hit.size:
+        yield cand[hit], node[hit], xi[hit], S[hit], above[hit], below[hit]
+
+
+def verdict_tables(rows, jets, n_int):
+    """The (candidate, node) verdict tables of the certified rows of _touching.
+
+    Each pair comes at most once, and carries the jet _Jets.at builds."""
+    above = np.zeros((jets.zeta.size, n_int), dtype=bool)
+    below = np.zeros_like(above)
+    pairs = []
+    for c, k, xi, S, up, down in rows:
+        want_xi, want_S = jets.at(c, k)
+        assert xi.tobytes() == want_xi.tobytes() and S.tobytes() == want_S.tobytes()
+        assert np.all(up | down)
+        pairs.append(c * n_int + k)
+        above[c[up], k[up]] = True
+        below[c[down], k[down]] = True
+    pairs = np.concatenate(pairs) if pairs else np.zeros(0, dtype=int)
+    assert np.unique(pairs).size == pairs.size
+    return above, below
 
 
 def saddle_field():
@@ -502,8 +510,9 @@ def test_axis_cut_keeps_other_rows_in_each_chunk(monkeypatch):
     assert 0 in sizes and any(0 < k < jets.zeta.size for k in sizes)
     assert len({tuple(rows) for rows in kept if rows.size}) > 1
     monkeypatch.setattr(verify, "_CHUNK", width * jets.zeta.size)
-    got = verify._touching(delta, stencil, center, jets, slack)
-    want = unstaged_touching(delta, stencil, center, jets, slack)
+    got = verdict_tables(verify._touching(delta, stencil, center, jets, slack), jets, center.size)
+    want = verdict_tables(unstaged_touching(delta, stencil, center, jets, slack), jets,
+                          center.size)
     assert np.any(want[0] | want[1])
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
@@ -519,14 +528,51 @@ def test_touching_at_chunk_edges(chunk, monkeypatch):
                                                         monkeypatch)
     assert jets.zeta.size == 31 and center.size == 961
     ring_open = []
-    want = unstaged_touching(delta, stencil, center, jets, slack, ring_open=ring_open)
+    want = verdict_tables(unstaged_touching(delta, stencil, center, jets, slack,
+                                            ring_open=ring_open), jets, center.size)
     monkeypatch.setattr(verify, "_CHUNK", chunk)
     width = max(1, chunk // jets.zeta.size)
     assert width == 1 or center.size % width == 2
-    got = verify._touching(delta, stencil, center, jets, slack)
+    got = verdict_tables(verify._touching(delta, stencil, center, jets, slack), jets, center.size)
     assert ring_open[0] > 0 and np.any(want[0]) and np.any(want[1])
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("name", ["plane_cones", "heis_cones"])
+def test_each_pair_open_after_the_ring_gets_its_jet_built_once(name, monkeypatch):
+    """Stage 2 builds the jet of every pair the ring leaves open, and the
+    certified ones are evaluated from those rows: _Jets.at builds as many
+    rows in one check as the ring leaves pairs open, none twice."""
+    u = VISCOSITY_CASES[name]()
+    ring_open = []
+    for _ in unstaged_touching(*touching_args(u, 64, monkeypatch), ring_open=ring_open):
+        pass
+    built = []
+    at = verify._Jets.at
+    monkeypatch.setattr(verify._Jets, "at",
+                        lambda jets, c, k: built.append(c.size) or at(jets, c, k))
+    rep = verify.viscosity_check(u, OperatorSpec.infinity_laplacian(), jet_samples=64, seed=4)
+    assert rep.jets_above + rep.jets_below > 0
+    assert sum(built) == ring_open[0]
+
+
+@pytest.mark.parametrize("chunk", [16, 7 * 31])
+@pytest.mark.parametrize("name", ["plane_cones", "heis_cones"])
+def test_evaluation_at_chunk_edges(name, chunk, monkeypatch):
+    """The jets are evaluated once per chunk of nodes, the heisenberg1 frame
+    too; chunks of one node (16) or of 7 nodes (7 * 31, with 31
+    candidates) give the default's report byte for byte."""
+    u = VISCOSITY_CASES[name]()
+    op = OperatorSpec.infinity_laplacian()
+    want = verify.viscosity_check(u, op, jet_samples=16, seed=4)
+    monkeypatch.setattr(verify, "_CHUNK", chunk)
+    got = verify.viscosity_check(u, op, jet_samples=16, seed=4)
+    assert want.candidates == 31 and want.jets_above > 0 and want.jets_below > 0
+    assert (got.jets_above, got.jets_below, got.candidates, got.tol) == \
+        (want.jets_above, want.jets_below, want.candidates, want.tol)
+    assert got.subsolution_violations.tobytes() == want.subsolution_violations.tobytes()
+    assert got.supersolution_violations.tobytes() == want.supersolution_violations.tobytes()
 
 
 def test_viscosity_check_keeps_no_full_stencil_table():
