@@ -31,9 +31,10 @@ data, the k = 1 minimizer of the squared norm (_harmonic_start).  Each
 level's energy is homogeneous, so its minimizer does not depend on how
 the field is scaled: every level divides its fields by the largest cell
 |Xu| of its own start (_cell_q), which is one pass over the cells.  Each
-level is solved by damped Newton steps on the free nodes with an
-exact line search along each step (see _descend), and reports why it
-stopped (LevelReport); only gradient_tolerance counts as converged.
+level is solved by damped Newton steps on the free nodes with a line
+search along each step, run as far as the step's direction is precise
+(see _line_minimize), and reports why it stopped (LevelReport); only
+gradient_tolerance counts as converged.
 Each iterate is evaluated once (value_grad): the gradient, the Hessian
 and the line search share its V = Xu and power law (_Point).
 The Newton systems are solved by Jacobi-preconditioned conjugate
@@ -43,8 +44,8 @@ loose far from the minimizer and tighter near it, but never so tight
 that the CG residual must fall below half the level's
 gradient_tolerance (Kelley's safeguard), nor below 1e-8 relative.  A
 capped or loose iterate is still a descent direction; a step along one
-that makes no progress is solved again to 1e-8 before the level ends as
-stalled.
+that makes no progress is solved again to 1e-8, and searched to
+1e-12, before the level ends as stalled.
 Each step sums the Hessian's per-cell blocks into its diagonals, laid
 out once per lattice on the bounding box of the free nodes (_Cells), with
 one precomputed csr scatter, and damps its main diagonal in place.  The
@@ -288,6 +289,8 @@ def _power_law(q: np.ndarray, kappa: float):
     capped at exp(_EXP_MAX), so that kappa - 1 = 0 never multiplies an
     infinity.  At q = 0, q^0 = 1 and every other power is 0: cells with
     no gradient get no weight, where a negative power would be infinite.
+    The three arrays are new, and F' and F'' are scaled in place, so a
+    caller may overwrite any of them.
     """
     cap = math.exp(_EXP_MAX)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -298,7 +301,9 @@ def _power_law(q: np.ndarray, kappa: float):
             flat = q == 0
             p1[flat] = kappa == 1.0
             p2[flat] = kappa == 2.0
-        return F, kappa * p1, kappa * (kappa - 1.0) * p2
+        p1 *= kappa
+        p2 *= kappa * (kappa - 1.0)
+        return F, p1, p2
 
 
 def energy(u: ScalarField, f: Integrand, k: int, eps: float = 0.0,
@@ -598,7 +603,9 @@ class _Objective:
         Each row contributes f(V + t W)^k with |V + t W|^2 quadratic in
         t, so the restricted energy is an explicit one-variable
         function; the line search exploits this instead of re-running
-        matvecs per trial step.
+        matvecs per trial step.  The state also holds the two per-cell
+        buffers that every line_eval along d overwrites with q(t) and
+        q'(t), allocated here once per direction.
         """
         dfull = np.zeros(self.domain.n_nodes)
         dfull[self.free] = d
@@ -607,24 +614,42 @@ class _Objective:
         qb = 2.0 * (point.V * W).sum(axis=0)
         lin0 = self.sign * self.src * float(point.z.sum())
         lin1 = self.sign * self.src * float(d.sum())
-        return (qa, qb, point.q, lin0, lin1)
+        return (qa, qb, point.q, lin0, lin1, np.empty_like(qa), np.empty_like(qa))
 
     def line_eval(self, state, t: float):
         """(phi, phi', phi'') of the restricted energy at step t.
 
         With q(t) = |V + t W|^2 per cell and F, F', F'' from _power_law,
         the sums are F, F' q' and F'' q'^2 + 2 F' |W|^2, plus the source
-        term; all three are +inf once F leaves the double range.
+        term; all three are +inf once F leaves the double range.  q(t)
+        and q'(t) go into the state's buffers, and the products into
+        _power_law's own arrays, each rounded as the plain expressions
+        would round it, so a trial allocates only what _power_law does.
+        The sums are ndarray.sum's pairwise sums: ndarray.dot's BLAS ddot
+        rounds differently, enough to move a level near its rounding
+        floor from gradient_tolerance to stalled.
         """
-        qa, qb, qc, lin0, lin1 = state
-        q = np.maximum((qa * t + qb) * t + qc, 0.0)
-        qp = 2.0 * qa * t + qb
+        qa, qb, qc, lin0, lin1, q, qp = state
+        np.multiply(qa, t, out=q)
+        q += qb
+        q *= t
+        q += qc
+        np.maximum(q, 0.0, out=q)
+        np.multiply(qa, 2.0, out=qp)
+        qp *= t
+        qp += qb
         F, F1, F2 = _power_law(q, self.kappa)
         e0 = float(F.sum())
         if not math.isfinite(e0):
             return math.inf, math.inf, math.inf
-        e1 = float((F1 * qp).sum())
-        e2 = float((F2 * qp * qp + 2.0 * F1 * qa).sum())
+        F2 *= qp
+        F2 *= qp
+        qp *= F1
+        e1 = float(qp.sum())
+        F1 *= 2.0
+        F1 *= qa
+        F2 += F1
+        e2 = float(F2.sum())
         phi = self.cell * (e0 + lin0 + t * lin1)
         dphi = self.cell * (e1 + lin1)
         return phi, dphi, self.cell * e2
@@ -640,7 +665,8 @@ class _Objective:
         return math.copysign(math.exp(m), scaled_energy)
 
 
-def _line_minimize(obj: _Objective, state, slope: float, phi0: float):
+def _line_minimize(obj: _Objective, state, slope: float, phi0: float,
+                   rtol: float):
     """Safeguarded Newton search for the minimum of the restricted energy.
 
     The restricted energy is convex in t, so Newton steps on its
@@ -653,13 +679,23 @@ def _line_minimize(obj: _Objective, state, slope: float, phi0: float):
     energy at t = 0, value_grad's energy of the iterate, which line_eval
     would return there bit for bit.  Convexity
     also gives phi(t) <= phi(s) for s < t wherever phi'(t) <= 0, so such
-    steps, and the one where phi' vanishes, count as progress even when
-    the change in phi is below its rounding error.
+    steps, and the one that meets the stop below, count as progress even
+    when the change in phi is below its rounding error.
+
+    rtol is the relative CG residual d was solved to.  When it is above
+    _CG_RTOL, the search stops at the first trial with |phi'(t)| <=
+    sqrt(_CG_RTOL) |phi'(0)| = 1e-4 |phi'(0)|: near its minimizer phi is
+    close to quadratic, so that leaves about _CG_RTOL of the step's
+    decrease unused, the precision CG's directions have.  A direction
+    solved to _CG_RTOL, the only kind that may end a level as stalled,
+    is searched to 1e-12 |phi'(0)|.  Either search also stops once its
+    bracket has closed to 1e-14 of t.
     """
     t_lo, t_hi = 0.0, math.inf
     t = 1.0
     best_t, best_phi = 0.0, phi0
     dphi0 = abs(slope)
+    tol = math.sqrt(_CG_RTOL) if rtol > _CG_RTOL else 1e-12
     moved = before = math.inf  # the last two changes of t
     for _ in range(_LINE_EVALS):
         phi, dphi, d2phi = obj.line_eval(state, t)
@@ -667,7 +703,7 @@ def _line_minimize(obj: _Objective, state, slope: float, phi0: float):
             t_hi = t
             t = 0.5 * (t_lo + t_hi)
             continue
-        flat = abs(dphi) <= 1e-12 * max(dphi0, 1e-300)
+        flat = abs(dphi) <= tol * max(dphi0, 1e-300)
         if phi < best_phi or ((dphi <= 0 or flat) and t > best_t):
             best_phi, best_t = phi, t
         if dphi > 0:
@@ -791,11 +827,12 @@ def _box_pcg(cells: _Cells, A, b: np.ndarray, rtol: float):
 
 
 def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
-    """Damped inexact Newton descent with an exact line step.
+    """Damped inexact Newton descent with a line search along each step.
 
     Each iteration solves (H + D) d = -g for the free-node Hessian H
-    and gradient g, then minimizes the energy exactly along d (see
-    direction_state).  The damping is
+    and gradient g, then minimizes the energy along d (see
+    direction_state) as precisely as d was solved: _line_minimize gets
+    the step's CG tolerance.  The damping is
     D = mu diag(H) + (min(|g|_inf, 1e-3 max diag H) + 1e-14 max diag H) I:
     the relative term mu is cut by 0.3 after a full step (t near 1) and
     raised by 3 otherwise, and the identity term, which shrinks with
@@ -816,7 +853,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
     one.  When a step makes no progress (see stalled below) along a
     loosely solved direction, the same system is solved again to
     _CG_RTOL before the level gives up, so only a direction solved to
-    _CG_RTOL can end it as stalled.
+    _CG_RTOL, and searched to 1e-12, can end it as stalled.
 
     Returns (z, energy trace, residual, iterations, stop, CG
     iterations): iterations is the number of accepted steps, the CG
@@ -866,7 +903,7 @@ def _descend(obj: _Objective, z0: np.ndarray, config: SolverConfig):
                 stop = "overflow"
                 break
             state = obj.direction_state(point, d)
-            t = _line_minimize(obj, state, float(g @ d), e)
+            t = _line_minimize(obj, state, float(g @ d), e, rtol)
             if t > 0.0:
                 e_new, g_new, point_new = obj.value_grad(point.z + t * d)
                 if g_new is None:

@@ -740,6 +740,80 @@ def test_line_search_sees_the_energy_the_descent_tests(lattice, f, k, start):
     assert d2phi == pytest.approx(d @ (hess @ d), rel=1e-12)
 
 
+def _line_fixture(lattice, f, k, start):
+    """The level objective, iterate z, direction d and line state that the
+    test above builds, for the line-search tests below."""
+    dom = HESSIAN_DOMAINS[lattice]()
+    g = BoundaryData.from_function(dom, lambda c: 0.5 * c[:, 0] + c[:, -1] ** 2)
+    obj = level_objective(dom, g, f, k, 0.3, "upper")
+    nf = dom.interior_flat.size
+    rng = np.random.default_rng(k)
+    z = np.zeros(nf) if start == "flat" else rng.normal(scale=0.3, size=nf)
+    d = rng.normal(size=nf)
+    point = obj.value_grad(z)[2]
+    return obj, z, d, obj.direction_state(point, d)
+
+
+@pytest.mark.parametrize("lattice", HESSIAN_DOMAINS)
+@pytest.mark.parametrize("f", [SQ, integrands.power(1.5)], ids=["sq", "power1.5"])
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+@pytest.mark.parametrize("start", ["random", "flat"])
+def test_line_search_sees_the_energy_along_the_step(lattice, f, k, start):
+    """Past t = 0, through the buffers that every trial overwrites:
+    phi(t), phi'(t) and phi''(t) are value_grad's energy, g.d and
+    d^T H d at z + t d."""
+    obj, z, d, state = _line_fixture(lattice, f, k, start)
+    box = obj.cells.box
+    for t in (0.5, 1.0, 1.7):
+        phi, dphi, d2phi = obj.line_eval(state, t)
+        e, grad, point = obj.value_grad(z + t * d)
+        assert math.isfinite(e)
+        assert phi == pytest.approx(e, rel=1e-12)
+        assert dphi == pytest.approx(grad @ d, rel=1e-12)
+        hess = obj.hessian(point).toarray()[np.ix_(box, box)]
+        assert d2phi == pytest.approx(d @ (hess @ d), rel=1e-12)
+
+
+def reference_line_eval(obj, state, t):
+    """line_eval as one expression per quantity, with _power_law's F' and
+    F'' scaled by new products, every array allocated anew; line_eval
+    and _power_law compute the same products in place."""
+    qa, qb, qc, lin0, lin1 = state[:5]
+    kappa = obj.kappa
+    q = np.maximum((qa * t + qb) * t + qc, 0.0)
+    qp = 2.0 * qa * t + qb
+    cap = math.exp(solver._EXP_MAX)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        F = np.power(q, kappa)
+        p1 = np.minimum(F / q, cap)
+        p2 = np.minimum(p1 / q, cap)
+        if not q.all():
+            p1[q == 0] = kappa == 1.0
+            p2[q == 0] = kappa == 2.0
+        F1, F2 = kappa * p1, kappa * (kappa - 1.0) * p2
+    e0 = float(F.sum())
+    if not math.isfinite(e0):
+        return math.inf, math.inf, math.inf
+    e1 = float((F1 * qp).sum())
+    e2 = float((F2 * qp * qp + 2.0 * F1 * qa).sum())
+    return (obj.cell * (e0 + lin0 + t * lin1), obj.cell * (e1 + lin1),
+            obj.cell * e2)
+
+
+@pytest.mark.parametrize("lattice", HESSIAN_DOMAINS)
+@pytest.mark.parametrize("f", [SQ, integrands.power(1.5)], ids=["sq", "power1.5"])
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+@pytest.mark.parametrize("start", ["random", "flat"])
+def test_line_eval_matches_the_reference_expressions_bit_for_bit(lattice, f, k,
+                                                                 start):
+    """In place, every trial rounds as the expressions do.  The trials
+    share one state, out of order, so no trial may read what the one
+    before left in its buffers; t = 1e6 leaves the double range at k = 64."""
+    obj, _, _, state = _line_fixture(lattice, f, k, start)
+    for t in (1.0, 0.0, 1.7, 1e6, 0.5, -0.25, 1.0):
+        assert obj.line_eval(state, t) == reference_line_eval(obj, state, t)
+
+
 def _first_newton_iterate(geometry, lower, upper, h, k, start):
     """A level's objective and the free values its descent starts from."""
     dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
@@ -1048,6 +1122,97 @@ def test_the_forcing_floor_saves_cg_iterations_at_the_same_stops(monkeypatch, ca
         sum(lv.cg_iterations for lv in ref.levels)
     inner = dom.interior_flat
     assert np.max(np.abs(got.solution.values[inner] - ref.solution.values[inner])) <= 1e-8
+
+
+def _count_line_evals(monkeypatch):
+    """Wrap line_eval; returns the list of (t, phi, phi') of every trial."""
+    trials = []
+    line_eval = solver._Objective.line_eval
+
+    def counted(obj, state, t):
+        out = line_eval(obj, state, t)
+        trials.append((t, *out[:2]))
+        return out
+
+    monkeypatch.setattr(solver._Objective, "line_eval", counted)
+    return trials
+
+
+@pytest.mark.parametrize("case", ORACLE_SOLVES)
+def test_the_line_search_stop_saves_evaluations_at_the_same_stops(monkeypatch, case):
+    """At the default tolerance, stopping each search along a loosely
+    solved direction at |phi'| <= sqrt(_CG_RTOL) |phi'(0)| must leave
+    every level's stop and Newton count as the exact search (rtol 0,
+    every search to 1e-12) leaves them, take fewer line evaluations in
+    all, and move the solution by no more than 1e-8."""
+    geometry, lower, upper, h, k_max, fn = ORACLE_SOLVES[case]
+    dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
+    g = BoundaryData.from_function(dom, fn)
+    config = SolverConfig(k_max=k_max)
+    trials = _count_line_evals(monkeypatch)
+    got = solver.solve(g, SQ, config=config)
+    got_evals = len(trials)
+    trials.clear()
+    line_minimize = solver._line_minimize
+    monkeypatch.setattr(solver, "_line_minimize",
+                        lambda obj, state, slope, phi0, rtol:
+                        line_minimize(obj, state, slope, phi0, 0.0))
+    ref = solver.solve(g, SQ, config=config)
+    assert [(lv.k, lv.stop, lv.iterations) for lv in got.levels] == \
+        [(lv.k, lv.stop, lv.iterations) for lv in ref.levels]
+    assert got_evals < len(trials)
+    inner = dom.interior_flat
+    assert np.max(np.abs(got.solution.values[inner] - ref.solution.values[inner])) <= 1e-8
+
+
+@pytest.mark.parametrize("case,k_max", [("plane", 256), ("heis", 4), ("grushin", 8)])
+def test_line_minimize_stops_at_the_precision_of_its_direction(monkeypatch, case,
+                                                               k_max):
+    """Every line search of a solve, run again on its level's objective.
+    Along a direction solved to a loose rtol, the search stops at its
+    first trial with |phi'| <= 1e-4 |phi'(0)|.  Its trials are the first
+    ones of the search to rtol = _CG_RTOL, which stops at a trial with
+    |phi'| <= 1e-12 |phi'(0)| or where its bracket has closed to 1e-14 of
+    t.  Either returns a t > 0 no higher in phi than that last trial, and
+    phi(t) <= phi(0).  The returned t is not always the last trial: the
+    best-point rule keeps an earlier trial whose phi ties with it.  On the
+    plane to k = 256, the minimizers of some steps lie far below 1
+    (t ~ 0.1)."""
+    geometry, lower, upper, h, _, fn = ORACLE_SOLVES[case]
+    dom = GridDomain.box(groups.from_id(geometry), lower, upper, h)
+    g = BoundaryData.from_function(dom, fn)
+    searches = []
+    line_minimize = solver._line_minimize
+
+    def recording(obj, state, slope, phi0, rtol):
+        t = line_minimize(obj, state, slope, phi0, rtol)
+        searches.append((obj, state, slope, phi0, t))
+        return t
+
+    monkeypatch.setattr(solver, "_line_minimize", recording)
+    solver.solve(g, SQ, config=SolverConfig(k_max=k_max))
+    assert len(searches) > 10
+    if k_max == 256:
+        assert any(obj.k == 256 and t < 0.2 for obj, *_, t in searches)
+    trials = _count_line_evals(monkeypatch)
+    for obj, state, slope, phi0, _ in searches:
+        dphi0 = abs(slope)
+        runs = {}
+        for rtol in (0.5, solver._CG_RTOL):
+            trials.clear()
+            t = line_minimize(obj, state, slope, phi0, rtol)
+            runs[rtol] = list(trials)
+            phi = obj.line_eval(state, t)[0]
+            assert t > 0.0 and phi <= phi0
+            assert phi <= runs[rtol][-1][1]
+        loose, tight = runs.values()
+        assert abs(loose[-1][2]) <= 1e-4 * dphi0
+        assert all(abs(dphi) > 1e-4 * dphi0 for _, _, dphi in loose[:-1])
+        assert tight[:len(loose)] == loose
+        if abs(tight[-1][2]) > 1e-12 * dphi0:
+            hi = min(s for s, _, dphi in tight if dphi > 0)
+            lo = max([0.0] + [s for s, _, dphi in tight if dphi <= 0])
+            assert hi - lo <= 1e-14 * hi
 
 
 def _record_pcg(monkeypatch):
