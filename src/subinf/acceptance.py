@@ -327,13 +327,9 @@ def _a10(config_dir: str):
     f = cfg.integrand_obj()
     up = solver.solve(cfg.boundary_data(), f, cfg.eps, "upper", config=cfg.solver).solution
     w, mu = solver.strictify(up, delta=0.1, eps=cfg.eps, alpha=f.alpha)
-    grad = calculus.horizontal_gradient(w)
-    res = calculus.aronsson_residual(w, f)
-    interior = w.domain.interior_flat
-    branch = np.maximum(cfg.eps - f.value(grad.values),
-                        res.values[interior])
+    branch = calculus.residual(w, calculus.OperatorSpec.aux_upper(f, cfg.eps))
     floor = mu - 10.0 * cfg.h ** 2
-    mb = float(np.min(branch))
+    mb = float(np.min(branch.values[w.domain.interior_flat]))
     return mb >= floor, f"operator margin {mb:.4f} vs mu - 10h^2 = {floor:.4f} (mu = {mu:.1e})", \
         ">= mu - 10 h^2"
 

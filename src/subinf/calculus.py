@@ -1,5 +1,10 @@
 """Horizontal differential operators on lattice fields.
 
+``OperatorSpec`` is the one definition of the degenerate operators
+A(x, p, M): the infinity-Laplacian, the Aronsson operator of an integrand
+and the two auxiliary branches.  ``residual`` evaluates one at a field's
+jets (Xu, (XXu)*), and ``verify`` at certified touching jets.
+
 The gradient is assembled from matrices cached on the domain, so
 :func:`adjoint_divergence` is the exact transpose of
 :func:`horizontal_gradient` and summation by parts holds to rounding.
@@ -9,10 +14,77 @@ each pass) rather than expanding product rules, then symmetrise.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
-from .grids import GridDomain, HorizontalField, ScalarField
+from .errors import ParameterError
+from .grids import HorizontalField, ScalarField
 from .integrands import Integrand
+
+
+_KINDS = ("infinity_laplacian", "aronsson", "aux_lower", "aux_upper")
+
+
+@dataclass(frozen=True)
+class OperatorSpec:
+    """A degenerate operator A(x, p, M) acting on second-order jets.
+
+    p is an m-vector (horizontal gradient), M an m-by-m symmetric
+    matrix (symmetrized horizontal Hessian).  Every kind ignores x.
+    ``residual`` and the checks in ``verify`` call only ``evaluate``, so
+    any object with that method can stand in for an operator.
+    """
+
+    kind: str
+    f: Optional[Integrand] = None
+    eps: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ParameterError("unknown operator kind %r" % (self.kind,))
+        if self.kind in ("aronsson", "aux_lower", "aux_upper") and self.f is None:
+            raise ParameterError("%s needs an integrand" % (self.kind,))
+        if self.kind in ("aux_lower", "aux_upper") and not 0 < self.eps < math.inf:
+            raise ParameterError("auxiliary operators need 0 < eps < inf, got %s"
+                                 % (self.eps,))
+
+    @classmethod
+    def infinity_laplacian(cls) -> "OperatorSpec":
+        return cls(kind="infinity_laplacian")
+
+    @classmethod
+    def aronsson(cls, f: Integrand) -> "OperatorSpec":
+        return cls(kind="aronsson", f=f)
+
+    @classmethod
+    def aux_lower(cls, f: Integrand, eps: float) -> "OperatorSpec":
+        return cls(kind="aux_lower", f=f, eps=eps)
+
+    @classmethod
+    def aux_upper(cls, f: Integrand, eps: float) -> "OperatorSpec":
+        return cls(kind="aux_upper", f=f, eps=eps)
+
+    def evaluate(self, x, p, M) -> np.ndarray:
+        """A(x, p, M), vectorized over leading axes of p and M."""
+        p = np.asarray(p, dtype=float)
+        M = np.asarray(M, dtype=float)
+        if self.kind == "infinity_laplacian":
+            w = p
+        else:
+            w = self.f.grad(p)
+        # w^T M w term by term in C order, einsum's order for a batch but not
+        # for a lone row, so a jet's value does not depend on its batch
+        m = range(w.shape[-1])
+        principal = -sum(w[..., i] * M[..., i, j] * w[..., j] for i in m for j in m)
+        if self.kind in ("infinity_laplacian", "aronsson"):
+            return principal
+        fv = self.f.value(p)
+        if self.kind == "aux_lower":
+            return np.minimum(fv - self.eps, principal)
+        return np.maximum(self.eps - fv, principal)
 
 
 def _padded_values(u: ScalarField) -> np.ndarray:
@@ -51,17 +123,23 @@ def horizontal_hessian(u: ScalarField) -> np.ndarray:
     return 0.5 * (second + np.swapaxes(second, 1, 2))
 
 
-def infinity_laplacian(u: ScalarField) -> ScalarField:
-    """Horizontal infinity-Laplacian  -sum_ij X_i u X_j u (X X u)*_ij.
+def residual(u: ScalarField, op: OperatorSpec) -> ScalarField:
+    """The operator op at u's jets, A(x, Xu, (XXu)*), as a lattice field.
 
     Values are set at interior nodes; band nodes carry 0 and exterior nodes
     NaN, since the operator needs a full stencil.
     """
     dom = u.domain
-    grad = horizontal_gradient(u).values
-    hess = horizontal_hessian(u)
-    vals = -np.einsum("ki,kij,kj->k", grad, hess, grad)
-    return _interior_result(dom, vals)
+    full = np.zeros(dom.n_nodes)
+    full[dom.interior_flat] = op.evaluate(None, horizontal_gradient(u).values,
+                                          horizontal_hessian(u))
+    full[~dom.nonexterior_mask] = np.nan
+    return ScalarField(dom, full, validate=False)
+
+
+def infinity_laplacian(u: ScalarField) -> ScalarField:
+    """Horizontal infinity-Laplacian  -sum_ij X_i u X_j u (X X u)*_ij; see residual."""
+    return residual(u, OperatorSpec.infinity_laplacian())
 
 
 def aronsson_residual(u: ScalarField, f: Integrand) -> ScalarField:
@@ -70,12 +148,7 @@ def aronsson_residual(u: ScalarField, f: Integrand) -> ScalarField:
     ``Integrand.grad`` is 0 at Xu = 0, also where it is singular (``power``
     with alpha < 2), so the residual is 0 there.
     """
-    dom = u.domain
-    grad = horizontal_gradient(u).values
-    hess = horizontal_hessian(u)
-    fp = f.grad(grad)
-    vals = -np.einsum("ki,kij,kj->k", fp, hess, fp)
-    return _interior_result(dom, vals)
+    return residual(u, OperatorSpec.aronsson(f))
 
 
 def adjoint_divergence(F: HorizontalField) -> ScalarField:
@@ -90,16 +163,6 @@ def adjoint_divergence(F: HorizontalField) -> ScalarField:
     full = np.zeros(dom.n_nodes)
     for i, op in enumerate(dom.gradient_operators()):
         full += op[dom.interior_flat].T @ F.values[:, i]
-    ext = ~dom.nonexterior_mask
-    if np.any(ext):
-        full[ext] = np.nan
+    full[~dom.nonexterior_mask] = np.nan
     return ScalarField(dom, full, validate=False)
 
-
-def _interior_result(dom: GridDomain, interior_vals: np.ndarray) -> ScalarField:
-    full = np.zeros(dom.n_nodes)
-    full[dom.interior_flat] = interior_vals
-    ext = ~dom.nonexterior_mask
-    if np.any(ext):
-        full[ext] = np.nan
-    return ScalarField(dom, full, validate=False)

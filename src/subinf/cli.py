@@ -60,9 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("config", help="problem config file")
+    def add_common(p):
+        p.add_argument("config", help="problem config file")
         p.add_argument("-o", "--out", default=".", help="output directory")
         p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the config seed")
@@ -102,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="axis of the extracted line when the domain has 3+ coordinates")
 
     p = sub.add_parser("acceptance", help="run the acceptance suite")
-    add_common(p, needs_config=False)
+    p.add_argument("-o", "--out", default=".", help="output directory")
     p.add_argument("--configs", default=None,
                    help="directory of acceptance configs (default: bundled)")
     p.add_argument("--only", default=None,
@@ -291,15 +290,14 @@ def _cmd_verify(args, cfg, entries) -> int:
 
 
 def _operator_for(cfg, f):
-    from . import verify
+    from .calculus import OperatorSpec
 
     if cfg.eps > 0:
-        ctor = (verify.OperatorSpec.aux_lower if cfg.side == "lower"
-                else verify.OperatorSpec.aux_upper)
+        ctor = OperatorSpec.aux_lower if cfg.side == "lower" else OperatorSpec.aux_upper
         return ctor(f, cfg.eps)
     if f.alpha == 2.0:
-        return verify.OperatorSpec.infinity_laplacian()
-    return verify.OperatorSpec.aronsson(f)
+        return OperatorSpec.infinity_laplacian()
+    return OperatorSpec.aronsson(f)
 
 
 def _cmd_table(args, cfg, entries) -> int:

@@ -76,9 +76,8 @@ class ProblemConfig:
         fn = _builtin_expression(expr, len(self.lower), self.source)
         return ScalarField.from_function(dom, fn)
 
-    def boundary_data(self, domain: GridDomain | None = None) -> BoundaryData:
-        dom = domain if domain is not None else self.domain()
-        return BoundaryData.from_field(self.boundary_field(dom))
+    def boundary_data(self) -> BoundaryData:
+        return BoundaryData.from_field(self.boundary_field(self.domain()))
 
     def resolved_items(self) -> dict:
         """Every field with defaults expanded, for the run manifest."""

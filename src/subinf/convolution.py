@@ -10,10 +10,10 @@ of x^-1 * y (``kernel="left"``).  Both agree on euclidean geometries.  Every
 function here needs a group law, so grushin is refused.
 
 Only the (x, y) pairs that can matter are evaluated; the results equal
-those of a sweep over every pair, ties included.  They are evaluated by
-``groups.pair_kernel`` (bit for bit ``gauge_kernel(multiply(...))``, one
-coordinate column at a time), several tiles of x nodes to a call, in blocks
-of at most ``_BLOCK`` pairs, small enough for its passes to stay in cache:
+those of a sweep over every pair, ties included.  Every K here is
+evaluated by ``groups.pair_kernel`` (one coordinate column at a time),
+several tiles of x nodes to a call, in blocks of at most ``_BLOCK``
+pairs, small enough for its passes to stay in cache:
 about 4 ns a pair on euclidean:2 and 10 ns on heisenberg1 on a 2-core Xeon,
 where blocks twice as large took about twice as long a pair.
 
@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedGeometryError
 from .grids import GridDomain, ScalarField
-from .groups import gauge_kernel, inverse, multiply, pair_kernel
+from .groups import pair_kernel
 
 _TILE_NODES = 64  # about this many x nodes in one euclidean tile
 _BLOCK = 32_768  # most (x, y) pairs evaluated at once: 256 kB per array, in cache
@@ -208,7 +208,7 @@ def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_mask: np.ndarray,
     the (tiles, x) array xs pairs with row i of the (tiles, y) array ys,
     each row padded to the longest by repeating its last node, and a block
     holds at most ``_BLOCK`` pairs, padding included.  A tile with more
-    pairs than that comes alone, split by rows.
+    pairs than that comes alone, as one row split into blocks of x nodes.
     """
     spec, h = dom.spec, dom.h
     last = spec.dim - 1
@@ -259,16 +259,12 @@ def _windowed_blocks(dom: GridDomain, x_flat: np.ndarray, y_mask: np.ndarray,
             x_at, nx = heads[tiles], tails[tiles] - heads[tiles]
             y_at, ny = cuts[met], ny[met]
             for b0, b1 in _padded_runs(nx, ny, _BLOCK):
-                if b1 - b0 > 1:
-                    yield (_padded(x_sorted, x_at[b0:b1], nx[b0:b1]),
-                           _padded(ys, y_at[b0:b1], ny[b0:b1]))
-                    continue
-                # one tile: views, nothing to pad
-                xs = x_sorted[x_at[b0] : x_at[b0] + nx[b0]]
-                window = ys[y_at[b0] : y_at[b0] + ny[b0]]
+                xs = _padded(x_sorted, x_at[b0:b1], nx[b0:b1])
+                window = _padded(ys, y_at[b0:b1], ny[b0:b1])
+                # a run of several tiles fits in _BLOCK, so only a lone tile splits
                 rows = max(1, _BLOCK // window.size)
-                for start in range(0, xs.size, rows):
-                    yield xs[None, start : start + rows], window[None]
+                for start in range(0, xs.shape[1], rows):
+                    yield xs[:, start : start + rows], window
 
 
 @dataclass
@@ -307,10 +303,9 @@ def shrink_domain(dom: GridDomain, eps: float, kernel: str = "right") -> np.ndar
     Returns the flat indices of {x interior : min_y in band K(x, y) >= eps}.
     eps = 0 keeps every interior node.  Any one band node y with
     K(x, y) < eps removes x, so the nearest band nodes along x's axis lines
-    are tried first, elementwise (``gauge_kernel(multiply(...))``, bit for
-    bit the K of ``pair_kernel``).  The x they do not remove meet the band
-    nodes of their tile's window for threshold eps; the band nodes outside
-    it have K > eps and cannot remove x.
+    are tried first, one (x, y) pair to a ``pair_kernel`` row.  The x they
+    do not remove meet the band nodes of their tile's window for threshold
+    eps; the band nodes outside it have K > eps and cannot remove x.
     """
     _require_group(dom)
     if not eps >= 0:
@@ -320,14 +315,10 @@ def shrink_domain(dom: GridDomain, eps: float, kernel: str = "right") -> np.ndar
     interior = dom.interior_flat
     if eps == 0.0 or dom.boundary_flat.size == 0:
         return interior.copy()
-    spec = dom.spec
     ys = _axis_band_nodes(dom, interior)
     pair = ys >= 0
     x, y = dom.coords[np.broadcast_to(interior, ys.shape)[pair]], dom.coords[ys[pair]]
-    if kernel == "right":
-        K = gauge_kernel(spec, multiply(spec, x, inverse(spec, y)))
-    else:
-        K = gauge_kernel(spec, multiply(spec, inverse(spec, x), y))
+    K = pair_kernel(dom.spec, x[:, None], y[:, None], kernel)[:, 0, 0]
     near = np.zeros(ys.shape, dtype=bool)
     near[pair] = K < eps
     rest = interior[~near.any(axis=0)]
@@ -423,13 +414,14 @@ def semiconvexity_modulus(u: ScalarField) -> float:
     return worst
 
 
-def kernel_second_difference_bound(dom: GridDomain, kernel: str = "right") -> float:
+def kernel_second_difference_bound(dom: GridDomain) -> float:
     """Max positive centred second x-difference of the kernel, over all (x, y).
 
     Divided by h^2; used as the measured constant C_d in the semiconvexity
     bound modulus(u^eps) >= -C_d / eps.  The second difference is jointly
-    convex in (x, y) (see the module docstring), so only the extreme nodes
-    of the centred rows and of the non-exterior set are paired.
+    convex in (x, y) and the same for either kernel (see the module
+    docstring), so the right kernel is evaluated, and only at the extreme
+    nodes of the centred rows and of the non-exterior set.
     """
     _require_group(dom)
     y_coords = dom.coords[_extreme_nodes(dom, dom.nonexterior_flat)]
@@ -440,9 +432,9 @@ def kernel_second_difference_bound(dom: GridDomain, kernel: str = "right") -> fl
         chunk = max(1, _BLOCK // (3 * y_coords.shape[0]))
         for start in range(0, idx.size, chunk):
             sel = idx[start : start + chunk]
-            Kc = _kernel_rows(dom, dom.coords[sel], y_coords, kernel)
-            Kp = _kernel_rows(dom, dom.coords[sel + stride], y_coords, kernel)
-            Km = _kernel_rows(dom, dom.coords[sel - stride], y_coords, kernel)
+            Kc = _kernel_rows(dom, dom.coords[sel], y_coords, "right")
+            Kp = _kernel_rows(dom, dom.coords[sel + stride], y_coords, "right")
+            Km = _kernel_rows(dom, dom.coords[sel - stride], y_coords, "right")
             second = (Kp - 2.0 * Kc + Km) / dom.h**2
             worst = max(worst, float(second.max()))
     return worst

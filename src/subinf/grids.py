@@ -17,6 +17,7 @@ and its adjoint.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -56,14 +57,16 @@ class GridDomain:
         dims: tuple[int, ...],
         classification: np.ndarray,
     ):
-        if h <= 0:
-            raise ParameterError(f"grid spacing must be positive, got {h}")
+        if not 0 < h < math.inf:
+            raise ParameterError(f"grid spacing must be positive and finite, got {h}")
         lower = np.asarray(lower, dtype=float)
         if lower.shape != (spec.dim,) or len(dims) != spec.dim:
             raise ParameterError(
                 f"domain rank mismatch: geometry {spec.id} has dim {spec.dim}, "
                 f"got lower {lower.shape} and dims {dims}"
             )
+        if not np.all(np.isfinite(lower)):
+            raise ParameterError(f"lower corner must be finite, got {lower.tolist()}")
         if any(d < 1 for d in dims):
             raise ParameterError(f"all axis extents must be >= 1, got {dims}")
         classification = np.asarray(classification, dtype=np.int8).reshape(-1)
@@ -192,6 +195,8 @@ class GridDomain:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.spec.dim,):
             raise ParameterError(f"point must have {self.spec.dim} coordinates")
+        if not np.all(np.isfinite(point)):
+            raise ParameterError(f"point must be finite, got {point.tolist()}")
         steps = (point - self.lower) / self.h
         idx = np.ceil(steps - 0.5).astype(int)
         idx = np.clip(idx, 0, np.asarray(self.dims) - 1)

@@ -90,7 +90,7 @@ class HorizontalGraph:
 
     def node_index(self, node) -> int:
         """The flat lattice index node, checked to be a non-exterior node."""
-        if not isinstance(node, (int, np.integer)):
+        if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
             raise ParameterError(
                 f"a graph node is a flat lattice index, got {type(node).__name__}")
         flat = int(node)

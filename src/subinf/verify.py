@@ -3,7 +3,9 @@
 Four audits: degenerate subellipticity of the shipped operators,
 viscosity sub/supersolution tests via discretely certified touching
 quadratics, the comparison-principle margin, and the absolutely
-minimizing property on random sub-boxes.
+minimizing property on random sub-boxes.  The operators are
+``calculus.OperatorSpec``, imported here so that ``verify.OperatorSpec``
+names the same class.
 
 The touching test runs a chunk of nodes at a time, in small matrix
 products: the 2n axis offsets first, for every candidate, then the rest
@@ -19,80 +21,18 @@ bound by arithmetic, not by Python calls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .calculus import horizontal_gradient
+from .calculus import OperatorSpec, horizontal_gradient
 from .errors import ParameterError, require_count
 from .grids import EXTERIOR, ScalarField, require_same_lattice
 from .groups import frame_coefficients, frame_derivatives
 from .integrands import Integrand
 from .solver import BoundaryData, SolverConfig, solve
 
-_KINDS = ("infinity_laplacian", "aronsson", "aux_lower", "aux_upper")
 _CHUNK = 32_768  # doubles in one product or block (extremes, or gaps): 256 kB, in cache
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """A degenerate operator A(x, p, M) acting on second-order jets.
-
-    p is an m-vector (horizontal gradient), M an m-by-m symmetric
-    matrix (symmetrized horizontal Hessian).  Every kind ignores x.
-    The checks below call only ``evaluate``, so any object with that
-    method can stand in for an operator.
-    """
-
-    kind: str
-    f: Optional[Integrand] = None
-    eps: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError("unknown operator kind %r" % (self.kind,))
-        if self.kind in ("aronsson", "aux_lower", "aux_upper") and self.f is None:
-            raise ParameterError("%s needs an integrand" % (self.kind,))
-        if self.kind in ("aux_lower", "aux_upper") and not 0 < self.eps < math.inf:
-            raise ParameterError("auxiliary operators need 0 < eps < inf, got %s"
-                                 % (self.eps,))
-
-    @classmethod
-    def infinity_laplacian(cls) -> "OperatorSpec":
-        return cls(kind="infinity_laplacian")
-
-    @classmethod
-    def aronsson(cls, f: Integrand) -> "OperatorSpec":
-        return cls(kind="aronsson", f=f)
-
-    @classmethod
-    def aux_lower(cls, f: Integrand, eps: float) -> "OperatorSpec":
-        return cls(kind="aux_lower", f=f, eps=eps)
-
-    @classmethod
-    def aux_upper(cls, f: Integrand, eps: float) -> "OperatorSpec":
-        return cls(kind="aux_upper", f=f, eps=eps)
-
-    def evaluate(self, x, p, M) -> np.ndarray:
-        """A(x, p, M), vectorized over leading axes of p and M."""
-        p = np.asarray(p, dtype=float)
-        M = np.asarray(M, dtype=float)
-        if self.kind == "infinity_laplacian":
-            w = p
-        else:
-            w = self.f.grad(p)
-        # w^T M w term by term in C order, einsum's order for a batch but not
-        # for a lone row, so a jet's value does not depend on its batch
-        m = range(w.shape[-1])
-        principal = -sum(w[..., i] * M[..., i, j] * w[..., j] for i in m for j in m)
-        if self.kind in ("infinity_laplacian", "aronsson"):
-            return principal
-        fv = self.f.value(p)
-        if self.kind == "aux_lower":
-            return np.minimum(fv - self.eps, principal)
-        return np.maximum(self.eps - fv, principal)
 
 
 def subelliptic_check(op: OperatorSpec, samples: int, m: int = 2,

@@ -71,3 +71,19 @@ def test_strictify_margin_uses_the_config_integrand(monkeypatch, tmp_path,
     monkeypatch.setattr(solver, "strictify", recording)
     criterion(str(tmp_path))
     assert alphas == [3.0]
+
+
+def test_a10_margin_is_the_aux_upper_residual_bit_for_bit():
+    """A10 reads its margin from calculus.residual of OperatorSpec.aux_upper;
+    the reference is the expression it wrote out by hand,
+    max(eps - f(Xw), -f'(Xw)^T (XXw)* f'(Xw)), with the product as an einsum."""
+    cfg = acceptance._cfg(acceptance.bundled_config_dir(), "a10_line.cfg")
+    f = cfg.integrand_obj()
+    up = solver.solve(cfg.boundary_data(), f, cfg.eps, "upper", config=cfg.solver).solution
+    w, _ = solver.strictify(up, delta=0.1, eps=cfg.eps, alpha=f.alpha)
+    grad = calculus.horizontal_gradient(w).values
+    fp = f.grad(grad)
+    res = -np.einsum("ki,kij,kj->k", fp, calculus.horizontal_hessian(w), fp)
+    reference = np.maximum(cfg.eps - f.value(grad), res)
+    got = calculus.residual(w, calculus.OperatorSpec.aux_upper(f, cfg.eps))
+    assert got.values[w.domain.interior_flat].tobytes() == reference.tobytes()

@@ -131,3 +131,39 @@ def test_exterior_nodes_get_nan_and_do_not_leak():
     assert np.all(np.isfinite(lap.values[dom.interior_flat]))
     x = dom.coords[dom.interior_flat, 0]
     assert np.allclose(lap.values[dom.interior_flat], -8.0 * x**2, atol=1e-12)
+
+
+def reference_residual(u, f=None):
+    """The einsum form of the residual: -w^T (XXu)* w with w = Xu or grad f(Xu)."""
+    grad = calculus.horizontal_gradient(u).values
+    w = grad if f is None else f.grad(grad)
+    full = np.zeros(u.domain.n_nodes)
+    full[u.domain.interior_flat] = -np.einsum("ki,kij,kj->k", w,
+                                              calculus.horizontal_hessian(u), w)
+    full[~u.domain.nonexterior_mask] = np.nan
+    return full
+
+
+@pytest.mark.parametrize("alpha", [None, 1.0, 4 / 3, 2.0, 3.0])
+@pytest.mark.parametrize("gid,upper,h", [
+    ("euclidean:1", [1.0], 0.125), ("euclidean:2", [1.0, 1.0], 0.25),
+    ("euclidean:3", [1.0, 1.0, 1.0], 0.5), ("heisenberg1", [1.0, 1.0, 1.0], 0.25),
+    ("grushin", [1.0, 1.0], 0.25), ("euclidean:2", [-0.5, -0.5], 0.25),
+])
+def test_residual_equals_the_einsum_form_bit_for_bit(gid, upper, h, alpha):
+    """infinity_laplacian and aronsson_residual are calculus.residual of their
+    OperatorSpec; OperatorSpec.evaluate sums w_i M_ij w_j in einsum's order, so
+    the values are those of the einsum form, NaN and 0 included.  The last
+    lattice has one interior node."""
+    spec = groups.from_id(gid)
+    dom = GridDomain.box(spec, [-1.0] * spec.dim, upper, h)
+    rng = np.random.default_rng(len(gid) + dom.n_nodes)
+    u = ScalarField(dom, rng.normal(size=dom.n_nodes))
+    if alpha is None:
+        got = calculus.infinity_laplacian(u).values
+        ref = reference_residual(u)
+    else:
+        f = integrands.power(alpha)
+        got = calculus.aronsson_residual(u, f).values
+        ref = reference_residual(u, f)
+    assert got.tobytes() == ref.tobytes()

@@ -385,6 +385,13 @@ def test_acceptance_unknown_name_exits_2(tmp_path, capsys):
     assert "A99" in capsys.readouterr().err
 
 
+def test_acceptance_takes_no_seed(tmp_path, capsys):
+    """The suite's seeds live in its configs; a --seed it would not read is refused."""
+    assert cli.main(["acceptance", "-o", str(tmp_path / "acc"), "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "acc").exists()
+
+
 def test_acceptance_empty_config_dir_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -180,28 +180,33 @@ NON_DYADIC = {
 }
 
 
+# the one bound holds for either kernel: their second differences are the same
 @pytest.mark.parametrize("kernel", ["right", "left"])
 @pytest.mark.parametrize("name", sorted(DYADIC))
 def test_kernel_bound_equals_dense_sweep_at_dyadic_h(name, kernel):
     dom = DYADIC[name]()
-    assert convolution.kernel_second_difference_bound(dom, kernel) == \
-        dense_kernel_bound(dom, kernel)
+    assert convolution.kernel_second_difference_bound(dom) == dense_kernel_bound(dom, kernel)
 
 
 @pytest.mark.parametrize("kernel", ["right", "left"])
 @pytest.mark.parametrize("name", sorted(NON_DYADIC))
 def test_kernel_bound_matches_dense_sweep(name, kernel):
     dom = NON_DYADIC[name]()
-    got = convolution.kernel_second_difference_bound(dom, kernel)
+    got = convolution.kernel_second_difference_bound(dom)
     assert np.isclose(got, dense_kernel_bound(dom, kernel), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kernel", ["right", "left"])
 def test_kernel_bound_heisenberg_closed_form(kernel):
-    # max of 12u^2 + 4v^2 + 8 y2^2 + 2h^2 along x1 with |u|, |v| <= 15/8, |y2| <= 1
+    # max of 12u^2 + 4v^2 + 8 y2^2 + 2h^2 along x1 with |u|, |v| <= 15/8, |y2| <= 1,
+    # which the kernel reaches at x = (7/8, 7/8, 0) against y = (-1, -1, 0)
     h = 0.125
     dom = GridDomain.box(groups.heisenberg1(), [-1, -1, -1], [1, 1, 1], h)
-    assert convolution.kernel_second_difference_bound(dom, kernel) == 64.28125
+    assert convolution.kernel_second_difference_bound(dom) == 64.28125
+    x, y = np.array([[7 / 8, 7 / 8, 0.0]]), np.array([[-1.0, -1.0, 0.0]])
+    Kp, Kc, Km = (groups.pair_kernel(dom.spec, x + [s * h, 0.0, 0.0], y, kernel)[0, 0]
+                  for s in (1, 0, -1))
+    assert (Kp - 2.0 * Kc + Km) / h**2 == 64.28125
     assert 12 * (15 / 8) ** 2 + 4 * (15 / 8) ** 2 + 8 + 2 * h**2 == 64.28125
 
 

@@ -91,6 +91,18 @@ def test_reader_rejects_truncated_file():
         fieldio.field_from_text("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("key,bad", [("h", "nan"), ("h", "inf"), ("lower", "inf"),
+                                     ("lower", "nan")])
+def test_reader_rejects_a_non_finite_spacing_or_corner(key, bad):
+    """A NaN or infinite h or lower would give every node a NaN or infinite
+    coordinate; GridDomain refuses it, and the reader names the value."""
+    lines = fieldio.field_to_text(sample_field()).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+    lines[at] = f"{key} {bad} 0 0" if key == "lower" else f"h {bad}"
+    with pytest.raises(ConfigError, match=f"finite, got .*{bad}"):
+        fieldio.field_from_text("\n".join(lines) + "\n")
+
+
 def test_reader_names_the_source():
     with pytest.raises(ConfigError, match="owl.field"):
         fieldio.field_from_text("subinf-field 2\n", source="owl.field")

@@ -69,6 +69,13 @@ def test_nearest_node_rounds_and_clips():
     assert dom.nearest_node([-7.0]) == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_node_rejects_a_non_finite_point(bad):
+    dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
+    with pytest.raises(ParameterError, match="finite"):
+        dom.nearest_node([bad, 0.5])
+
+
 def test_subbox_keeps_lattice_alignment():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.125)
     sub = dom.subbox([2, 2], [6, 6])

@@ -115,6 +115,17 @@ def test_node_index_takes_only_flat_nodes():
         metric.build_graph(line, depth=1).node_index(5)
 
 
+@pytest.mark.parametrize("node", [True, False])
+def test_node_index_rejects_a_bool(node):
+    """A bool is an int to Python, but not a node: True used to read node 1."""
+    dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
+    g = metric.build_graph(dom, depth=1)
+    with pytest.raises(ParameterError, match="got bool"):
+        g.node_index(node)
+    with pytest.raises(ParameterError, match="got bool"):
+        metric.cc_distance(g, node, 7)
+
+
 def test_depth_validation():
     dom = GridDomain.box(groups.euclidean(1), [0.0], [1.0], 0.25)
     for bad in (0, float("nan"), 1.5, 3, 4, True, "2"):

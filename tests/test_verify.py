@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subinf import groups, integrands, solver, verify
+from subinf import calculus, groups, integrands, solver, verify
 from subinf.errors import DomainMismatchError, ParameterError
 from subinf.grids import BOUNDARY, EXTERIOR, INTERIOR, GridDomain, ScalarField
 from subinf.solver import BoundaryData, SolverConfig
@@ -40,6 +40,10 @@ def test_evaluate_does_not_depend_on_the_batch():
                 one = op.evaluate(None, p[i : i + 1], M[i : i + 1])
                 assert one.tobytes() == whole[i : i + 1].tobytes()
                 assert op.evaluate(None, p[i], M[i]) == whole[i]
+
+
+def test_verify_operator_spec_is_the_calculus_one():
+    assert OperatorSpec is calculus.OperatorSpec
 
 
 def test_operator_spec_validation():
