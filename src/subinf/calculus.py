@@ -8,6 +8,9 @@ jets (Xu, (XXu)*), and ``verify`` at certified touching jets.
 The gradient is assembled from matrices cached on the domain, so
 :func:`adjoint_divergence` is the exact transpose of
 :func:`horizontal_gradient` and summation by parts holds to rounding.
+Their rows store columns at non-exterior nodes only, so the products read
+only those nodes of a field, and the NaN a solver's output carries on the
+exterior never enters.
 Second derivatives nest two first-derivative applications (frame applied at
 each pass) rather than expanding product rules, then symmetrise.
 """
@@ -87,18 +90,12 @@ class OperatorSpec:
         return np.maximum(self.eps - fv, principal)
 
 
-def _padded_values(u: ScalarField) -> np.ndarray:
-    vals = u.values.copy()
-    ext = ~u.domain.nonexterior_mask
-    if np.any(ext):
-        vals[ext] = 0.0
-    return vals
-
-
 def _gradient_columns(u: ScalarField) -> np.ndarray:
-    """X_i u on every non-exterior node (one-sided rows on the band), (N, m)."""
-    vals = _padded_values(u)
-    return np.stack([op @ vals for op in u.domain.gradient_operators()], axis=1)
+    """X_i u on every non-exterior node (one-sided rows on the band), (N, m).
+
+    The operators store no exterior column, so u's exterior values are never read.
+    """
+    return np.stack([op @ u.values for op in u.domain.gradient_operators()], axis=1)
 
 
 def horizontal_gradient(u: ScalarField) -> HorizontalField:

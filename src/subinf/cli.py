@@ -11,6 +11,11 @@ The env var SUBINF_THREADS caps BLAS/OpenMP parallelism.  The package's
 __init__ applies it before any of its modules imports numpy, so it takes
 effect however the package is entered; a value that is not an integer stops
 the import with an error.
+
+The modules the commands use are imported once, here; the package's
+__init__ has loaded all of them but config and fieldio already.  Only
+acceptance is imported inside its handler, so no other command loads the
+suite.
 """
 
 from __future__ import annotations
@@ -19,6 +24,12 @@ import argparse
 import dataclasses
 import os
 import sys
+
+import numpy as np
+
+from . import __version__, config, convolution, fieldio, metric, solver, verify
+from .calculus import OperatorSpec
+from .errors import ConfigError, SubinfError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,8 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _solve_problem(cfg):
-    from . import solver
-
     return solver.solve(cfg.boundary_data(), cfg.integrand_obj(), cfg.eps, cfg.side,
                         config=cfg.solver)
 
@@ -120,8 +129,6 @@ def _report_entries(report) -> dict:
     """The result lines of a solve manifest: one per LevelReport field and
     level, except k (in the key) and seconds (equal runs write equal
     manifests)."""
-    from .solver import LevelReport
-
     entries = {
         "result.converged": report.converged,
         "result.iterations": sum(lv.iterations for lv in report.levels),
@@ -129,7 +136,7 @@ def _report_entries(report) -> dict:
         "result.message": report.message or "ok",
         "result.start.cg_iterations": report.start_cg_iterations,
     }
-    names = [f.name for f in dataclasses.fields(LevelReport)
+    names = [f.name for f in dataclasses.fields(solver.LevelReport)
              if f.name not in ("k", "seconds")]
     for lv in report.levels:
         for name in names:
@@ -139,8 +146,6 @@ def _report_entries(report) -> dict:
 
 
 def _cmd_solve(args, cfg, entries) -> int:
-    from . import fieldio
-
     report = _solve_problem(cfg)
     fieldio.write_field(os.path.join(args.out, "solution.field"), report.solution)
     entries.update(_report_entries(report))
@@ -153,8 +158,6 @@ def _cmd_solve(args, cfg, entries) -> int:
 
 def _parse_point(text: str, dom, what: str):
     """The coordinates of a lattice point; more than h/2 outside the box is an error."""
-    from .errors import ConfigError
-
     dim = dom.spec.dim
     toks = [t for t in text.replace(",", " ").split() if t]
     try:
@@ -171,10 +174,6 @@ def _parse_point(text: str, dom, what: str):
 
 
 def _cmd_distance(args, cfg, entries) -> int:
-    import numpy as np
-
-    from . import fieldio, metric
-
     dom = cfg.domain()
     graph = metric.build_graph(dom, depth=args.depth)
     if args.source is None:
@@ -207,10 +206,6 @@ def _cmd_distance(args, cfg, entries) -> int:
 
 
 def _cmd_convolve(args, cfg, entries) -> int:
-    import numpy as np
-
-    from . import convolution, fieldio
-
     dom = cfg.domain()
     u = cfg.boundary_field(dom)
     fn = (convolution.sup_convolution if args.mode == "sup"
@@ -235,8 +230,6 @@ def _cmd_convolve(args, cfg, entries) -> int:
 
 
 def _cmd_verify(args, cfg, entries) -> int:
-    from . import verify
-
     f = cfg.integrand_obj()
     entries["verify.check"] = args.check
 
@@ -290,8 +283,6 @@ def _cmd_verify(args, cfg, entries) -> int:
 
 
 def _operator_for(cfg, f):
-    from .calculus import OperatorSpec
-
     if cfg.eps > 0:
         ctor = OperatorSpec.aux_lower if cfg.side == "lower" else OperatorSpec.aux_upper
         return ctor(f, cfg.eps)
@@ -301,15 +292,9 @@ def _operator_for(cfg, f):
 
 
 def _cmd_table(args, cfg, entries) -> int:
-    import numpy as np
-
-    from . import fieldio
-
     dim = cfg.spec().dim
     axis = args.axis
     if not 0 <= axis < dim:
-        from .errors import ConfigError
-
         raise ConfigError(f"--axis must be in [0, {dim - 1}], got {axis}")
     report = _solve_problem(cfg)
     u = report.solution
@@ -337,7 +322,7 @@ def _cmd_table(args, cfg, entries) -> int:
 
 
 def _cmd_acceptance(args) -> int:
-    from . import acceptance
+    from . import acceptance  # only `subinf acceptance` runs the suite, so only it loads it
 
     only = None
     if args.only:
@@ -363,8 +348,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error (code 2) or --help
         return exc.code
-    from .errors import SubinfError
-
     try:
         handler = _HANDLERS[args.command]
         if args.command == "acceptance":  # no config, so no manifest
@@ -381,8 +364,6 @@ def _run(handler, args) -> int:
     The handler adds its own lines to the entries; a handler that raises
     leaves no manifest.
     """
-    from . import __version__, config, fieldio
-
     cfg = config.load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

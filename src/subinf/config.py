@@ -16,6 +16,10 @@ The format is deliberately dumb: two sections, no nesting, no quoting.
     [solver]
     k_max = 256
 
+The keys of each section are the fields of its dataclass, ProblemConfig
+(but solver, base_dir and source) and solver.SolverConfig, read with the
+types their annotations name; a field without a default is a required key.
+
 Every parse or validation failure raises ConfigError naming the file, the
 line and the offending field, so a batch run never dies with a bare
 traceback over a typo.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,6 +37,10 @@ from . import fieldio, groups, integrands
 from .errors import ConfigError
 from .grids import GridDomain, ScalarField
 from .solver import BoundaryData, SolverConfig
+
+# ProblemConfig's fields that are not [problem] keys
+_NOT_KEYS = ("solver", "base_dir", "source")
+
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -82,7 +90,7 @@ class ProblemConfig:
     def resolved_items(self) -> dict:
         """Every field with defaults expanded, for the run manifest."""
         items = {"config." + fd.name: getattr(self, fd.name) for fd in fields(self)
-                 if fd.name not in ("solver", "base_dir", "source")}
+                 if fd.name not in _NOT_KEYS}
         items.update(("config.solver." + fd.name, getattr(self.solver, fd.name))
                      for fd in fields(self.solver))
         return items
@@ -153,18 +161,30 @@ def _scan(text: str, source: str) -> dict[str, dict[str, _Entry]]:
     return sections
 
 
-def _take(section: dict, key: str, source: str, kind, default=None, required=False):
-    entry = section.pop(key, None)
-    if entry is None:
-        if required:
-            raise ConfigError(f"{source}: missing required field {key!r} in [problem]")
-        return default
-    try:
-        return kind(entry.value)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"{source}, line {entry.line}: field {key!r}: {exc}") from None
+def _keywords(section: dict, cls, source: str, name: str) -> dict:
+    """The [name] section's entries as keyword arguments of the dataclass cls.
+
+    One key per field but _NOT_KEYS, converted by the field's annotation; a
+    field without a default is required, and any other key is an error.
+    """
+    kwargs = {}
+    for fd in fields(cls):
+        if fd.name in _NOT_KEYS:
+            continue
+        entry = section.get(fd.name)
+        if entry is None:
+            if fd.default is MISSING and fd.default_factory is MISSING:
+                raise ConfigError(f"{source}: missing required field {fd.name!r} in [{name}]")
+            continue
+        try:
+            kwargs[fd.name] = _KINDS[fd.type](entry.value)
+        except ValueError as exc:
+            raise ConfigError(f"{source}, line {entry.line}: field {fd.name!r}: {exc}") from None
+    unknown = set(section) - set(kwargs)
+    if unknown:
+        key = min(unknown)
+        raise ConfigError(f"{source}, line {section[key].line}: unknown field {key!r} in [{name}]")
+    return kwargs
 
 
 def _floats(value: str) -> tuple:
@@ -174,83 +194,57 @@ def _floats(value: str) -> tuple:
     return tuple(float(t) for t in toks)
 
 
-# SolverConfig's field annotations, which solver.py leaves as strings
-_KINDS = {"int": int, "float": float, "str": str}
+# the converters of the field annotations, which stay strings under
+# `from __future__ import annotations`
+_KINDS = {"int": int, "float": float, "str": str, "tuple": _floats}
 
 
 def parse_config(text: str, source: str = "<config>", base_dir: str = ".") -> ProblemConfig:
     sections = _scan(text, source)
     prob = sections["problem"]
-    solv = sections.get("solver", {})
+    cfg = ProblemConfig(**_keywords(prob, ProblemConfig, source, "problem"),
+                        base_dir=base_dir, source=source)
 
+    # each check that can fail reads a key the file gave: every default passes
     at = {key: f"{source}, line {entry.line}" for key, entry in prob.items()}
-    at.setdefault("geometry", source)
-    for key in ("lower", "upper", "h", "boundary", "integrand", "eps", "side"):
-        at.setdefault(key, source)
-
-    geometry = _take(prob, "geometry", source, str, required=True)
     try:
-        spec = groups.from_id(geometry)
+        spec = cfg.spec()
     except Exception as exc:
         raise ConfigError(f"{at['geometry']}: field 'geometry': {exc}") from None
-
-    lower = _take(prob, "lower", source, _floats, required=True)
-    upper = _take(prob, "upper", source, _floats, required=True)
-    h = _take(prob, "h", source, float, required=True)
-    boundary = _take(prob, "boundary", source, str, required=True)
-    integrand = _take(prob, "integrand", source, str, default="squared_norm")
-    eps = _take(prob, "eps", source, float, default=0.0)
-    side = _take(prob, "side", source, str, default="lower")
-    seed = _take(prob, "seed", source, int, default=0)
-    if prob:
-        key = sorted(prob)[0]
-        raise ConfigError(f"{source}, line {prob[key].line}: unknown field {key!r} in [problem]")
-
-    if len(lower) != spec.dim or len(upper) != spec.dim:
+    if len(cfg.lower) != spec.dim or len(cfg.upper) != spec.dim:
         raise ConfigError(
             f"{at['lower']}: fields 'lower'/'upper' must have {spec.dim} coordinates "
-            f"for geometry {geometry}"
+            f"for geometry {cfg.geometry}"
         )
-    for key, coords in (("lower", lower), ("upper", upper)):
+    for key, coords in (("lower", cfg.lower), ("upper", cfg.upper)):
         if not all(map(math.isfinite, coords)):
             raise ConfigError(f"{at[key]}: field {key!r} must be finite, got {coords}")
-    if any(u <= l for l, u in zip(lower, upper)):
+    if any(u <= l for l, u in zip(cfg.lower, cfg.upper)):
         raise ConfigError(f"{at['upper']}: field 'upper' must exceed 'lower' on every axis")
-    if not 0 < h < math.inf:
-        raise ConfigError(f"{at['h']}: field 'h' must be positive and finite, got {h}")
-    if not 0 <= eps < math.inf:
-        raise ConfigError(f"{at['eps']}: field 'eps' must be nonnegative and finite, got {eps}")
-    if side not in ("lower", "upper"):
-        raise ConfigError(f"{at['side']}: field 'side' must be lower or upper, got {side!r}")
-    if seed < 0:
-        raise ConfigError(f"{at['seed']}: field 'seed' must be nonnegative, got {seed}")
+    if not 0 < cfg.h < math.inf:
+        raise ConfigError(f"{at['h']}: field 'h' must be positive and finite, got {cfg.h}")
+    if not 0 <= cfg.eps < math.inf:
+        raise ConfigError(
+            f"{at['eps']}: field 'eps' must be nonnegative and finite, got {cfg.eps}")
+    if cfg.side not in ("lower", "upper"):
+        raise ConfigError(f"{at['side']}: field 'side' must be lower or upper, got {cfg.side!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"{at['seed']}: field 'seed' must be nonnegative, got {cfg.seed}")
     try:
-        integrands.from_id(integrand)
+        cfg.integrand_obj()
     except Exception as exc:
         raise ConfigError(f"{at['integrand']}: field 'integrand': {exc}") from None
-    _builtin_check(boundary, spec.dim, at["boundary"])
+    _builtin_check(cfg.boundary, spec.dim, at["boundary"])
 
-    kwargs = {}
-    lines = {}
-    for fd in fields(SolverConfig):
-        if fd.name in solv:
-            lines[fd.name] = solv[fd.name].line
-            kwargs[fd.name] = _take(solv, fd.name, source, _KINDS[fd.type])
-    if solv:
-        key = sorted(solv)[0]
-        raise ConfigError(f"{source}, line {solv[key].line}: unknown field {key!r} in [solver]")
+    solv = sections.get("solver", {})
+    kwargs = _keywords(solv, SolverConfig, source, "solver")
     try:
         solver = SolverConfig(**kwargs)
     except Exception as exc:
-        bad = next((k for k in lines if k in str(exc)), None)
-        where = f", line {lines[bad]}" if bad else ""
+        bad = next((k for k in kwargs if k in str(exc)), None)
+        where = f", line {solv[bad].line}" if bad else ""
         raise ConfigError(f"{source}{where}: [solver] {exc}") from None
-
-    return ProblemConfig(
-        geometry=geometry, lower=lower, upper=upper, h=h, boundary=boundary,
-        integrand=integrand, eps=eps, side=side, seed=seed, solver=solver,
-        base_dir=base_dir, source=source,
-    )
+    return replace(cfg, solver=solver)
 
 
 def _builtin_check(expr: str, dim: int, source: str) -> None:

@@ -46,6 +46,15 @@ def classification_code(name: str) -> int:
         raise ParameterError(f"unknown node classification {name!r}") from None
 
 
+def _check_spacing_and_corners(h: float, **corners: np.ndarray) -> None:
+    """Refuse a spacing that is not positive and finite, or a non-finite corner."""
+    if not 0 < h < math.inf:
+        raise ParameterError(f"grid spacing must be positive and finite, got {h}")
+    for name, corner in corners.items():
+        if not np.all(np.isfinite(corner)):
+            raise ParameterError(f"{name} corner must be finite, got {corner.tolist()}")
+
+
 class GridDomain:
     """Uniform lattice over a box with per-node classification."""
 
@@ -57,16 +66,13 @@ class GridDomain:
         dims: tuple[int, ...],
         classification: np.ndarray,
     ):
-        if not 0 < h < math.inf:
-            raise ParameterError(f"grid spacing must be positive and finite, got {h}")
         lower = np.asarray(lower, dtype=float)
+        _check_spacing_and_corners(h, lower=lower)
         if lower.shape != (spec.dim,) or len(dims) != spec.dim:
             raise ParameterError(
                 f"domain rank mismatch: geometry {spec.id} has dim {spec.dim}, "
                 f"got lower {lower.shape} and dims {dims}"
             )
-        if not np.all(np.isfinite(lower)):
-            raise ParameterError(f"lower corner must be finite, got {lower.tolist()}")
         if any(d < 1 for d in dims):
             raise ParameterError(f"all axis extents must be >= 1, got {dims}")
         classification = np.asarray(classification, dtype=np.int8).reshape(-1)
@@ -95,6 +101,7 @@ class GridDomain:
         """Lattice over [lower, upper] whose outermost `band` shells are boundary."""
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
+        _check_spacing_and_corners(h, lower=lower, upper=upper)
         if lower.shape != (spec.dim,) or upper.shape != (spec.dim,):
             raise ParameterError(
                 f"box corners must have {spec.dim} coordinates for {spec.id}"

@@ -141,7 +141,12 @@ def gauge_norm(spec: GroupSpec, p: np.ndarray) -> np.ndarray:
 
 
 def gauge_distance(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Left-invariant gauge distance ||x^-1 * y||."""
+    """Left-invariant gauge distance ||x^-1 * y||.
+
+    The heisenberg1 frame is right-invariant (see frame_coefficients), so
+    its Carnot-Caratheodory metric is comparable with ||x * y^-1||, not with
+    this distance.
+    """
     return gauge_norm(spec, multiply(spec, inverse(spec, x), _check_point(spec, y)))
 
 
@@ -217,7 +222,10 @@ def pair_kernel(spec: GroupSpec, x: np.ndarray, y: np.ndarray,
 def frame_coefficients(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
     """Coefficient matrix of the horizontal vector fields at given points.
 
-    An (..., m, n) array A with ``X_i u = sum_j A[i, j] * du/dx_j``.
+    An (..., m, n) array A with ``X_i u = sum_j A[i, j] * du/dx_j``.  The
+    heisenberg1 frame, X1 = dx - 2y dt and X2 = dy + 2x dt, is
+    right-invariant under ``multiply``: x -> x*g carries X(x) to X(x*g),
+    and x -> g*x does not unless g is vertical.
     """
     x = _check_point(spec, x)
     base = x.shape[:-1]

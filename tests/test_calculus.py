@@ -3,6 +3,8 @@ import pytest
 
 from subinf import calculus, groups, integrands
 from subinf.grids import EXTERIOR, GridDomain, HorizontalField, ScalarField
+from test_convolution import heisenberg_with_holes
+from test_solver import box_with_cavity
 
 
 def h1_box(h=0.25, band=1):
@@ -119,10 +121,14 @@ def test_adjoint_divergence_is_exact_transpose(gid):
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-def test_exterior_nodes_get_nan_and_do_not_leak():
-    spec = groups.euclidean(1)
+def line_with_exterior_ends():
+    """euclidean:1 at h = 1/8 whose two end nodes are exterior."""
     classification = np.array([EXTERIOR, 1, 0, 0, 0, 1, EXTERIOR], dtype=np.int8)
-    dom = GridDomain(spec, np.array([0.0]), 0.125, (7,), classification)
+    return GridDomain(groups.euclidean(1), np.array([0.0]), 0.125, (7,), classification)
+
+
+def test_exterior_nodes_get_nan_and_do_not_leak():
+    dom = line_with_exterior_ends()
     vals = dom.coords[:, 0] ** 2
     vals[~dom.nonexterior_mask] = np.nan  # junk outside the domain
     u = ScalarField(dom, vals)
@@ -131,6 +137,30 @@ def test_exterior_nodes_get_nan_and_do_not_leak():
     assert np.all(np.isfinite(lap.values[dom.interior_flat]))
     x = dom.coords[dom.interior_flat, 0]
     assert np.allclose(lap.values[dom.interior_flat], -8.0 * x**2, atol=1e-12)
+
+
+@pytest.mark.parametrize("lattice", [line_with_exterior_ends, box_with_cavity,
+                                     heisenberg_with_holes])
+def test_exterior_values_are_never_read(lattice):
+    """No row of the horizontal operators stores a column at an exterior node,
+    so a field that is NaN there, as a solver's output is, gives the bytes of
+    one that is 0 there."""
+    dom = lattice()
+    ext = ~dom.nonexterior_mask
+    assert np.any(ext)
+    for op in dom.gradient_operators():
+        assert not np.any(ext[op.indices])
+    ops = [calculus.OperatorSpec.infinity_laplacian(),
+           calculus.OperatorSpec.aronsson(integrands.power(4 / 3))]
+    vals = np.random.default_rng(dom.n_nodes).normal(size=dom.n_nodes)
+    runs = []
+    for fill in (np.nan, 0.0):
+        vals[ext] = fill
+        u = ScalarField(dom, vals)
+        runs.append([calculus.horizontal_gradient(u).values, calculus.horizontal_hessian(u)]
+                    + [calculus.residual(u, op).values for op in ops])
+    for nan_out, zero_out in zip(*runs):
+        assert nan_out.tobytes() == zero_out.tobytes()
 
 
 def reference_residual(u, f=None):

@@ -436,6 +436,18 @@ def test_thread_cap_is_set_before_numpy_loads(entry):
     assert out.split() == ["3"]
 
 
+def test_cli_import_leaves_acceptance_unloaded():
+    """cli imports every module its commands use at the top, but acceptance,
+    which only `subinf acceptance` runs."""
+    script = "import sys, subinf.cli\nprint('subinf.acceptance' in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(subinf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_solve_does_not_load_the_graph_stack(tmp_path):
     """metric imports scipy.sparse.csgraph only where it is used, so a
     solve in a fresh interpreter loads neither csgraph nor the linear

@@ -76,6 +76,20 @@ def test_nearest_node_rejects_a_non_finite_point(bad):
         dom.nearest_node([bad, 0.5])
 
 
+@pytest.mark.parametrize("lower,upper,h,what", [
+    ([0, 0], [1, 1], np.nan, "spacing .* got nan"),
+    ([0, 0], [1, 1], np.inf, "spacing .* got inf"),
+    ([0, 0], [1, 1], 0.0, "spacing .* got 0.0"),
+    ([0, np.nan], [1, 1], 0.25, r"lower corner must be finite, got \[0.0, nan\]"),
+    ([0, 0], [1, np.inf], 0.25, r"upper corner must be finite, got \[1.0, inf\]"),
+], ids=["h_nan", "h_inf", "h_zero", "lower_nan", "upper_inf"])
+def test_box_rejects_a_non_finite_spacing_or_corner(lower, upper, h, what):
+    """The spacing and both corners are checked before the spans are cast to
+    counts, so the bad value is named and the cast never warns."""
+    with pytest.raises(ParameterError, match=what):
+        GridDomain.box(groups.euclidean(2), lower, upper, h)
+
+
 def test_subbox_keeps_lattice_alignment():
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.125)
     sub = dom.subbox([2, 2], [6, 6])

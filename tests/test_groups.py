@@ -174,6 +174,25 @@ def test_frame_coefficients_heisenberg():
     assert np.array_equal(a, [[1.0, 0.0, -4.0], [0.0, 1.0, 2.0]])
 
 
+def test_heisenberg1_frame_is_right_invariant():
+    """x -> x*g carries the frame at x to the frame at x*g; x -> g*x does not
+    unless g is vertical.  Both maps are affine, so unit differences of
+    groups.multiply are their Jacobians, exact on these dyadic points: the test
+    fails if the group law or the frame is flipped without the other.  So right
+    translations are the symmetries of this frame, and the left-invariant
+    gauge_distance is not its metric's gauge."""
+    h1 = groups.heisenberg1()
+    rng = np.random.default_rng(8)
+    for x, g in rng.integers(-16, 17, size=(100, 2, 3)) / 8.0:
+        for translate, invariant in ((lambda p: groups.multiply(h1, p, g), True),
+                                     (lambda p: groups.multiply(h1, g, p),
+                                      g[0] == g[1] == 0)):
+            jac = np.stack([translate(x + e) - translate(x) for e in np.eye(3)], axis=1)
+            pushed = groups.frame_coefficients(h1, x) @ jac.T
+            assert np.array_equal(pushed, groups.frame_coefficients(h1, translate(x))) \
+                == invariant
+
+
 def test_frame_coefficients_grushin_degenerate_on_axis():
     gr = groups.grushin()
     on_axis = groups.frame_coefficients(gr, np.array([0.0, 0.7]))
