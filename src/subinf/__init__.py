@@ -6,7 +6,8 @@ The usual entry points:
 
     groups.from_id / euclidean / heisenberg1 / grushin
     grids.GridDomain.box, grids.ScalarField
-    calculus.horizontal_gradient / residual / infinity_laplacian / aronsson_residual
+    calculus.horizontal_gradient / horizontal_hessian / adjoint_divergence
+    calculus.OperatorSpec / residual / infinity_laplacian
     metric.build_graph / cc_distance
     convolution.sup_convolution / inf_convolution
     solver.solve / minimize_k / strictify

@@ -5,8 +5,9 @@ A(x, p, M): the infinity-Laplacian, the Aronsson operator of an integrand
 and the two auxiliary branches.  ``residual`` evaluates one at a field's
 jets (Xu, (XXu)*), and ``verify`` at certified touching jets.
 
-The gradient is assembled from matrices cached on the domain, so
-:func:`adjoint_divergence` is the exact transpose of
+The gradient and the Hessian are plain arrays, row r at the interior node
+``interior_flat[r]``.  They are assembled from matrices cached on the
+domain, so :func:`adjoint_divergence` is the exact transpose of
 :func:`horizontal_gradient` and summation by parts holds to rounding.
 Their rows store columns at non-exterior nodes only, so the products read
 only those nodes of a field, and the NaN a solver's output carries on the
@@ -23,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError
-from .grids import HorizontalField, ScalarField
+from .errors import IncompleteFieldError, ParameterError
+from .grids import GridDomain, ScalarField
 from .integrands import Integrand
 
 
@@ -60,6 +61,8 @@ class OperatorSpec:
 
     @classmethod
     def aronsson(cls, f: Integrand) -> "OperatorSpec":
+        """-grad f(p)^T M grad f(p).  ``Integrand.grad`` is 0 at p = 0, also
+        where it is singular (``power`` with alpha < 2), so A is 0 there."""
         return cls(kind="aronsson", f=f)
 
     @classmethod
@@ -98,9 +101,16 @@ def _gradient_columns(u: ScalarField) -> np.ndarray:
     return np.stack([op @ u.values for op in u.domain.gradient_operators()], axis=1)
 
 
-def horizontal_gradient(u: ScalarField) -> HorizontalField:
-    """Horizontal gradient Xu = (X_1 u, ..., X_m u) at interior nodes."""
-    return HorizontalField(u.domain, _gradient_columns(u)[u.domain.interior_flat])
+def horizontal_gradient(u: ScalarField) -> np.ndarray:
+    """Horizontal gradient Xu = (X_1 u, ..., X_m u) at interior nodes.
+
+    Returns an (interior nodes, m) array, row r at interior_flat[r], and
+    raises IncompleteFieldError if a component is not finite.
+    """
+    grad = _gradient_columns(u)[u.domain.interior_flat]
+    if not np.all(np.isfinite(grad)):
+        raise IncompleteFieldError("non-finite horizontal component")
+    return grad
 
 
 def horizontal_hessian(u: ScalarField) -> np.ndarray:
@@ -124,14 +134,15 @@ def residual(u: ScalarField, op: OperatorSpec) -> ScalarField:
     """The operator op at u's jets, A(x, Xu, (XXu)*), as a lattice field.
 
     Values are set at interior nodes; band nodes carry 0 and exterior nodes
-    NaN, since the operator needs a full stencil.
+    NaN, since the operator needs a full stencil.  A value that overflows
+    raises IncompleteFieldError naming its node.
     """
     dom = u.domain
     full = np.zeros(dom.n_nodes)
-    full[dom.interior_flat] = op.evaluate(None, horizontal_gradient(u).values,
+    full[dom.interior_flat] = op.evaluate(None, horizontal_gradient(u),
                                           horizontal_hessian(u))
     full[~dom.nonexterior_mask] = np.nan
-    return ScalarField(dom, full, validate=False)
+    return ScalarField(dom, full)
 
 
 def infinity_laplacian(u: ScalarField) -> ScalarField:
@@ -139,27 +150,24 @@ def infinity_laplacian(u: ScalarField) -> ScalarField:
     return residual(u, OperatorSpec.infinity_laplacian())
 
 
-def aronsson_residual(u: ScalarField, f: Integrand) -> ScalarField:
-    """Residual -sum_ij f_pi(Xu) f_pj(Xu) (X X u)*_ij of the Aronsson operator.
-
-    ``Integrand.grad`` is 0 at Xu = 0, also where it is singular (``power``
-    with alpha < 2), so the residual is 0 there.
-    """
-    return residual(u, OperatorSpec.aronsson(f))
-
-
-def adjoint_divergence(F: HorizontalField) -> ScalarField:
+def adjoint_divergence(domain: GridDomain, F: np.ndarray) -> ScalarField:
     """Exact adjoint of :func:`horizontal_gradient`.
 
-    Returns the lattice field X*F with <Xu, F> = <u, X*F> for every u
-    (inner products summed over interior nodes on the left, non-exterior
-    nodes on the right; u vanishing on the boundary band pairs purely with
-    the interior part).
+    F is an (interior nodes, m) array laid out as the gradient.  Returns
+    the lattice field X*F with <Xu, F> = <u, X*F> for every u (inner
+    products summed over interior nodes on the left, non-exterior nodes on
+    the right; u vanishing on the boundary band pairs purely with the
+    interior part).
     """
-    dom = F.domain
-    full = np.zeros(dom.n_nodes)
-    for i, op in enumerate(dom.gradient_operators()):
-        full += op[dom.interior_flat].T @ F.values[:, i]
-    full[~dom.nonexterior_mask] = np.nan
-    return ScalarField(dom, full, validate=False)
+    F = np.asarray(F, dtype=float)
+    shape = (domain.interior_flat.size, domain.spec.horizontal_dim)
+    if F.shape != shape:
+        raise IncompleteFieldError(f"horizontal field must have shape {shape}, got {F.shape}")
+    if not np.all(np.isfinite(F)):
+        raise IncompleteFieldError("non-finite horizontal component")
+    full = np.zeros(domain.n_nodes)
+    for i, op in enumerate(domain.gradient_operators()):
+        full += op[domain.interior_flat].T @ F[:, i]
+    full[~domain.nonexterior_mask] = np.nan
+    return ScalarField(domain, full)
 

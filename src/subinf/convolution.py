@@ -355,16 +355,16 @@ def sup_convolution(u: ScalarField, eps: float, kernel: str = "right") -> Convol
         K = _kernel_rows(dom, dom.coords[xs], dom.coords[ys], kernel).reshape(*xs.shape, -1)
         K *= inv_two_eps
         out[xs] = np.subtract(vals[ys][:, None], K, out=K).max(axis=2)
-    field = ScalarField(dom, out, validate=False)
+    field = ScalarField(dom, out)
     shrunk = shrink_domain(dom, (1.0 + 4.0 * r0) * eps, kernel)
     return ConvolutionReport(field, r0, shrunk)
 
 
 def inf_convolution(v: ScalarField, eps: float, kernel: str = "right") -> ConvolutionReport:
     """Inf convolution, computed by duality as -sup_convolution(-v)."""
-    neg = ScalarField(v.domain, -v.values, validate=False)
+    neg = ScalarField(v.domain, -v.values)
     rep = sup_convolution(neg, eps, kernel)
-    field = ScalarField(v.domain, -rep.field.values, validate=False)
+    field = ScalarField(v.domain, -rep.field.values)
     return ConvolutionReport(field, rep.r0, rep.shrunken)
 
 

@@ -1,4 +1,4 @@
-"""Lattice domains and the field containers used by every operator.
+"""Lattice domains and the one field type every operator reads.
 
 A :class:`GridDomain` is a uniform lattice over an axis-aligned box with one
 spacing ``h`` for all axes.  Every node is classified interior, boundary or
@@ -13,6 +13,10 @@ axis).  The horizontal operators in :mod:`subinf.calculus` are products of
 these matrices with the frame coefficients, which makes their adjoints exact
 transposes; they read the rows they need, the interior ones for the gradient
 and its adjoint.
+
+A :class:`ScalarField` is one value per lattice node, finite at every
+non-exterior node; the constructor checks that.  Horizontal vectors and
+Hessians are plain arrays whose rows follow ``interior_flat``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import groups
-from .errors import DomainMismatchError, IncompleteFieldError, ParameterError
+from .errors import DomainMismatchError, IncompleteFieldError, ParameterError, require_count
 from .groups import GroupSpec
 
 INTERIOR = 0
@@ -106,8 +110,7 @@ class GridDomain:
             raise ParameterError(
                 f"box corners must have {spec.dim} coordinates for {spec.id}"
             )
-        if band < 1:
-            raise ParameterError(f"boundary band width must be >= 1, got {band}")
+        band = require_count("boundary band width", band, 1)
         spans = (upper - lower) / h
         counts = np.rint(spans).astype(int)
         if np.any(np.abs(spans - counts) > 1e-8):
@@ -298,18 +301,21 @@ class GridDomain:
 
 
 class ScalarField:
-    """One real value per non-exterior node, stored on the full lattice."""
+    """One real value per node of the lattice, finite at every non-exterior node.
 
-    def __init__(self, domain: GridDomain, values: np.ndarray, validate: bool = True):
+    Exterior nodes may hold anything; the operators never read them, and
+    those that build a field write NaN there.
+    """
+
+    def __init__(self, domain: GridDomain, values: np.ndarray):
         values = np.asarray(values, dtype=float).reshape(-1)
         if values.size != domain.n_nodes:
             raise IncompleteFieldError(
                 f"field has {values.size} values for a lattice of {domain.n_nodes}"
             )
-        if validate and not np.all(np.isfinite(values[domain.nonexterior_flat])):
-            bad = domain.nonexterior_flat[
-                ~np.isfinite(values[domain.nonexterior_flat])
-            ][0]
+        finite = np.isfinite(values[domain.nonexterior_flat])
+        if not np.all(finite):
+            bad = domain.nonexterior_flat[~finite][0]
             raise IncompleteFieldError(f"non-finite value at node {int(bad)}")
         self.domain = domain
         self.values = values
@@ -323,9 +329,6 @@ class ScalarField:
     def zeros(cls, domain: GridDomain) -> "ScalarField":
         return cls(domain, np.zeros(domain.n_nodes))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.domain, self.values.copy(), validate=False)
-
     def max_abs_interior(self) -> float:
         vals = self.values[self.domain.interior_flat]
         return float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -335,25 +338,6 @@ class ScalarField:
         return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
-class HorizontalField:
-    """One length-m horizontal vector per interior node."""
-
-    def __init__(self, domain: GridDomain, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        m = domain.spec.horizontal_dim
-        n_int = domain.interior_flat.size
-        if values.shape != (n_int, m):
-            raise IncompleteFieldError(
-                f"horizontal field must have shape ({n_int}, {m}), got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise IncompleteFieldError("non-finite horizontal component")
-        self.domain = domain
-        self.values = values
-
-
-def require_same_lattice(a, b) -> None:
-    da = a.domain if hasattr(a, "domain") else a
-    db = b.domain if hasattr(b, "domain") else b
-    if not da.same_lattice(db):
+def require_same_lattice(a: GridDomain, b: GridDomain) -> None:
+    if not a.same_lattice(b):
         raise DomainMismatchError("fields live on different lattices")

@@ -54,9 +54,6 @@ class GroupSpec:
             return f"euclidean:{self.dim}"
         return self.name
 
-    def __str__(self) -> str:
-        return self.id
-
 
 def euclidean(n: int) -> GroupSpec:
     if n < 1:

@@ -1135,12 +1135,12 @@ def strictify(v: ScalarField, delta: float, eps: float,
     so it keeps the order of fields, and sup|g_delta(v) - v| is at most
     1.0625 delta sup|v|.
     """
-    if not delta > 0:
-        raise ParameterError("delta must be positive, got %s" % (delta,))
-    if not eps > 0:
-        raise ParameterError("eps must be positive, got %s" % (eps,))
-    if not alpha >= 1:
-        raise ParameterError("alpha must be at least 1, got %s" % (alpha,))
+    if not 0 < delta < math.inf:
+        raise ParameterError("delta must be positive and finite, got %s" % (delta,))
+    if not 0 < eps < math.inf:
+        raise ParameterError("eps must be positive and finite, got %s" % (eps,))
+    if not 1 <= alpha < math.inf:
+        raise ParameterError("alpha must be finite and at least 1, got %s" % (alpha,))
     c0 = max(4.0 * v.sup_norm(), 1e-12)
     mu = min(delta * eps / 2.0, delta * alpha * alpha * eps * eps / (2.0 * c0))
     vals = v.values.copy()

@@ -450,8 +450,8 @@ def amle_check(u: ScalarField, f: Integrand, trials: int,
         sub_u = ScalarField(sub, sub_vals)
         g = BoundaryData.from_field(sub_u)
         w = solve(g, f, config=config).solution
-        num = float(np.max(f.value(horizontal_gradient(sub_u).values)))
-        den = float(np.max(f.value(horizontal_gradient(w).values)))
+        num = float(np.max(f.value(horizontal_gradient(sub_u))))
+        den = float(np.max(f.value(horizontal_gradient(w))))
         worst = max(worst, num / max(den, 1e-12))
         tested += 1
     if tested == 0:

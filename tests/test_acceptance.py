@@ -44,7 +44,7 @@ def test_residual_refinement_detects_an_injected_stencil_bug(monkeypatch):
         field = real(u)
         vals = field.values.copy()
         vals[u.domain.interior_flat] += u.domain.h
-        return ScalarField(u.domain, vals, validate=False)
+        return ScalarField(u.domain, vals)
 
     monkeypatch.setattr(calculus, "infinity_laplacian", broken)
     ok, measured, _ = acceptance._a2(acceptance.bundled_config_dir())
@@ -81,7 +81,7 @@ def test_a10_margin_is_the_aux_upper_residual_bit_for_bit():
     f = cfg.integrand_obj()
     up = solver.solve(cfg.boundary_data(), f, cfg.eps, "upper", config=cfg.solver).solution
     w, _ = solver.strictify(up, delta=0.1, eps=cfg.eps, alpha=f.alpha)
-    grad = calculus.horizontal_gradient(w).values
+    grad = calculus.horizontal_gradient(w)
     fp = f.grad(grad)
     res = -np.einsum("ki,kij,kj->k", fp, calculus.horizontal_hessian(w), fp)
     reference = np.maximum(cfg.eps - f.value(grad), res)

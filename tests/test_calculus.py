@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from subinf import calculus, groups, integrands
-from subinf.grids import EXTERIOR, GridDomain, HorizontalField, ScalarField
+from subinf.errors import IncompleteFieldError
+from subinf.grids import EXTERIOR, GridDomain, ScalarField
 from test_convolution import heisenberg_with_holes
 from test_solver import box_with_cavity
 
@@ -17,7 +18,7 @@ def test_gradient_of_vertical_coordinate():
     affine functions and the frame coefficients are evaluated pointwise."""
     dom = h1_box()
     u = ScalarField.from_function(dom, lambda c: c[:, 2])
-    g = calculus.horizontal_gradient(u).values
+    g = calculus.horizontal_gradient(u)
     xy = dom.coords[dom.interior_flat]
     assert np.allclose(g[:, 0], -2 * xy[:, 1], atol=1e-13)
     assert np.allclose(g[:, 1], 2 * xy[:, 0], atol=1e-13)
@@ -79,7 +80,7 @@ def test_aronsson_residual_squared_norm_is_four_times_infinity_laplacian():
     dom = h1_box(0.25)
     rng = np.random.default_rng(7)
     u = ScalarField(dom, rng.normal(size=dom.n_nodes))
-    a = calculus.aronsson_residual(u, integrands.squared_norm())
+    a = calculus.residual(u, calculus.OperatorSpec.aronsson(integrands.squared_norm()))
     lap = calculus.infinity_laplacian(u)
     inner = dom.interior_flat
     assert np.allclose(a.values[inner], 4.0 * lap.values[inner],
@@ -91,17 +92,17 @@ def test_aronsson_residual_singular_integrand_flags_zero_gradient():
     interior nodes where Xu = 0, even where the Hessian is not."""
     dom = GridDomain.box(groups.euclidean(2), [0, 0], [1, 1], 0.25)
     u = ScalarField(dom, np.maximum(dom.coords[:, 0] - 0.5, 0.0))
-    flat = np.all(calculus.horizontal_gradient(u).values == 0.0, axis=1)
+    flat = np.all(calculus.horizontal_gradient(u) == 0.0, axis=1)
     assert np.any(flat) and not np.all(flat)
     assert np.all(calculus.horizontal_hessian(u)[flat, 0, 0] != 0.0)
-    res = calculus.aronsson_residual(u, integrands.power(1.5))
+    res = calculus.residual(u, calculus.OperatorSpec.aronsson(integrands.power(1.5)))
     inner = res.values[dom.interior_flat]
     assert np.all(inner[flat] == 0.0)
     assert np.all(np.isfinite(inner)) and np.all(inner[~flat] != 0.0)
     # a constant field: no gradient and no curvature anywhere
     c = ScalarField(dom, np.full(dom.n_nodes, 3.0))
     for alpha in (1.5, 4.0):
-        res = calculus.aronsson_residual(c, integrands.power(alpha))
+        res = calculus.residual(c, calculus.OperatorSpec.aronsson(integrands.power(alpha)))
         assert np.all(res.values[dom.interior_flat] == 0.0)
 
 
@@ -111,14 +112,44 @@ def test_adjoint_divergence_is_exact_transpose(gid):
     dom = GridDomain.box(spec, [-1.0] * spec.dim, [1.0] * spec.dim, 0.25)
     rng = np.random.default_rng(11)
     u = ScalarField(dom, rng.normal(size=dom.n_nodes))
-    F = HorizontalField(
-        dom, rng.normal(size=(dom.interior_flat.size, spec.horizontal_dim))
-    )
-    lhs = float(np.sum(calculus.horizontal_gradient(u).values * F.values))
-    div = calculus.adjoint_divergence(F)
+    F = rng.normal(size=(dom.interior_flat.size, spec.horizontal_dim))
+    lhs = float(np.sum(calculus.horizontal_gradient(u) * F))
+    div = calculus.adjoint_divergence(dom, F)
     ne = dom.nonexterior_flat
     rhs = float(np.sum(u.values[ne] * div.values[ne]))
     assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def test_adjoint_divergence_checks_its_field():
+    """F is an (interior nodes, m) array; another shape or a NaN entry is refused."""
+    dom = GridDomain.box(groups.heisenberg1(), [0, 0, 0], [1, 1, 1], 0.25)
+    n_int = dom.interior_flat.size
+    calculus.adjoint_divergence(dom, np.zeros((n_int, 2)))
+    with pytest.raises(IncompleteFieldError, match=r"must have shape \(27, 2\)"):
+        calculus.adjoint_divergence(dom, np.zeros((n_int, 3)))
+    bad = np.zeros((n_int, 2))
+    bad[4, 1] = np.nan
+    with pytest.raises(IncompleteFieldError, match="non-finite horizontal component"):
+        calculus.adjoint_divergence(dom, bad)
+
+
+def test_horizontal_gradient_rejects_a_non_finite_component():
+    """A finite field whose differences overflow has no gradient."""
+    dom = GridDomain.box(groups.euclidean(1), [-1.0], [1.0], 0.25)
+    u = ScalarField(dom, np.where(np.arange(dom.n_nodes) % 2, 1e308, -1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IncompleteFieldError, match="non-finite horizontal component"):
+            calculus.horizontal_gradient(u)
+
+
+def test_a_residual_that_overflows_is_refused():
+    """u = 1e200 x^2 has a finite gradient and Hessian, but w^T M w overflows;
+    the residual names the node rather than returning -inf."""
+    dom = GridDomain.box(groups.euclidean(1), [-1.0], [1.0], 0.25)
+    u = ScalarField.from_function(dom, lambda c: 1e200 * c[:, 0] ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IncompleteFieldError, match="non-finite value at node 1"):
+            calculus.infinity_laplacian(u)
 
 
 def line_with_exterior_ends():
@@ -157,7 +188,7 @@ def test_exterior_values_are_never_read(lattice):
     for fill in (np.nan, 0.0):
         vals[ext] = fill
         u = ScalarField(dom, vals)
-        runs.append([calculus.horizontal_gradient(u).values, calculus.horizontal_hessian(u)]
+        runs.append([calculus.horizontal_gradient(u), calculus.horizontal_hessian(u)]
                     + [calculus.residual(u, op).values for op in ops])
     for nan_out, zero_out in zip(*runs):
         assert nan_out.tobytes() == zero_out.tobytes()
@@ -165,7 +196,7 @@ def test_exterior_values_are_never_read(lattice):
 
 def reference_residual(u, f=None):
     """The einsum form of the residual: -w^T (XXu)* w with w = Xu or grad f(Xu)."""
-    grad = calculus.horizontal_gradient(u).values
+    grad = calculus.horizontal_gradient(u)
     w = grad if f is None else f.grad(grad)
     full = np.zeros(u.domain.n_nodes)
     full[u.domain.interior_flat] = -np.einsum("ki,kij,kj->k", w,
@@ -181,10 +212,10 @@ def reference_residual(u, f=None):
     ("grushin", [1.0, 1.0], 0.25), ("euclidean:2", [-0.5, -0.5], 0.25),
 ])
 def test_residual_equals_the_einsum_form_bit_for_bit(gid, upper, h, alpha):
-    """infinity_laplacian and aronsson_residual are calculus.residual of their
-    OperatorSpec; OperatorSpec.evaluate sums w_i M_ij w_j in einsum's order, so
-    the values are those of the einsum form, NaN and 0 included.  The last
-    lattice has one interior node."""
+    """infinity_laplacian is calculus.residual of its OperatorSpec, and
+    OperatorSpec.evaluate sums w_i M_ij w_j in einsum's order, so the values
+    of both operators are those of the einsum form, NaN and 0 included.  The
+    last lattice has one interior node."""
     spec = groups.from_id(gid)
     dom = GridDomain.box(spec, [-1.0] * spec.dim, upper, h)
     rng = np.random.default_rng(len(gid) + dom.n_nodes)
@@ -194,6 +225,6 @@ def test_residual_equals_the_einsum_form_bit_for_bit(gid, upper, h, alpha):
         ref = reference_residual(u)
     else:
         f = integrands.power(alpha)
-        got = calculus.aronsson_residual(u, f).values
+        got = calculus.residual(u, calculus.OperatorSpec.aronsson(f)).values
         ref = reference_residual(u, f)
     assert got.tobytes() == ref.tobytes()

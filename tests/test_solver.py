@@ -1713,6 +1713,12 @@ def test_strictify_degenerate_and_validation():
         solver.strictify(z, delta=0.1, eps=0.2, alpha=0.5)
     with pytest.raises(ParameterError):
         solver.strictify(z, delta=0.1, eps=0.2, alpha=math.nan)
+    with pytest.raises(ParameterError, match="delta must be positive and finite"):
+        solver.strictify(z, delta=math.inf, eps=0.2)
+    with pytest.raises(ParameterError, match="eps must be positive and finite"):
+        solver.strictify(z, delta=0.1, eps=math.inf)
+    with pytest.raises(ParameterError, match="alpha must be finite"):
+        solver.strictify(z, delta=0.1, eps=0.2, alpha=math.inf)
 
 
 def test_strictify_preserves_order_of_bounded_fields():
